@@ -24,6 +24,7 @@ import numpy as np
 
 from . import relu
 from .descent import DescentConfig, run_descent, save_trace
+from .eigenbounds import ALPHA4_VARIANTS
 from .errors import InvalidInputError, NumericalFailureError
 from .relu import NetConfig
 from .tableio import write_table
@@ -66,8 +67,8 @@ class ExperimentSpec:
         bad = [b for b in self.bounds if b not in BOUND_CHOICES]
         if bad or not self.bounds:
             raise InvalidInputError(f"bound selection must be a nonempty subset of {BOUND_CHOICES}")
-        if self.alpha4_variant not in ("standard", "paper"):
-            raise InvalidInputError("alpha4 variant must be 'standard' or 'paper'")
+        if self.alpha4_variant not in ALPHA4_VARIANTS:
+            raise InvalidInputError(f"alpha4 variant must be one of {ALPHA4_VARIANTS}")
         if self.oracle_strategy not in ("auto",) + relu.ORACLE_STRATEGIES:
             raise InvalidInputError("oracle strategy must be auto, pattern-enum or random-search")
         if self.oracle_budget < 1:
@@ -83,19 +84,9 @@ class ExperimentSpec:
 # --- spec file + flag merging ------------------------------------------------
 
 _KEY_TO_FIELD = {
-    "d": "d",
-    "k": "k",
-    "n": "n",
-    "seed": "seed",
-    "reps": "reps",
-    "steps": "steps",
-    "scales": "scales",
-    "bounds": "bounds",
-    "alpha4-variant": "alpha4_variant",
-    "out": "out",
-    "no-timestamp": "no_timestamp",
-    "oracle-strategy": "oracle_strategy",
-    "oracle-budget": "oracle_budget",
+    name.replace("_", "-"): name
+    for name in ("d", "k", "n", "seed", "reps", "steps", "scales", "bounds", "alpha4_variant", "out",
+                 "no_timestamp", "oracle_strategy", "oracle_budget")
 }
 
 
@@ -184,12 +175,6 @@ def _resolve_oracle_strategy(spec: ExperimentSpec) -> str:
 
 
 def _bound_value(name: str, data: relu.ReluDataset, spec: ExperimentSpec, seed: int) -> float:
-    if name == "alpha1":
-        return relu.bound_alpha1(data, spec.k)
-    if name == "alpha2":
-        return relu.bound_alpha2(data, spec.k)
-    if name == "alpha3":
-        return relu.bound_alpha3(data, spec.k)
     if name == "alpha4":
         return relu.bound_alpha4(data, spec.k, spec.alpha4_variant)
     if name == "oracle":
@@ -197,7 +182,9 @@ def _bound_value(name: str, data: relu.ReluDataset, spec: ExperimentSpec, seed: 
             data, spec.k, _resolve_oracle_strategy(spec), spec.oracle_budget,
             rng=np.random.default_rng(seed),
         )
-    raise InvalidInputError(f"unknown bound {name!r}")
+    if name not in BOUND_CHOICES:
+        raise InvalidInputError(f"unknown bound {name!r}")
+    return getattr(relu, f"bound_{name}")(data, spec.k)
 
 
 def _summary_rows(kind_col_rows: list[list]) -> list[list]:
@@ -351,7 +338,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--steps", type=int, default=None, help="descent steps per run")
         p.add_argument("--scales", type=str, default=None, help="comma list, e.g. 0.5,1,2,4")
         p.add_argument("--bounds", type=str, default=None, help=f"comma subset of {','.join(BOUND_CHOICES)}")
-        p.add_argument("--alpha4-variant", choices=("standard", "paper"), default=None, dest="alpha4_variant")
+        p.add_argument("--alpha4-variant", choices=ALPHA4_VARIANTS, default=None, dest="alpha4_variant")
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--no-timestamp", action="store_true", dest="no_timestamp",
                        help="suppress the '# generated:' header line")

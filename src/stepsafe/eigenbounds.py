@@ -8,7 +8,8 @@ Three estimators with very different cost/tightness trade-offs:
   in its standard form
 
 plus a fast path for the block-constant matrices produced by stacking k copies
-of each data vector (``kron_allones_structure_lambda``).
+of each data vector (``kron_allones_structure_lambda``).  The Gershgorin and
+Cassini formulas need only a diagonal and row radii, never the matrix itself.
 """
 
 from __future__ import annotations
@@ -114,14 +115,32 @@ def power_iteration(m: SymMatrix) -> EigenResult:
     return EigenResult(value=lam, vector=v, iterations=iterations, converged=converged)
 
 
-def _row_radii(a: np.ndarray) -> np.ndarray:
-    return np.abs(a).sum(axis=1) - np.abs(np.diag(a))
+def _diag_radii(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    diag = np.diag(a)
+    return diag, np.abs(a).sum(axis=1) - np.abs(diag)
+
+
+def _gershgorin(diag: np.ndarray, radii: np.ndarray) -> float:
+    return float((diag + radii).max())
+
+
+def _cassini(diag: np.ndarray, radii: np.ndarray, variant: str, twinned: bool = False) -> float:
+    """Cassini value maximized over row pairs i != j, and over (i, i) too when each
+    row has an equal twin (the same coordinate in another block of J_k x S)."""
+    if variant not in ALPHA4_VARIANTS:
+        raise InvalidInputError(f"unknown variant {variant!r}; expected one of {ALPHA4_VARIANTS}")
+    mean = (diag[:, None] + diag[None, :]) / 2.0
+    gap = diag[:, None] - diag[None, :]
+    inside = (gap / 2.0) ** 2 if variant == "standard" else gap**2
+    vals = mean + np.sqrt(inside + radii[:, None] * radii[None, :])
+    if not twinned:
+        np.fill_diagonal(vals, -np.inf)
+    return float(vals.max())
 
 
 def gershgorin_upper(m: SymMatrix) -> float:
     """max_i (m_ii + R_i) with R_i the off-diagonal absolute row sum."""
-    a = m.entries
-    return float((np.diag(a) + _row_radii(a)).max())
+    return _gershgorin(*_diag_radii(m.entries))
 
 
 def brauer_cassini_upper(m: SymMatrix, variant: str = "standard") -> float:
@@ -132,21 +151,9 @@ def brauer_cassini_upper(m: SymMatrix, variant: str = "standard") -> float:
     unhalved, which can exceed Gershgorin when the diagonal is uneven; it is
     retained only for comparison runs.
     """
-    if variant == "paper-literal":
-        variant = "paper"
-    if variant not in ALPHA4_VARIANTS:
-        raise InvalidInputError(f"unknown variant {variant!r}; expected one of {ALPHA4_VARIANTS}")
     if m.size < 2:
         raise InvalidInputError("the pairwise bound requires a matrix of size >= 2")
-    a = m.entries
-    diag = np.diag(a)
-    radii = _row_radii(a)
-    mean = (diag[:, None] + diag[None, :]) / 2.0
-    gap = diag[:, None] - diag[None, :]
-    inside = (gap / 2.0) ** 2 if variant == "standard" else gap**2
-    vals = mean + np.sqrt(inside + radii[:, None] * radii[None, :])
-    np.fill_diagonal(vals, -np.inf)
-    return float(vals.max())
+    return _cassini(*_diag_radii(m.entries), variant)
 
 
 def kron_allones_structure_lambda(s: SymMatrix, k: int) -> float:
@@ -158,4 +165,4 @@ def kron_allones_structure_lambda(s: SymMatrix, k: int) -> float:
     """
     if k < 1:
         raise InvalidInputError("k must be at least 1")
-    return float(k) * power_iteration(s).value
+    return float(k) * float(np.linalg.eigvalsh(s.entries)[-1])

@@ -16,8 +16,6 @@ def format_cell(value) -> str:
         return "1" if value else "0"
     if isinstance(value, float):
         return FLOAT_FMT % value
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

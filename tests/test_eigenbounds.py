@@ -117,8 +117,9 @@ class TestBrauerCassini:
             brauer_cassini_upper(sym_matrix([[1.0]]))
 
     def test_unknown_variant(self):
-        with pytest.raises(InvalidInputError):
-            brauer_cassini_upper(sym_matrix(np.eye(2)), "tight")
+        for variant in ("tight", "paper-literal"):
+            with pytest.raises(InvalidInputError):
+                brauer_cassini_upper(sym_matrix(np.eye(2)), variant)
 
 
 class TestBoundOrdering:

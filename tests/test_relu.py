@@ -36,7 +36,7 @@ from stepsafe.relu import (
     realizable_activation_patterns,
     save_dataset,
 )
-from stepsafe.eigenbounds import power_iteration
+from stepsafe.eigenbounds import brauer_cassini_upper, gershgorin_upper, power_iteration
 
 
 def _weights(rows):
@@ -298,6 +298,42 @@ class TestAlphaBounds:
             assert rep.alpha2 <= rep.alpha3 + slack
             assert rep.alpha2 <= rep.alpha4 + slack
             assert rep.alpha_oracle <= rep.alpha2 + slack
+
+    @pytest.mark.parametrize("variant", ["standard", "paper"])
+    @pytest.mark.parametrize(
+        "d_range, k_range", [((2, 13), (1, 2)), ((1, 13), (2, 8)), ((1, 2), (2, 8))], ids=["k=1", "k>=2", "d=1"]
+    )
+    def test_bounds_from_s_match_allactive_matrix(self, d_range, k_range, variant):
+        # alpha2..alpha4 come from the d x d matrix S; the explicit kd x kd
+        # all-active matrix is the reference
+        rng = np.random.default_rng([*d_range, *k_range])
+        for _ in range(25):
+            d, k, n = int(rng.integers(*d_range)), int(rng.integers(*k_range)), int(rng.integers(1, 300))
+            data = generate_dataset(NetConfig(d, k, n, int(rng.integers(0, 2**31))))
+            m = allactive_gram_matrix(data, k)
+            a3, a4 = bound_alpha3(data, k), bound_alpha4(data, k, variant)
+            assert a3 == pytest.approx(gershgorin_upper(m), rel=1e-12)
+            assert a4 == pytest.approx(brauer_cassini_upper(m, variant), rel=1e-12)
+            assert bound_alpha2(data, k) == pytest.approx(np.linalg.eigvalsh(m.entries)[-1], rel=1e-12)
+            if k >= 2 and variant == "standard":
+                assert a4 == a3
+
+    def test_bounds_at_d1000_k1000_from_s_alone(self):
+        # the all-active matrix would be 10^6 x 10^6 here (8 TB); every bound
+        # must come from the 1000 x 1000 matrix S
+        d = k = n = 1000
+        data = generate_dataset(NetConfig(d, k, n, seed=3))
+        s = data.inputs.T @ data.inputs / n
+        diag = np.diag(s)
+        radii = k * np.abs(s).sum(axis=1) - diag
+        gap = diag[:, None] - diag[None, :]
+        pairs = (diag[:, None] + diag[None, :]) / 2.0 + np.sqrt(gap**2 + radii[:, None] * radii[None, :])
+        assert bound_alpha1(data, k) == pytest.approx(k / n * float((data.inputs**2).sum()), rel=1e-12)
+        assert bound_alpha2(data, k) == pytest.approx(k * np.linalg.eigvalsh(s)[-1], rel=1e-12)
+        assert bound_alpha3(data, k) == pytest.approx(k * float(np.abs(s).sum(axis=1).max()), rel=1e-12)
+        assert bound_alpha4(data, k, "standard") == bound_alpha3(data, k)
+        # paper variant: every pair i, j counts, twins (i, i) included since k >= 2
+        assert bound_alpha4(data, k, "paper") == pytest.approx(float(pairs.max()), rel=1e-12)
 
 
 class TestAlphaOracle:
