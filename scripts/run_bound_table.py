@@ -31,7 +31,7 @@ def main():
     for d, k, n in CONFIGS:
         spec = ExperimentSpec(
             d=d, k=k, n=n, seed=args.seed, reps=args.reps,
-            out=args.out / f"d{d}_k{k}_n{n}", timestamp=False,
+            out=args.out / f"d{d}_k{k}_n{n}", no_timestamp=True,
         )
         spec.validate()
         path = cmd_bounds(spec)

@@ -24,7 +24,7 @@ def main():
     spec = ExperimentSpec(
         d=args.d, k=args.k, n=args.n, seed=args.seed, reps=args.reps,
         steps=args.steps, bounds=("alpha1", "alpha2", "alpha3", "alpha4"),
-        out=args.out, timestamp=False,
+        out=args.out, no_timestamp=True,
     )
     spec.validate()
     cmd_train(spec)

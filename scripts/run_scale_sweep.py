@@ -27,7 +27,7 @@ def main():
         spec = ExperimentSpec(
             d=args.d, k=args.k, n=n, seed=args.seed, reps=args.reps, steps=args.steps,
             scales=tuple(float(v) for v in args.scales.split(",") if v.strip()),
-            out=args.out / f"n{n}", timestamp=False,
+            out=args.out / f"n{n}", no_timestamp=True,
         )
         spec.validate()
         print(f"-- n={n}")

@@ -15,8 +15,10 @@ seed + r for the data stream and (seed + r, 1) for the student init stream.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -41,6 +43,21 @@ EXIT_IO_FAILURE = 3
 
 @dataclass
 class ExperimentSpec:
+    """Settings of one run.  Each field is a flag (--alpha4-variant) and a
+    spec-file key (alpha4-variant):
+
+      d, k, n          input dimension, hidden neurons, data points
+      seed, reps       master seed and number of runs (seeds seed .. seed+reps-1)
+      steps            descent steps per run
+      scales           comma list of step scales for scale-sweep, e.g. 0.5,1,2,4
+      bounds           comma subset of alpha1,alpha2,alpha3,alpha4,oracle
+      alpha4_variant   standard or paper
+      out              output directory
+      no_timestamp     leave out the '# generated:' comment line
+      oracle_strategy  auto, pattern-enum or random-search
+      oracle_budget    random-search draws
+    """
+
     d: int = 10
     k: int = 5
     n: int = 1000
@@ -51,7 +68,7 @@ class ExperimentSpec:
     bounds: tuple = DEFAULT_BOUNDS
     alpha4_variant: str = "standard"
     out: Path = Path("results")
-    timestamp: bool = True
+    no_timestamp: bool = False
     oracle_strategy: str = "auto"
     oracle_budget: int = 10_000
 
@@ -78,16 +95,17 @@ class ExperimentSpec:
         return self.seed + rep
 
     def stamp(self) -> str | None:
-        return datetime.now(timezone.utc).isoformat() if self.timestamp else None
+        return None if self.no_timestamp else datetime.now(timezone.utc).isoformat()
 
 
 # --- spec file + flag merging ------------------------------------------------
 
-_KEY_TO_FIELD = {
-    name.replace("_", "-"): name
-    for name in ("d", "k", "n", "seed", "reps", "steps", "scales", "bounds", "alpha4_variant", "out",
-                 "no_timestamp", "oracle_strategy", "oracle_budget")
-}
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InvalidInputError(f"bad integer {text!r}") from exc
 
 
 def _parse_scales(text: str) -> tuple:
@@ -110,8 +128,24 @@ def _parse_bool(text: str) -> bool:
     raise InvalidInputError(f"bad boolean value {text!r}")
 
 
+# Every ExperimentSpec field with the converter of its text value.  The table
+# gives each subcommand its flags (--alpha4-variant for alpha4_variant) and
+# the spec file its keys (alpha4-variant); both hand over text, and
+# build_spec converts it here.  Converters raise InvalidInputError.
+FIELDS = {
+    "d": _parse_int, "k": _parse_int, "n": _parse_int, "seed": _parse_int, "reps": _parse_int,
+    "steps": _parse_int, "scales": _parse_scales, "bounds": _parse_bounds, "alpha4_variant": str,
+    "out": Path, "no_timestamp": _parse_bool, "oracle_strategy": str, "oracle_budget": _parse_int,
+}
+
+
+def _key(name: str) -> str:
+    return name.replace("_", "-")
+
+
 def read_spec_file(path) -> dict:
     """Flat key=value file mirroring the flags; '#' starts a comment."""
+    keys = {_key(name): name for name in FIELDS}
     values = {}
     with Path(path).open() as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -121,44 +155,17 @@ def read_spec_file(path) -> dict:
             if "=" not in line:
                 raise InvalidInputError(f"{path}:{lineno}: expected key = value")
             key, text = (part.strip() for part in line.split("=", 1))
-            if key not in _KEY_TO_FIELD:
+            if key not in keys:
                 raise InvalidInputError(f"{path}:{lineno}: unknown key {key!r}")
-            values[_KEY_TO_FIELD[key]] = text
+            values[keys[key]] = text
     return values
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Defaults, overridden by the spec file, overridden by explicit flags."""
-    spec = ExperimentSpec()
-    if args.spec is not None:
-        raw = read_spec_file(args.spec)
-        converters = {
-            "d": int, "k": int, "n": int, "seed": int, "reps": int, "steps": int,
-            "scales": _parse_scales, "bounds": _parse_bounds,
-            "alpha4_variant": str, "out": Path,
-            "oracle_strategy": str, "oracle_budget": int,
-        }
-        for name, text in raw.items():
-            if name == "no_timestamp":
-                spec.timestamp = not _parse_bool(text)
-            else:
-                setattr(spec, name, converters[name](text))
-    for name in ("d", "k", "n", "seed", "reps", "steps", "oracle_budget"):
-        value = getattr(args, name)
-        if value is not None:
-            setattr(spec, name, value)
-    if args.scales is not None:
-        spec.scales = _parse_scales(args.scales)
-    if args.bounds is not None:
-        spec.bounds = _parse_bounds(args.bounds)
-    if args.alpha4_variant is not None:
-        spec.alpha4_variant = args.alpha4_variant
-    if args.out is not None:
-        spec.out = Path(args.out)
-    if args.no_timestamp:
-        spec.timestamp = False
-    if args.oracle_strategy is not None:
-        spec.oracle_strategy = args.oracle_strategy
+    text = read_spec_file(args.spec) if args.spec is not None else {}
+    text.update((name, getattr(args, name)) for name in FIELDS if getattr(args, name) is not None)
+    spec = ExperimentSpec(**{name: FIELDS[name](value) for name, value in text.items()})
     spec.validate()
     return spec
 
@@ -319,7 +326,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """Built on first use and kept for the life of the process."""
     parser = _Parser(prog="stepsafe", description="Concavifier bounds and safe-step experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
@@ -328,23 +337,14 @@ def _build_parser() -> _Parser:
         ("scale-sweep", "descent traces at eta = scale/alpha2"),
         ("oracle", "brute-force oracle next to the bounds"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--spec", type=Path, default=None, help="key=value file; flags override it")
-        p.add_argument("--d", type=int, default=None, help="input dimension")
-        p.add_argument("--k", type=int, default=None, help="hidden neurons")
-        p.add_argument("--n", type=int, default=None, help="data points")
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--reps", type=int, default=None, help="number of seeds (seed + index)")
-        p.add_argument("--steps", type=int, default=None, help="descent steps per run")
-        p.add_argument("--scales", type=str, default=None, help="comma list, e.g. 0.5,1,2,4")
-        p.add_argument("--bounds", type=str, default=None, help=f"comma subset of {','.join(BOUND_CHOICES)}")
-        p.add_argument("--alpha4-variant", choices=ALPHA4_VARIANTS, default=None, dest="alpha4_variant")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--no-timestamp", action="store_true", dest="no_timestamp",
-                       help="suppress the '# generated:' header line")
-        p.add_argument("--oracle-strategy", choices=("auto", "pattern-enum", "random-search"),
-                       default=None, dest="oracle_strategy")
-        p.add_argument("--oracle-budget", type=int, default=None, dest="oracle_budget")
+        p = sub.add_parser(name, help=help_text, epilog=inspect.cleandoc(ExperimentSpec.__doc__),
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.add_argument("--spec", type=Path, help="key = value file with the flag names as keys; flags override it")
+        for field in FIELDS:
+            if field == "no_timestamp":  # a switch: present means "true"
+                p.add_argument("--no-timestamp", action="store_const", const="true")
+            else:
+                p.add_argument(f"--{_key(field)}")
     return parser
 
 
@@ -357,9 +357,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         spec = build_spec(args)
         _COMMANDS[args.command](spec)
     except SystemExit as exc:

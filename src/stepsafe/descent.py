@@ -18,27 +18,21 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
 from .objectives import ObjectiveFunction
+from .tableio import write_table
 
 DESCENT_SLACK_RTOL = 1e-9
-FLOAT_FMT = "%.17g"
 
 TRACE_COLUMNS = ("step", "loss", "grad_norm", "descent_gap", "monotone_so_far")
 
 
 @dataclass(frozen=True)
 class DescentConfig:
-    """Step size, step budget, initial point and the descent-slack tolerance.
-
-    The slack tolerance is relative: a step counts as descending when
-    f(x_{t+1}) <= f(x_t) + slack_rtol * max(1, |f(x_t)|).  grad_norm_stop
-    enables the optional early stop (off by default).
-    """
+    """Step size, step budget and initial point.  Every run takes the full
+    step budget unless the objective or its gradient turns non-finite."""
 
     eta: float
     steps: int
     x0: np.ndarray
-    slack_rtol: float = DESCENT_SLACK_RTOL
-    grad_norm_stop: float | None = None
 
     def __post_init__(self):
         if not self.eta > 0.0:
@@ -52,15 +46,16 @@ class DescentConfig:
 class DescentTrace:
     """Per-step record of a descent run.
 
-    losses and grad_norms have one entry per recorded iterate (at most
-    steps+1); gaps has one entry per completed step.  monotone means the loss
-    never rose beyond the slack tolerance anywhere in the trace.
+    losses, grad_norms and monotone_so_far have one entry per recorded
+    iterate (at most steps+1); gaps has one entry per completed step.
+    monotone_so_far[t] says the loss never rose by more than
+    DESCENT_SLACK_RTOL * max(1, |f(x_s)|) in any step s < t.
     """
 
     losses: np.ndarray
     grad_norms: np.ndarray
     gaps: np.ndarray
-    monotone: bool
+    monotone_so_far: np.ndarray
     diverged: bool
     final_point: np.ndarray
     eta: float
@@ -69,13 +64,10 @@ class DescentTrace:
     def steps_taken(self) -> int:
         return self.gaps.shape[0]
 
-    def monotone_prefix(self) -> np.ndarray:
-        """monotone-so-far flag per recorded iterate."""
-        ok = np.ones(self.losses.shape[0], dtype=bool)
-        for t in range(1, self.losses.shape[0]):
-            tol = DESCENT_SLACK_RTOL * max(1.0, abs(self.losses[t - 1]))
-            ok[t] = ok[t - 1] and self.losses[t] <= self.losses[t - 1] + tol
-        return ok
+    @property
+    def monotone(self) -> bool:
+        """The loss never rose beyond the slack tolerance anywhere in the trace."""
+        return bool(self.monotone_so_far[-1])
 
 
 def gd_step(x, grad, eta: float) -> np.ndarray:
@@ -92,58 +84,46 @@ def gd_step(x, grad, eta: float) -> np.ndarray:
 
 
 def run_descent(f: ObjectiveFunction, config: DescentConfig) -> DescentTrace:
-    """Iterate x <- x - eta * grad f(x) for the configured number of steps.
+    """Iterate x <- x - eta * grad f(x) for the configured number of steps,
+    with one value-and-gradient call per step.
 
-    No early stopping unless grad_norm_stop is set.  If the objective or
-    gradient becomes non-finite the trace is truncated and flagged diverged.
+    If the objective or gradient becomes non-finite the trace is truncated
+    and flagged diverged.
     """
     x = config.x0.copy()
     if x.shape != (f.dim,):
         raise InvalidInputError(f"initial point has shape {x.shape}, expected ({f.dim},)")
-    fx = float(f.evaluate(x))
+    fx, g = f.value_and_gradient(x)
+    fx, g = float(fx), np.asarray(g, dtype=float)
     if not np.isfinite(fx):
         raise InvalidInputError("objective is not finite at the initial point")
 
-    losses = [fx]
-    grad_norms = []
-    gaps = []
-    diverged = False
-
-    g = np.asarray(f.gradient(x), dtype=float)
     gn = float(np.linalg.norm(g))
-    grad_norms.append(gn)
+    losses, grad_norms, gaps, monotone_so_far = [fx], [gn], [], [True]
+    diverged = False
 
     for _ in range(config.steps):
         if not np.all(np.isfinite(g)):
             diverged = True
             break
-        if config.grad_norm_stop is not None and gn <= config.grad_norm_stop:
-            break
         x_next = x - config.eta * g
-        f_next = float(f.evaluate(x_next))
+        f_next, g = f.value_and_gradient(x_next)
+        f_next, g = float(f_next), np.asarray(g, dtype=float)
         if not np.isfinite(f_next):
             diverged = True
             break
         gaps.append(fx - f_next - 0.5 * config.eta * gn * gn)
+        monotone_so_far.append(monotone_so_far[-1] and f_next <= fx + DESCENT_SLACK_RTOL * max(1.0, abs(fx)))
         x, fx = x_next, f_next
-        losses.append(fx)
-        g = np.asarray(f.gradient(x), dtype=float)
         gn = float(np.linalg.norm(g))
+        losses.append(fx)
         grad_norms.append(gn)
 
-    losses = np.asarray(losses)
-    monotone = True
-    for t in range(1, losses.shape[0]):
-        tol = config.slack_rtol * max(1.0, abs(losses[t - 1]))
-        if losses[t] > losses[t - 1] + tol:
-            monotone = False
-            break
-
     return DescentTrace(
-        losses=losses,
+        losses=np.asarray(losses),
         grad_norms=np.asarray(grad_norms),
         gaps=np.asarray(gaps),
-        monotone=monotone,
+        monotone_so_far=np.asarray(monotone_so_far),
         diverged=diverged,
         final_point=x,
         eta=config.eta,
@@ -154,18 +134,10 @@ def save_trace(trace: DescentTrace, path, timestamp: str | None = None) -> None:
     """Write a trace as delimited text: step, loss, grad_norm, descent_gap,
     monotone_so_far.  The final row has no completed step, so its gap is nan.
     """
-    path = Path(path)
-    prefix = trace.monotone_prefix()
-    with path.open("w") as fh:
-        if timestamp is not None:
-            fh.write(f"# generated: {timestamp}\n")
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for t in range(trace.losses.shape[0]):
-            gap = trace.gaps[t] if t < trace.gaps.shape[0] else float("nan")
-            fh.write(
-                "%d,%s,%s,%s,%d\n"
-                % (t, FLOAT_FMT % trace.losses[t], FLOAT_FMT % trace.grad_norms[t], FLOAT_FMT % gap, int(prefix[t]))
-            )
+    gaps = trace.gaps.tolist() + [float("nan")] * (trace.losses.shape[0] - trace.gaps.shape[0])
+    rows = zip(range(trace.losses.shape[0]), trace.losses.tolist(), trace.grad_norms.tolist(), gaps,
+               trace.monotone_so_far.tolist())
+    write_table(path, TRACE_COLUMNS, rows, timestamp=timestamp)
 
 
 def load_trace(path) -> dict[str, np.ndarray]:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigenbounds import SymMatrix, power_iteration
+from .eigenbounds import SymMatrix
 from .errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError
 
 QUAD_CHECK_RTOL = 1e-9
@@ -35,16 +35,23 @@ ESTIMATE_METHODS = ("hessian-sampling", "midpoint-sup", "analytic")
 
 @dataclass
 class ObjectiveFunction:
-    """Scalar field over R^dim with gradient and optional Hessian callables."""
+    """Scalar field over R^dim given by one callable x -> (f(x), grad f(x)),
+    so a value and its gradient always come from the same point, plus an
+    optional Hessian callable."""
 
     dim: int
-    evaluate: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    value_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]]
     hessian: Optional[Callable[[np.ndarray], SymMatrix]] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidInputError("dimension must be at least 1")
+
+    def evaluate(self, x) -> float:
+        return float(self.value_and_gradient(x)[0])
+
+    def gradient(self, x) -> np.ndarray:
+        return self.value_and_gradient(x)[1]
 
 
 @dataclass(frozen=True)
@@ -127,9 +134,10 @@ def upper_quadratic_check(f: ObjectiveFunction, x, y, alpha: float) -> Quadratic
     y = _as_point(f, y)
     if alpha < 0.0:
         raise InvalidInputError("alpha must be non-negative")
-    fx = float(f.evaluate(x))
+    fx, gx = f.value_and_gradient(x)
+    fx = float(fx)
     diff = y - x
-    slack = fx + float(f.gradient(x) @ diff) + 0.5 * alpha * float(diff @ diff) - float(f.evaluate(y))
+    slack = fx + float(gx @ diff) + 0.5 * alpha * float(diff @ diff) - f.evaluate(y)
     tol = QUAD_CHECK_RTOL * max(1.0, abs(fx))
     return QuadraticCheck(holds=slack >= -tol, slack=slack)
 
@@ -142,7 +150,7 @@ def midpoint_acceleration(f: ObjectiveFunction, x, y) -> float:
     if sep2 < MIDPOINT_SEPARATION_FLOOR**2:
         raise DegeneratePairError("points are closer than the separation floor")
     mid = (x + y) / 2.0
-    return 4.0 / sep2 * (float(f.evaluate(x)) + float(f.evaluate(y)) - 2.0 * float(f.evaluate(mid)))
+    return 4.0 / sep2 * (f.evaluate(x) + f.evaluate(y) - 2.0 * f.evaluate(mid))
 
 
 def estimate_concavifier_midpoint(
@@ -151,9 +159,9 @@ def estimate_concavifier_midpoint(
     """Maximize the mid-point quotient over sampled pairs.
 
     Half the budget goes to uniform random pairs, half to short pairs
-    (x, x + eps*u) with u the dominant Hessian direction at the box center
-    when a Hessian is available, else the coordinate axes.  eps is
-    1e-3 times the box diameter.
+    (x, x + eps*u) with u the eigenvector of the largest Hessian eigenvalue
+    at the box center when a Hessian is available, else the coordinate axes.
+    eps is 1e-3 times the box diameter.
     """
     if domain.dim != f.dim:
         raise InvalidInputError("domain dimension does not match the objective")
@@ -186,7 +194,7 @@ def estimate_concavifier_midpoint(
                 best, best_pair = psi, (x, y)
 
     if f.hessian is not None:
-        directions = [power_iteration(f.hessian(domain.center)).vector]
+        directions = [np.linalg.eigh(f.hessian(domain.center).entries)[1][:, -1]]
     else:
         directions = list(np.eye(f.dim))
     xs = domain.sample(rng, n_directed)
@@ -212,7 +220,8 @@ def estimate_concavifier_midpoint(
 def estimate_concavifier_hessian(
     f: ObjectiveFunction, domain: BoxDomain, rng: np.random.Generator | None = None
 ) -> ConcavifierEstimate:
-    """Maximize the top Hessian eigenvalue over sampled points in the box."""
+    """Maximize the largest Hessian eigenvalue (dense eigvalsh, so no iteration
+    has to converge) over sampled points in the box."""
     if f.hessian is None:
         raise UnsupportedOperationError("objective does not provide a Hessian")
     if domain.dim != f.dim:
@@ -222,7 +231,7 @@ def estimate_concavifier_hessian(
     best = -np.inf
     witness = None
     for x in domain.sample(rng, domain.budget):
-        lam = power_iteration(f.hessian(x)).value
+        lam = float(np.linalg.eigvalsh(f.hessian(x).entries)[-1])
         if lam > best:
             best, witness = lam, x
     return ConcavifierEstimate(
@@ -246,12 +255,12 @@ def quadratic_objective(a) -> ObjectiveFunction:
     """f(x) = 0.5 x^T A x for a symmetric matrix A."""
     mat = SymMatrix(np.array(a, dtype=float))
     entries = mat.entries
-    return ObjectiveFunction(
-        dim=mat.size,
-        evaluate=lambda x: 0.5 * float(x @ (entries @ x)),
-        gradient=lambda x: entries @ x,
-        hessian=lambda x: mat,
-    )
+
+    def value_and_gradient(x):
+        g = entries @ x
+        return 0.5 * float(x @ g), g
+
+    return ObjectiveFunction(dim=mat.size, value_and_gradient=value_and_gradient, hessian=lambda x: mat)
 
 
 def linear_objective(c) -> ObjectiveFunction:
@@ -259,8 +268,5 @@ def linear_objective(c) -> ObjectiveFunction:
     c = np.atleast_1d(np.asarray(c, dtype=float))
     zero = SymMatrix(np.zeros((c.shape[0], c.shape[0])))
     return ObjectiveFunction(
-        dim=c.shape[0],
-        evaluate=lambda x: float(c @ x),
-        gradient=lambda x: c.copy(),
-        hessian=lambda x: zero,
+        dim=c.shape[0], value_and_gradient=lambda x: (float(c @ x), c.copy()), hessian=lambda x: zero
     )

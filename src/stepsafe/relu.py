@@ -25,6 +25,7 @@ matrix S in O(nd^2 + d^3), whatever k is, and M is never built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ import numpy as np
 from .eigenbounds import SymMatrix, _cassini, _gershgorin, kron_allones_structure_lambda
 from .errors import InvalidInputError, UnsupportedOperationError
 from .objectives import ObjectiveFunction
+from .tableio import write_table
 
 ORACLE_STRATEGIES = ("pattern-enum", "random-search")
 PATTERN_ENUM_MAX_POINTS = 12
@@ -118,6 +120,13 @@ class ReluDataset:
     def d(self) -> int:
         return self.inputs.shape[1]
 
+    @cached_property
+    def second_moment(self) -> SymMatrix:
+        """S = (1/n) sum_i x_i x_i^T, symmetrized against round-off; computed
+        on first use and kept, since every bound but alpha1 needs it."""
+        g = self.inputs.T @ self.inputs / self.n
+        return SymMatrix((g + g.T) / 2.0)
+
 
 def generate_dataset(config: NetConfig) -> ReluDataset:
     """Standard-Gaussian inputs and teacher weights, fully determined by the seed.
@@ -166,15 +175,19 @@ def loss(w: Weights, data: ReluDataset) -> float:
     return float(0.5 * np.mean(resid**2))
 
 
+def _loss_and_gradient(wmat: np.ndarray, data: ReluDataset) -> tuple[float, np.ndarray]:
+    """Loss and flat gradient at the (k, d) weight matrix from one product X W^T."""
+    z = data.inputs @ wmat.T
+    resid = np.maximum(z, 0.0).sum(axis=1) - data.targets
+    gmat = ((z >= 0.0) * resid[:, None]).T @ data.inputs / data.n
+    return float(0.5 * np.mean(resid**2)), gmat.reshape(-1)
+
+
 def gradient(w: Weights, data: ReluDataset) -> np.ndarray:
     """(1/n) sum_i (forward(x_i, w) - y_i) * a(x_i, w), flat in R^{kd}."""
     if w.d != data.d:
         raise InvalidInputError("weight dimension does not match the data")
-    z = data.inputs @ w.matrix.T
-    resid = np.maximum(z, 0.0).sum(axis=1) - data.targets
-    mask = z >= 0.0
-    gmat = (mask * resid[:, None]).T @ data.inputs / data.n
-    return gmat.reshape(-1)
+    return _loss_and_gradient(w.matrix, data)[1]
 
 
 def a_vector(x, w: Weights) -> np.ndarray:
@@ -214,9 +227,8 @@ def bound_alpha1(data: ReluDataset, k: int) -> float:
 
 
 def second_moment_matrix(data: ReluDataset) -> SymMatrix:
-    """S = (1/n) sum_i x_i x_i^T, symmetrized against round-off."""
-    g = data.inputs.T @ data.inputs / data.n
-    return SymMatrix((g + g.T) / 2.0)
+    """S = (1/n) sum_i x_i x_i^T, symmetrized against round-off (cached on the dataset)."""
+    return data.second_moment
 
 
 def allactive_gram_matrix(data: ReluDataset, k: int) -> SymMatrix:
@@ -414,40 +426,31 @@ def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
 
 
 def loss_objective(data: ReluDataset) -> ObjectiveFunction:
-    """The training loss as an objective over flat weights in R^{kd}."""
+    """The training loss as an objective over flat weights in R^{kd}; each
+    value-and-gradient call works on flat.reshape(k, d) directly."""
     k, d = data.teacher.k, data.teacher.d
 
-    def _wrap(flat: np.ndarray) -> Weights:
-        return Weights(np.asarray(flat, dtype=float), k=k, d=d)
+    def value_and_gradient(flat):
+        return _loss_and_gradient(np.asarray(flat, dtype=float).reshape(k, d), data)
 
     return ObjectiveFunction(
         dim=k * d,
-        evaluate=lambda flat: loss(_wrap(flat), data),
-        gradient=lambda flat: gradient(_wrap(flat), data),
-        hessian=lambda flat: loss_hessian_matrix(_wrap(flat), data),
+        value_and_gradient=value_and_gradient,
+        hessian=lambda flat: loss_hessian_matrix(Weights(flat, k=k, d=d), data),
     )
 
 
 # --- delimited-text export/import ------------------------------------------
 #
-# Dataset file: header "x0,...,x{d-1},y", one row per point, 17 significant
-# digits so float64 values round-trip exactly.  Teacher file: the kd weights,
+# Dataset file: header "x0,...,x{d-1},y", one row per point, written by
+# tableio so float64 values round-trip exactly.  Teacher file: the kd weights,
 # one per line, no header.
-
-FLOAT_FMT = "%.17g"
 
 
 def save_dataset(data: ReluDataset, inputs_path, teacher_path) -> None:
-    inputs_path, teacher_path = Path(inputs_path), Path(teacher_path)
-    header = ",".join([f"x{i}" for i in range(data.d)] + ["y"])
-    rows = np.column_stack([data.inputs, data.targets])
-    with inputs_path.open("w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
-    with teacher_path.open("w") as fh:
-        for v in data.teacher.flat:
-            fh.write(FLOAT_FMT % v + "\n")
+    header = [f"x{i}" for i in range(data.d)] + ["y"]
+    write_table(inputs_path, header, np.column_stack([data.inputs, data.targets]).tolist())
+    write_table(teacher_path, None, [[v] for v in data.teacher.flat.tolist()])
 
 
 def load_dataset(inputs_path, teacher_path, seed: int = -1) -> ReluDataset:

@@ -1,7 +1,8 @@
 """Minimal delimited-text tables: one header row, comma-separated values.
 
-Floats are written with 17 significant digits so they round-trip exactly;
-readers parse every cell as float when possible and keep it as text otherwise.
+Every CSV the package writes goes through ``write_table``.  Floats are written
+with 17 significant digits so they round-trip exactly, bools as 0/1; readers
+parse every cell as float when possible and keep it as text otherwise.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ def parse_cell(text: str):
 
 
 def write_table(path, header, rows, timestamp: str | None = None) -> None:
+    """Write rows under a header row; ``header=None`` writes no header."""
     path = Path(path)
     with path.open("w") as fh:
         if timestamp is not None:
             fh.write(f"# generated: {timestamp}\n")
-        fh.write(",".join(header) + "\n")
+        if header is not None:
+            fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_cell(v) for v in row) + "\n")
 

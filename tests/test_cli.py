@@ -137,6 +137,14 @@ class TestSpecFile:
         spec.write_text("depth = 4\n")
         assert main(["bounds", "--spec", str(spec)]) == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize("line", ["d = abc", "oracle-budget = 1e4"])
+    def test_bad_value_rejected(self, tmp_path, capsys, line):
+        spec = tmp_path / "run.spec"
+        spec.write_text(line + "\n")
+        assert main(["bounds", "--spec", str(spec), "--out", str(tmp_path / "res")]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith("stepsafe: invalid input: ")
+        assert not (tmp_path / "res").exists()
+
 
 class TestExitCodes:
     def test_invalid_dimension(self, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stepsafe.descent import DescentConfig, gd_step, load_trace, run_descent, save_trace
+from stepsafe.descent import DescentConfig, DescentTrace, gd_step, load_trace, run_descent, save_trace
 from stepsafe.errors import InvalidInputError, NumericalFailureError
 from stepsafe.objectives import ObjectiveFunction, quadratic_objective, upper_quadratic_check
 from stepsafe.relu import NetConfig, generate_dataset, initial_weights, loss_objective
@@ -77,23 +77,26 @@ class TestRunDescent:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_flagged(self):
-        f = ObjectiveFunction(
-            dim=1,
-            evaluate=lambda x: float(x[0] ** 4),
-            gradient=lambda x: 4.0 * x**3,
-        )
+        f = ObjectiveFunction(dim=1, value_and_gradient=lambda x: (float(x[0] ** 4), 4.0 * x**3))
         trace = run_descent(f, DescentConfig(eta=10.0, steps=100, x0=[2.0]))
         assert trace.diverged
         assert not trace.monotone
         assert trace.losses.shape[0] <= 101
         assert np.all(np.isfinite(trace.losses))
 
-    def test_gradient_norm_stop(self):
-        f = quadratic_objective(np.eye(3))
-        trace = run_descent(
-            f, DescentConfig(eta=1.0, steps=50, x0=[1.0, 2.0, 3.0], grad_norm_stop=1e-12)
-        )
-        assert trace.losses.shape[0] < 51
+    def test_one_objective_call_per_step(self):
+        f = quadratic_objective(np.diag([1.0, 2.0]))
+        calls = []
+        counted = ObjectiveFunction(dim=2, value_and_gradient=lambda x: calls.append(1) or f.value_and_gradient(x))
+        trace = run_descent(counted, DescentConfig(eta=0.3, steps=12, x0=[1.0, -1.5]))
+        assert len(calls) == trace.steps_taken + 1 == 13
+
+    def test_monotone_is_last_prefix_flag(self):
+        # eta = 1.5 > 2/lambda_max: the loss grows from the first step on
+        f = quadratic_objective(np.diag([1.0, 2.0]))
+        trace = run_descent(f, DescentConfig(eta=1.5, steps=5, x0=[1.0, -1.5]))
+        assert trace.monotone_so_far.tolist() == [True] + [False] * 5
+        assert trace.monotone is False
 
     def test_trace_determinism(self):
         data = generate_dataset(NetConfig(d=3, k=2, n=20, seed=6))
@@ -127,7 +130,7 @@ class TestTraceIO:
         assert np.array_equal(cols["grad_norm"], trace.grad_norms)
         assert np.array_equal(cols["descent_gap"][:-1], trace.gaps)
         assert np.isnan(cols["descent_gap"][-1])
-        assert np.array_equal(cols["monotone_so_far"], trace.monotone_prefix())
+        assert np.array_equal(cols["monotone_so_far"], trace.monotone_so_far)
 
     def test_timestamp_header_skipped(self, tmp_path):
         f = quadratic_objective(np.eye(1))
@@ -137,6 +140,29 @@ class TestTraceIO:
         assert path.read_text().startswith("# generated:")
         cols = load_trace(path)
         assert cols["loss"].shape[0] == trace.losses.shape[0]
+
+    def test_file_bytes(self, tmp_path):
+        # the loss rises at step 2, so monotone_so_far drops to 0 there and
+        # stays 0; the last row has no completed step and its gap is nan
+        trace = DescentTrace(
+            losses=np.array([3.0, 2.5, 2.75, 0.1]),
+            grad_norms=np.array([1.0, 0.5, 2.0, 0.0]),
+            gaps=np.array([0.25, -0.375, 1.0 / 3.0]),
+            monotone_so_far=np.array([True, True, False, False]),
+            diverged=False,
+            final_point=np.zeros(2),
+            eta=0.5,
+        )
+        path = tmp_path / "trace.csv"
+        save_trace(trace, path, timestamp="2026-01-01T00:00:00Z")
+        assert path.read_bytes() == (
+            b"# generated: 2026-01-01T00:00:00Z\n"
+            b"step,loss,grad_norm,descent_gap,monotone_so_far\n"
+            b"0,3,1,0.25,1\n"
+            b"1,2.5,0.5,-0.375,1\n"
+            b"2,2.75,2,0.33333333333333331,0\n"
+            b"3,0.10000000000000001,0,nan,0\n"
+        )
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.csv"

@@ -67,7 +67,7 @@ class TestMidpointAcceleration:
         assert midpoint_acceleration(f, [0.0, 0.0], [1.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_quartic_pair(self):
-        f = ObjectiveFunction(dim=1, evaluate=lambda x: float(x[0] ** 4), gradient=lambda x: 4 * x**3)
+        f = ObjectiveFunction(dim=1, value_and_gradient=lambda x: (float(x[0] ** 4), 4 * x**3))
         assert midpoint_acceleration(f, [1.0], [-1.0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_pair(self):
@@ -104,7 +104,7 @@ class TestMidpointEstimator:
 
     def test_axis_pairs_without_hessian(self):
         f = quadratic_objective(np.diag([1.0, 3.0]))
-        f_nohess = ObjectiveFunction(dim=2, evaluate=f.evaluate, gradient=f.gradient)
+        f_nohess = ObjectiveFunction(dim=2, value_and_gradient=f.value_and_gradient)
         est = estimate_concavifier_midpoint(f_nohess, _box([-1, -1], [1, 1], 2000), np.random.default_rng(3))
         # axis-aligned pairs hit the diagonal entries, so the max is exact
         assert est.value == pytest.approx(3.0, abs=1e-8)
@@ -138,8 +138,7 @@ class TestHessianEstimator:
 
         f = ObjectiveFunction(
             dim=1,
-            evaluate=lambda x: math.sin(x[0]),
-            gradient=lambda x: np.array([math.cos(x[0])]),
+            value_and_gradient=lambda x: (math.sin(x[0]), np.array([math.cos(x[0])])),
             hessian=lambda x: sym_matrix([[-math.sin(x[0])]]),
         )
         est = estimate_concavifier_hessian(f, _box([-np.pi], [np.pi], 1000), np.random.default_rng(5))
@@ -148,8 +147,15 @@ class TestHessianEstimator:
         assert np.max(-np.sin(grid)) == pytest.approx(1.0, abs=1e-9)
         assert 1.0 - 1e-3 <= est.value <= 1.0
 
+    def test_indefinite_takes_largest_not_largest_magnitude(self):
+        # f = (x1^2 - 3 x2^2)/2: the largest Hessian eigenvalue is 1, while the
+        # eigenvalue of largest magnitude is -3
+        f = quadratic_objective(np.diag([1.0, -3.0]))
+        est = estimate_concavifier_hessian(f, _box([-1, -1], [1, 1], 8), np.random.default_rng(0))
+        assert est.value == 1.0
+
     def test_missing_hessian(self):
-        f = ObjectiveFunction(dim=1, evaluate=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+        f = ObjectiveFunction(dim=1, value_and_gradient=lambda x: (float(x[0]), np.ones(1)))
         with pytest.raises(UnsupportedOperationError):
             estimate_concavifier_hessian(f, _box([0.0], [1.0], 10))
 
@@ -204,7 +210,7 @@ class TestFiniteDifferences:
             assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
     def test_detects_wrong_gradient(self):
-        f = ObjectiveFunction(dim=2, evaluate=lambda x: float(x @ x), gradient=lambda x: x)  # true grad 2x
+        f = ObjectiveFunction(dim=2, value_and_gradient=lambda x: (float(x @ x), x))  # true grad 2x
         x = np.array([1.0, 2.0])
         fd = central_difference_gradient(f.evaluate, x)
         assert np.linalg.norm(fd - f.gradient(x)) > 1e-2

@@ -318,6 +318,26 @@ class TestAlphaBounds:
             if k >= 2 and variant == "standard":
                 assert a4 == a3
 
+    def test_one_second_moment_product_per_report(self):
+        # alpha2, alpha3 and alpha4 all need S = X^T X / n; a report forms it once
+        class CountingArray(np.ndarray):
+            products = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    CountingArray.products += 1
+                inputs = tuple(np.asarray(x) if isinstance(x, CountingArray) else x for x in inputs)
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        cfg = NetConfig(d=4, k=3, n=50, seed=1)
+        data = generate_dataset(cfg)
+        object.__setattr__(data, "inputs", data.inputs.view(CountingArray))
+        rep = compute_bound_report(data, cfg)
+        assert CountingArray.products == 1
+        plain = generate_dataset(cfg)
+        assert (rep.alpha2, rep.alpha3, rep.alpha4) == (
+            bound_alpha2(plain, 3), bound_alpha3(plain, 3), bound_alpha4(plain, 3))
+
     def test_bounds_at_d1000_k1000_from_s_alone(self):
         # the all-active matrix would be 10^6 x 10^6 here (8 TB); every bound
         # must come from the 1000 x 1000 matrix S
@@ -410,3 +430,13 @@ class TestDatasetIO:
         (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidInputError):
             load_dataset(tmp_path / "data.csv", tmp_path / "teacher.csv")
+
+    def test_file_bytes(self, tmp_path):
+        # integer values print without a decimal point; 0.1 needs all 17 digits
+        teacher = _weights([[2.0, 1.0], [0.1, -1.0]])
+        data = _dataset_from_points([[1.0, -2.0], [3.0, 0.0]], teacher)
+        save_dataset(data, tmp_path / "data.csv", tmp_path / "teacher.csv")
+        assert (tmp_path / "data.csv").read_bytes() == (
+            b"x0,x1,y\n1,-2,2.1000000000000001\n3,0,6.2999999999999998\n"
+        )
+        assert (tmp_path / "teacher.csv").read_bytes() == b"2\n1\n0.10000000000000001\n-1\n"
