@@ -5,11 +5,12 @@ Subcommands:
 * ``bounds``      -- per-seed bound table plus mean/stddev summary rows
 * ``train``       -- descent traces at eta = 1/bound for each selected bound
 * ``scale-sweep`` -- descent traces at eta = scale/alpha2 over a scale grid
-* ``oracle``      -- brute-force oracle next to the four bounds, with ratios
+* ``oracle``      -- oracle next to the four bounds, with ratios
 
 Exit codes: 0 success, 1 invalid input, 2 numerical failure, 3 I/O failure.
 Per-run seeds derive from the master seed by fixed arithmetic: run r uses
-seed + r for the data stream and (seed + r, 1) for the student init stream.
+seed + r for the data stream, (seed + r, 1) for the student init stream and
+(seed + r, 2) for the oracle's random search.
 """
 
 from __future__ import annotations
@@ -181,14 +182,11 @@ def _resolve_oracle_strategy(spec: ExperimentSpec) -> str:
     return "random-search"
 
 
-def _bound_value(name: str, data: relu.ReluDataset, spec: ExperimentSpec, seed: int) -> float:
+def _bound_value(name: str, data: relu.ReluDataset, spec: ExperimentSpec) -> float:
     if name == "alpha4":
         return relu.bound_alpha4(data, spec.k, spec.alpha4_variant)
     if name == "oracle":
-        return relu.alpha_oracle(
-            data, spec.k, _resolve_oracle_strategy(spec), spec.oracle_budget,
-            rng=np.random.default_rng(seed),
-        )
+        return relu.alpha_oracle(data, spec.k, _resolve_oracle_strategy(spec), spec.oracle_budget)
     if name not in BOUND_CHOICES:
         raise InvalidInputError(f"unknown bound {name!r}")
     return getattr(relu, f"bound_{name}")(data, spec.k)
@@ -220,7 +218,7 @@ def cmd_bounds(spec: ExperimentSpec) -> Path:
     for rep in range(spec.reps):
         seed = spec.run_seed(rep)
         data = relu.generate_dataset(NetConfig(spec.d, spec.k, spec.n, seed))
-        rows.append(["run", float(seed)] + [_bound_value(b, data, spec, seed) for b in spec.bounds])
+        rows.append(["run", float(seed)] + [_bound_value(b, data, spec) for b in spec.bounds])
     rows += _summary_rows(rows)
     out = spec.out / "bounds.csv"
     write_table(out, header, rows, timestamp=spec.stamp())
@@ -238,7 +236,7 @@ def cmd_train(spec: ExperimentSpec) -> Path:
         seed = spec.run_seed(rep)
         data = relu.generate_dataset(NetConfig(spec.d, spec.k, spec.n, seed))
         for name in spec.bounds:
-            value = _bound_value(name, data, spec, seed)
+            value = _bound_value(name, data, spec)
             trace = _run_descent_for(data, spec, 1.0 / value, seed)
             path = spec.out / f"train_{name}_seed{seed}.csv"
             save_trace(trace, path, timestamp=spec.stamp())
@@ -303,7 +301,6 @@ def cmd_oracle(spec: ExperimentSpec) -> Path:
             alpha4_variant=spec.alpha4_variant,
             oracle_strategy=strategy,
             oracle_budget=spec.oracle_budget,
-            rng=np.random.default_rng(seed),
         )
         rows.append(
             ["run", float(seed), report.alpha_oracle, report.alpha1, report.alpha2,
@@ -335,7 +332,7 @@ def _parser() -> _Parser:
         ("bounds", "bound table over seeds"),
         ("train", "descent traces at eta = 1/bound"),
         ("scale-sweep", "descent traces at eta = scale/alpha2"),
-        ("oracle", "brute-force oracle next to the bounds"),
+        ("oracle", "oracle next to the bounds"),
     ):
         p = sub.add_parser(name, help=help_text, epilog=inspect.cleandoc(ExperimentSpec.__doc__),
                            formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -16,10 +16,15 @@ a(x, w) stacks k copies of x, each masked by the activation indicator
     alpha3 = Gershgorin bound on M = k max_i sum_j |S_ij|
     alpha4 = Brauer/Cassini bound on M  (standard variant: = alpha3 for k >= 2)
 
-plus a brute-force search ``alpha_oracle`` for the exact constant.  The
-all-active matrix M = (1/n) sum_i abar_i abar_i^T is J_k (x) S, with J_k the
-k x k all-ones matrix and S = X^T X / n; every bound comes from the d x d
-matrix S in O(nd^2 + d^3), whatever k is, and M is never built.
+plus the oracle ``alpha_oracle`` for the exact constant.  The all-active
+matrix M = (1/n) sum_i abar_i abar_i^T is J_k (x) S, with J_k the k x k
+all-ones matrix and S = X^T X / n; every bound comes from the d x d matrix S
+in O(nd^2 + d^3), whatever k is, and M is never built.
+
+The oracle's optimum gives every neuron the same activation pattern s, so it
+is (k/n) max_s lambda_max(X_s^T X_s) over the patterns of one direction v.
+Since w = 0 activates every point, that maximum is alpha2 (pattern-enum);
+random search reports the best of many nonzero directions, on d x d Grams.
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ PATTERN_ENUM_MAX_POINTS = 12
 PATTERN_ENUM_MAX_DIM = 3
 KINK_MARGIN_RTOL = 1e-6
 
-# seed stream tag for student initializations, kept distinct from data streams
+# seed stream tags for student initializations and the oracle search, kept
+# distinct from data streams
 INIT_STREAM = 1
+ORACLE_STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -268,76 +275,25 @@ def bound_alpha4(data: ReluDataset, k: int, variant: str = "standard") -> float:
     return _cassini(*_allactive_rows(data, k), variant, twinned=k >= 2)
 
 
-def _sphere_grid(d: int) -> np.ndarray:
-    """Dense deterministic grid of unit directions used to certify patterns."""
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        t = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        return np.stack([np.cos(t), np.sin(t)], axis=1)
-    if d == 3:
-        m = 8192
-        i = np.arange(m)
-        golden = (1.0 + np.sqrt(5.0)) / 2.0
-        z = 1.0 - 2.0 * (i + 0.5) / m
-        r = np.sqrt(np.maximum(0.0, 1.0 - z**2))
-        theta = 2.0 * np.pi * i / golden
-        return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
-    raise UnsupportedOperationError("pattern enumeration is limited to d <= 3")
-
-
-def realizable_activation_patterns(inputs: np.ndarray) -> np.ndarray:
-    """All sign vectors s with s_i = 1{x_i^T v >= 0} certified by some direction v.
-
-    Certification samples v over a dense sphere grid plus the zero vector
-    (which activates everything).  Returns a (p, n) boolean array of distinct
-    patterns.  A pattern the grid misses only lowers the resulting oracle
-    value, never raises it.
-    """
-    inputs = np.asarray(inputs, dtype=float)
-    dirs = _sphere_grid(inputs.shape[1])
-    signs = (inputs @ dirs.T) >= 0.0
-    patterns = np.vstack([signs.T, np.ones((1, inputs.shape[0]), dtype=bool)])
-    return np.unique(patterns, axis=0)
-
-
-def _pattern_enum_value(data: ReluDataset, k: int) -> float:
-    patterns = realizable_activation_patterns(data.inputs)
+def _shared_direction_search(data: ReluDataset, k: int, budget: int, rng: np.random.Generator) -> float:
+    """(k/n) max lambda_max(sum_{x_i^T v >= 0} x_i x_i^T) over ``budget`` Gaussian
+    directions v in R^d: a GEMM of the masks against the flattened outer
+    products x_i x_i^T gives a chunk of d x d Grams.  Directions come in
+    chunks and points in blocks (one block unless n d^2 > 2e6), so no array
+    holds much more than 2e6 entries."""
+    n, d = data.inputs.shape
+    chunk = int(max(1, min(1024, 2e6 // max(n, d * d))))
+    rows = int(max(1, 2e6 // (d * d)))
+    blocks = [data.inputs[i : i + rows] for i in range(0, n, rows)]
     best = 0.0
-    for s in patterns:
-        sub = data.inputs[s]
-        if sub.shape[0] == 0:
-            continue
-        lam = float(np.linalg.eigvalsh(sub.T @ sub)[-1])
-        best = max(best, lam)
-    # The best assignment gives every neuron the same argmax pattern: the
-    # resulting matrix has identical blocks and top eigenvalue k * lambda_max
-    # of the masked Gram, and Cauchy-Schwarz across blocks shows no mixed
-    # assignment can exceed that.
-    return float(k) * best / data.n
-
-
-def _random_search_value(data: ReluDataset, k: int, budget: int, rng: np.random.Generator) -> float:
-    inputs = data.inputs
-    n, d = inputs.shape
-    kd = k * d
-    gram = inputs @ inputs.T if n < kd else None
-    chunk = int(max(1, min(1024, 2e7 // max(1, n * kd))))
-    best = 0.0
-    remaining = budget
-    while remaining > 0:
-        c = min(chunk, remaining)
-        remaining -= c
-        w = rng.standard_normal((c, k, d))
-        masks = np.einsum("nd,ckd->cnk", inputs, w, optimize=True) >= 0.0
-        if kd <= n:
-            stacked = (masks[:, :, :, None] * inputs[None, :, None, :]).reshape(c, n, kd)
-            grams = stacked.transpose(0, 2, 1) @ stacked
-        else:
-            mf = masks.astype(float)
-            grams = (mf @ mf.transpose(0, 2, 1)) * gram[None, :, :]
-        best = max(best, float(np.linalg.eigvalsh(grams)[:, -1].max()))
-    return best / n
+    for start in range(0, budget, chunk):
+        v = rng.standard_normal((min(chunk, budget - start), d))
+        grams = sum(
+            ((x @ v.T) >= 0.0).T.astype(float) @ (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
+            for x in blocks
+        )
+        best = max(best, float(np.linalg.eigvalsh(grams.reshape(-1, d, d))[:, -1].max()))
+    return float(k) * best / n
 
 
 def alpha_oracle(
@@ -347,13 +303,14 @@ def alpha_oracle(
     budget: int = 10_000,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Search for the exact optimal concavifier (1/n) max_w lambda_max of the
-    masked Gram sum.
+    """The optimal concavifier (1/n) max_w lambda_max of the masked Gram sum.
 
-    ``pattern-enum`` enumerates certified activation patterns and is limited
-    to n <= 12 and d <= 3; ``random-search`` maximizes over ``budget`` random
-    weight draws and reports a lower bound on the optimum.  The reported
-    value never asserts global optimality.
+    Its optimum gives every neuron one activation pattern, so the search runs
+    over one shared direction.  ``pattern-enum`` (n <= 12, d <= 3) returns
+    alpha2: w = 0 activates every point, and X_s^T X_s <= X^T X makes that
+    pattern the maximum.  ``random-search`` maximizes over ``budget`` nonzero
+    directions and reports a lower bound on alpha2; its default stream is
+    (data.seed, ORACLE_STREAM), apart from the data stream.
     """
     if k < 1:
         raise InvalidInputError("k must be at least 1")
@@ -364,11 +321,14 @@ def alpha_oracle(
             raise UnsupportedOperationError(
                 f"pattern enumeration needs n <= {PATTERN_ENUM_MAX_POINTS} and d <= {PATTERN_ENUM_MAX_DIM}"
             )
-        return _pattern_enum_value(data, k)
+        return bound_alpha2(data, k)
     if budget < 1:
         raise InvalidInputError("budget must be at least 1")
-    rng = rng if rng is not None else np.random.default_rng(data.seed)
-    return _random_search_value(data, k, budget, rng)
+    if rng is None:
+        if data.seed < 0:
+            raise InvalidInputError("dataset has no seed; pass rng")
+        rng = np.random.default_rng([data.seed, ORACLE_STREAM])
+    return _shared_direction_search(data, k, budget, rng)
 
 
 @dataclass(frozen=True)
@@ -390,11 +350,10 @@ def compute_bound_report(
     alpha4_variant: str = "standard",
     oracle_strategy: str | None = None,
     oracle_budget: int = 10_000,
-    rng: np.random.Generator | None = None,
 ) -> BoundReport:
     oracle = None
     if oracle_strategy is not None:
-        oracle = alpha_oracle(data, config.k, oracle_strategy, oracle_budget, rng)
+        oracle = alpha_oracle(data, config.k, oracle_strategy, oracle_budget)
     return BoundReport(
         alpha1=bound_alpha1(data, config.k),
         alpha2=bound_alpha2(data, config.k),

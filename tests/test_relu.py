@@ -33,7 +33,6 @@ from stepsafe.relu import (
     loss_hessian_matrix,
     loss_objective,
     near_kink,
-    realizable_activation_patterns,
     save_dataset,
 )
 from stepsafe.eigenbounds import brauer_cassini_upper, gershgorin_upper, power_iteration
@@ -377,18 +376,79 @@ class TestAlphaOracle:
         # brute force over per-neuron pattern assignments agrees with the
         # uniform-assignment shortcut
         rng = np.random.default_rng(8)
+        t = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        circle = np.stack([np.cos(t), np.sin(t)], axis=1)
         for trial in range(5):
             d, k, n = 2, 2, 4
             x = rng.standard_normal((n, d))
             teacher = Weights(rng.standard_normal(k * d), k=k, d=d)
             data = _dataset_from_points(x, teacher)
-            patterns = realizable_activation_patterns(data.inputs)
+            # patterns of a circle grid plus w = 0, which activates every point
+            signs = np.vstack([(x @ circle.T >= 0.0).T, np.ones((1, n), dtype=bool)])
+            patterns = np.unique(signs, axis=0)
             best = 0.0
             for combo in itertools.product(range(patterns.shape[0]), repeat=k):
                 blocks = [patterns[c][:, None] * data.inputs for c in combo]
                 stacked = np.concatenate(blocks, axis=1)
                 best = max(best, float(np.linalg.eigvalsh(stacked.T @ stacked)[-1]))
             assert alpha_oracle(data, k, "pattern-enum") == pytest.approx(best / n, rel=1e-12)
+
+    def test_pattern_enum_is_alpha2(self):
+        rng = np.random.default_rng(55)
+        for _ in range(200):
+            d, k, n = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 13))
+            data = generate_dataset(NetConfig(d, k, n, int(rng.integers(0, 2**31))))
+            assert alpha_oracle(data, k, "pattern-enum") == bound_alpha2(data, k)
+
+    def test_random_search_finds_best_nonzero_direction(self):
+        # in d = 2 the 2n directions v with x_i^T v = 0 cut the circle into 2n
+        # open sectors of one activation pattern each; a boundary direction
+        # has the pattern of the neighbouring sector where x_i is active, so
+        # the best sector is the exact optimum over nonzero directions
+        budget = 20_000
+        for seed in range(10):
+            data = generate_dataset(NetConfig(d=2, k=2, n=8, seed=seed))
+            x = data.inputs
+            edges = np.sort(np.mod(np.arctan2(x[:, 0], -x[:, 1])[:, None] + [0.0, np.pi], 2 * np.pi).ravel())
+            width = np.diff(edges, append=edges[0] + 2 * np.pi)
+            values = []
+            for t in edges + width / 2:
+                sub = x[x @ [np.cos(t), np.sin(t)] >= 0.0]
+                values.append(2 * float(np.linalg.eigvalsh(sub.T @ sub)[-1]) / 8)
+            values = np.array(values)
+            found = alpha_oracle(data, 2, "random-search", budget=budget)
+            assert found <= values.max()
+            # a sector of width w is missed with chance (1 - w/2pi)^budget < e^-25
+            # once w * budget / 2pi > 25 (seed 9's best sector expects 0.8 hits)
+            wide = width * budget / (2 * np.pi) > 25
+            assert found >= values[wide].max() * (1 - 1e-12)
+
+    @pytest.mark.parametrize("d, n, budget", [(3, 20, 2500), (50, 1000, 30)], ids=["chunks", "blocks"])
+    def test_random_search_matches_masked_grams(self, d, n, budget):
+        # directions in several chunks, or outer products in several point blocks
+        data = generate_dataset(NetConfig(d, 2, n, seed=4))
+        x = data.inputs
+        best = 0.0
+        for v in np.random.default_rng(9).standard_normal((budget, d)):
+            sub = x[x @ v >= 0.0]
+            best = max(best, float(np.linalg.eigvalsh(sub.T @ sub)[-1]))
+        found = alpha_oracle(data, 2, "random-search", budget=budget, rng=np.random.default_rng(9))
+        assert found == pytest.approx(2 * best / n, rel=1e-12)
+
+    def test_random_search_default_stream(self):
+        data = generate_dataset(NetConfig(d=3, k=2, n=40, seed=7))
+        assert alpha_oracle(data, 2, "random-search", budget=500) == alpha_oracle(
+            data, 2, "random-search", budget=500, rng=np.random.default_rng([7, 2]))
+
+    def test_random_search_on_loaded_dataset(self, tmp_path):
+        data = generate_dataset(NetConfig(d=3, k=2, n=40, seed=7))
+        save_dataset(data, tmp_path / "data.csv", tmp_path / "teacher.csv")
+        loaded = load_dataset(tmp_path / "data.csv", tmp_path / "teacher.csv")
+        with pytest.raises(InvalidInputError, match="no seed"):
+            alpha_oracle(loaded, 2, "random-search", budget=500)
+        with pytest.raises(InvalidInputError, match="no seed"):
+            compute_bound_report(loaded, NetConfig(3, 2, 40, -1), oracle_strategy="random-search")
+        assert alpha_oracle(loaded, 2, "random-search", budget=500, rng=np.random.default_rng(0)) > 0.0
 
     def test_random_search_below_alpha2(self):
         for seed in range(8):
