@@ -34,8 +34,6 @@ from .relu import (
     NetConfig,
     ReluDataset,
     Weights,
-    a_vector,
-    abar_vector,
     allactive_gram_matrix,
     alpha_oracle,
     alpha_single_point,
@@ -44,7 +42,6 @@ from .relu import (
     bound_alpha3,
     bound_alpha4,
     compute_bound_report,
-    forward,
     forward_all,
     generate_dataset,
     gradient,

@@ -30,7 +30,7 @@ MIDPOINT_SEPARATION_FLOOR = 1e-8
 DIRECTED_STEP_SCALE = 1e-3
 GRAD_CHECK_STEP_SCALE = 1e-6
 
-ESTIMATE_METHODS = ("hessian-sampling", "midpoint-sup", "analytic")
+ESTIMATE_METHODS = ("hessian-sampling", "midpoint-sup")
 
 
 @dataclass

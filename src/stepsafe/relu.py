@@ -9,7 +9,10 @@ loss over n points is
 
 whose almost-everywhere Hessian is (1/n) sum_i a(x_i, w) a(x_i, w)^T, where
 a(x, w) stacks k copies of x, each masked by the activation indicator
-1{x^T w_j >= 0}.  Four upper bounds on the optimal concavifier:
+1{x^T w_j >= 0} (so w = 0 activates every neuron), and abar(x) is the
+all-active stack.  One forward pass serves targets, loss and gradient: the
+neuron-major (k, n) product W X^T, summed over neurons.  Four upper bounds on
+the optimal concavifier:
 
     alpha1 = (k/n) sum_i ||x_i||^2          (per-point top-eigenvalue sum)
     alpha2 = lambda_max(M) = k lambda_max(S)   (all-active matrix, tight)
@@ -17,7 +20,7 @@ a(x, w) stacks k copies of x, each masked by the activation indicator
     alpha4 = Brauer/Cassini bound on M  (standard variant: = alpha3 for k >= 2)
 
 plus the oracle ``alpha_oracle`` for the exact constant.  The all-active
-matrix M = (1/n) sum_i abar_i abar_i^T is J_k (x) S, with J_k the k x k
+matrix M = (1/n) sum_i abar(x_i) abar(x_i)^T is J_k (x) S, with J_k the k x k
 all-ones matrix and S = X^T X / n; every bound comes from the d x d matrix S
 in O(nd^2 + d^3), whatever k is, and M is never built.
 
@@ -86,14 +89,12 @@ class Weights:
         """Row j is the weight vector of neuron j."""
         return self.flat.reshape(self.k, self.d)
 
-    def block(self, j: int) -> np.ndarray:
-        if not 0 <= j < self.k:
-            raise InvalidInputError(f"neuron index {j} out of range")
-        return self.flat[j * self.d : (j + 1) * self.d]
-
 
 def _forward_all(inputs: np.ndarray, wmat: np.ndarray) -> np.ndarray:
-    return np.maximum(inputs @ wmat.T, 0.0).sum(axis=1)
+    """The one forward pass, neuron-major: the (k, n) product W X^T summed over
+    neurons.  _loss_and_gradient sums the same layout in the same order, so the
+    loss and gradient at the teacher are exactly 0 for every k."""
+    return np.maximum(wmat @ inputs.T, 0.0).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -154,20 +155,9 @@ def initial_weights(config: NetConfig) -> Weights:
     return Weights(rng.standard_normal(config.k * config.d), k=config.k, d=config.d)
 
 
-def forward(x, w: Weights) -> float:
-    """sum_j max(0, x^T w_j)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (w.d,):
-        raise InvalidInputError(f"expected a point of dimension {w.d}, got shape {x.shape}")
-    return float(np.maximum(w.matrix @ x, 0.0).sum())
-
-
 def forward_all(inputs, w: Weights) -> np.ndarray:
-    """Batched forward pass; the canonical computation behind dataset targets.
-
-    The exact-equality invariant of ReluDataset is pinned to this routine
-    (single-point matrix products may round differently).
-    """
+    """sum_j max(0, x_i^T w_j) for every row x_i of ``inputs``; the computation
+    behind dataset targets, which ReluDataset checks for exact equality."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != w.d:
         raise InvalidInputError(f"expected an (n, {w.d}) input array, got shape {inputs.shape}")
@@ -175,7 +165,7 @@ def forward_all(inputs, w: Weights) -> np.ndarray:
 
 
 def loss(w: Weights, data: ReluDataset) -> float:
-    """1/(2n) sum_i (forward(x_i, w) - y_i)^2."""
+    """1/(2n) sum_i (f(x_i, w) - y_i)^2, with f(x, w) = sum_j max(0, x^T w_j)."""
     if w.d != data.d:
         raise InvalidInputError("weight dimension does not match the data")
     resid = _forward_all(data.inputs, w.matrix) - data.targets
@@ -183,39 +173,22 @@ def loss(w: Weights, data: ReluDataset) -> float:
 
 
 def _loss_and_gradient(wmat: np.ndarray, data: ReluDataset) -> tuple[float, np.ndarray]:
-    """Loss and flat gradient at the (k, d) weight matrix from one product X W^T."""
-    z = data.inputs @ wmat.T
-    resid = np.maximum(z, 0.0).sum(axis=1) - data.targets
-    gmat = ((z >= 0.0) * resid[:, None]).T @ data.inputs / data.n
+    """Loss and flat gradient at the (k, d) weight matrix from one neuron-major
+    product W X^T, laid out and summed like _forward_all.  The masked residuals
+    go into a Fortran-ordered (k, n) buffer, so the gradient product m X is the
+    same BLAS call, with the same bits, as the transposed point-major form."""
+    zt = wmat @ data.inputs.T
+    resid = np.maximum(zt, 0.0).sum(axis=0) - data.targets
+    m = np.multiply(zt >= 0.0, resid, out=np.empty(zt.shape, order="F"))
+    gmat = m @ data.inputs / data.n
     return float(0.5 * np.mean(resid**2)), gmat.reshape(-1)
 
 
 def gradient(w: Weights, data: ReluDataset) -> np.ndarray:
-    """(1/n) sum_i (forward(x_i, w) - y_i) * a(x_i, w), flat in R^{kd}."""
+    """(1/n) sum_i (f(x_i, w) - y_i) * a(x_i, w), flat in R^{kd}."""
     if w.d != data.d:
         raise InvalidInputError("weight dimension does not match the data")
     return _loss_and_gradient(w.matrix, data)[1]
-
-
-def a_vector(x, w: Weights) -> np.ndarray:
-    """Stack of k copies of x, block j masked by 1{x^T w_j >= 0}.
-
-    The indicator is >= so zero inner products count as active; in particular
-    w = 0 activates every neuron.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (w.d,):
-        raise InvalidInputError(f"expected a point of dimension {w.d}, got shape {x.shape}")
-    mask = (w.matrix @ x) >= 0.0
-    return (mask[:, None] * x[None, :]).reshape(-1)
-
-
-def abar_vector(x, k: int) -> np.ndarray:
-    """All-active version of a(x, w): k stacked copies of x."""
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.tile(x, k)
 
 
 def alpha_single_point(x, k: int) -> float:
@@ -258,7 +231,7 @@ def _allactive_rows(data: ReluDataset, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bound_alpha2(data: ReluDataset, k: int) -> float:
-    """(1/n) lambda_max(sum_i abar_i abar_i^T) = k lambda_max(S)."""
+    """(1/n) lambda_max(sum_i abar(x_i) abar(x_i)^T) = k lambda_max(S)."""
     return kron_allones_structure_lambda(second_moment_matrix(data), k)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stepsafe.errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError
 from stepsafe.objectives import (
     BoxDomain,
+    ConcavifierEstimate,
     ObjectiveFunction,
     central_difference_gradient,
     estimate_concavifier_hessian,
@@ -195,6 +196,12 @@ class TestEstimatorConsistency:
             x = rng.uniform(-2, 2, size=4)
             y = rng.uniform(-2, 2, size=4)
             assert upper_quadratic_check(f, x, y, alpha).holds
+
+    def test_method_is_one_an_estimator_produces(self):
+        for method in ("hessian-sampling", "midpoint-sup"):
+            assert ConcavifierEstimate(1.0, method, 1, None).method == method
+        with pytest.raises(InvalidInputError, match="unknown method"):
+            ConcavifierEstimate(1.0, "analytic", 1, None)
 
 
 class TestFiniteDifferences:

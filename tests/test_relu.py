@@ -13,8 +13,6 @@ from stepsafe.relu import (
     NetConfig,
     ReluDataset,
     Weights,
-    a_vector,
-    abar_vector,
     allactive_gram_matrix,
     alpha_oracle,
     alpha_single_point,
@@ -23,7 +21,6 @@ from stepsafe.relu import (
     bound_alpha3,
     bound_alpha4,
     compute_bound_report,
-    forward,
     forward_all,
     generate_dataset,
     gradient,
@@ -62,34 +59,39 @@ def _kink_free_weights(rng, data, k):
             return w
 
 
+def _point_major(wmat, inputs, targets):
+    # the point-major formulas of earlier releases: X W^T, a sum over each
+    # point's k contiguous activations, and the transposed masked residuals
+    z = inputs @ wmat.T
+    outputs = np.maximum(z, 0.0).sum(axis=1)
+    resid = outputs - targets
+    gmat = ((z >= 0) * resid[:, None]).T @ inputs / inputs.shape[0]
+    return outputs, float(0.5 * np.mean(resid**2)), gmat.reshape(-1)
+
+
 class TestWeights:
     def test_block_view(self):
         w = Weights(np.arange(6.0), k=3, d=2)
-        assert np.array_equal(w.block(0), [0.0, 1.0])
-        assert np.array_equal(w.block(2), [4.0, 5.0])
-        assert np.array_equal(w.matrix[1], w.block(1))
+        assert np.array_equal(w.matrix, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        assert np.shares_memory(w.matrix, w.flat)
 
     def test_length_validation(self):
         with pytest.raises(InvalidInputError):
             Weights(np.zeros(5), k=2, d=3)
 
-    def test_block_index_range(self):
-        with pytest.raises(InvalidInputError):
-            Weights(np.zeros(4), k=2, d=2).block(2)
-
 
 class TestForwardAndLoss:
     def test_forward_example(self):
         w = _weights([[1.0, 0.0], [0.0, 1.0]])
-        assert forward([1.0, -1.0], w) == 1.0
+        assert np.array_equal(forward_all([[1.0, -1.0], [1.0, 2.0]], w), [1.0, 3.0])
 
     def test_forward_zero_weights(self):
         w = _weights([[0.0, 0.0]])
-        assert forward([3.0, -2.0], w) == 0.0
+        assert np.array_equal(forward_all([[3.0, -2.0]], w), [0.0])
 
     def test_forward_repeated_neurons(self):
         w = _weights([[1.0, 0.0]] * 3)
-        assert forward([2.0, 0.0], w) == 6.0
+        assert np.array_equal(forward_all([[2.0, 0.0]], w), [6.0])
 
     def test_loss_zero_at_teacher(self):
         data = generate_dataset(NetConfig(d=3, k=2, n=25, seed=0))
@@ -109,15 +111,53 @@ class TestForwardAndLoss:
             assert loss(w, data) >= 0.0
 
 
-class TestActivationVectors:
-    def test_a_vector_example(self):
-        w = _weights([[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(a_vector([1.0, -1.0], w), [1.0, -1.0, 0.0, 0.0])
+class TestNeuronMajorKernel:
+    @pytest.mark.parametrize("k_range", [(1, 8), (8, 201)], ids=["k<=7", "k>=8"])
+    def test_matches_point_major_formulas(self, k_range):
+        # for k <= 7 both layouts add each point's activations left to right,
+        # so every output is bit-identical; from k = 8 numpy's pairwise sum
+        # reorders the point-major sum of k nonnegative terms, which moves
+        # each output by at most (k - 1) eps of its size (4.4e-14 at k = 200)
+        exact = k_range[1] <= 8
+        rng = np.random.default_rng(k_range)
+        shapes = [(1, 1), (1, 500), (7, 1)] + [(int(rng.integers(1, 60)), int(rng.integers(1, 400))) for _ in range(27)]
+        for d, n in shapes:
+            k = int(rng.integers(*k_range))
+            data = generate_dataset(NetConfig(d, k, n, int(rng.integers(0, 2**31))))
+            w = rng.standard_normal(k * d) * 10.0 ** rng.uniform(-3, 3)
+            outputs, value, grad = _point_major(w.reshape(k, d), data.inputs, data.targets)
+            teacher_outputs = _point_major(data.teacher.matrix, data.inputs, data.targets)[0]
+            got_value, got_grad = loss_objective(data).value_and_gradient(w)
+            got_outputs = forward_all(data.inputs, Weights(w, k=k, d=d))
+            if exact:
+                assert np.array_equal(data.targets, teacher_outputs)
+                assert np.array_equal(got_outputs, outputs)
+                assert got_value == value
+                assert np.array_equal(got_grad, grad)
+            else:
+                assert np.allclose(data.targets, teacher_outputs, rtol=1e-13, atol=0.0)
+                assert np.allclose(got_outputs, outputs, rtol=1e-13, atol=0.0)
+                assert got_value == pytest.approx(value, rel=1e-12)
+                assert np.linalg.norm(got_grad - grad) <= 1e-12 * np.linalg.norm(grad)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 8, 50, 200])
+    def test_exactly_zero_at_teacher(self, k):
+        # targets and the loss share one forward pass, so the residuals vanish
+        # bit for bit; a loss summed in another order leaves them at round-off
+        for seed in range(3):
+            data = generate_dataset(NetConfig(d=10, k=k, n=500, seed=seed))
+            value, grad = loss_objective(data).value_and_gradient(data.teacher.flat)
+            assert value == 0.0
+            assert np.array_equal(grad, np.zeros(k * 10))
+            assert loss(data.teacher, data) == 0.0
+
+
+class TestActivationVectors:
     def test_zero_weights_all_active(self):
-        w = _weights([[0.0, 0.0], [0.0, 0.0]])
-        x = np.array([1.0, -1.0])
-        assert np.array_equal(a_vector(x, w), abar_vector(x, 2))
+        # the indicator is >=, so w = 0 activates every neuron on every point
+        data = generate_dataset(NetConfig(d=3, k=2, n=20, seed=2))
+        h = loss_hessian_matrix(Weights(np.zeros(6), k=2, d=3), data).entries
+        assert np.array_equal(h, allactive_gram_matrix(data, 2).entries)
 
     @given(
         coords=st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=5),
@@ -125,20 +165,15 @@ class TestActivationVectors:
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=100, deadline=None)
-    def test_a_vector_norm_counts_active(self, coords, k, seed):
+    def test_single_point_hessian_trace_counts_active(self, coords, k, seed):
+        # one point: the Hessian is a a^T, and a holds x once per active neuron
         x = np.asarray(coords)
         rng = np.random.default_rng(seed)
         w = Weights(rng.standard_normal(k * x.size), k=k, d=x.size)
-        a = a_vector(x, w)
-        active = int(np.sum(w.matrix @ x >= 0))
-        assert float(a @ a) == pytest.approx(active * float(x @ x), rel=1e-12, abs=1e-12)
-
-    def test_abar_examples(self):
-        assert np.array_equal(abar_vector([1.0, -1.0], 2), [1.0, -1.0, 1.0, -1.0])
-        assert np.array_equal(abar_vector([2.0, 3.0], 1), [2.0, 3.0])
-        x = np.array([0.3, -1.2, 4.0])
-        ab = abar_vector(x, 5)
-        assert float(ab @ ab) == pytest.approx(5 * float(x @ x), rel=1e-12)
+        data = _dataset_from_points([x], w)
+        h = loss_hessian_matrix(w, data).entries
+        active = int(np.sum(data.inputs @ w.matrix.T >= 0))
+        assert float(np.trace(h)) == pytest.approx(active * float(x @ x), rel=1e-12, abs=1e-12)
 
 
 class TestGradient:
