@@ -1,15 +1,7 @@
 """stepsafe: concavifier estimation and safe fixed step sizes for gradient descent."""
 
-from .descent import DescentConfig, DescentTrace, gd_step, load_trace, run_descent, save_trace
-from .eigenbounds import (
-    EigenResult,
-    SymMatrix,
-    brauer_cassini_upper,
-    gershgorin_upper,
-    kron_allones_structure_lambda,
-    power_iteration,
-    sym_matrix,
-)
+from .descent import DescentConfig, DescentTrace, load_trace, run_descent, save_trace
+from .eigenbounds import EigenResult, SymMatrix, brauer_cassini_upper, gershgorin_upper, power_iteration
 from .errors import (
     DegeneratePairError,
     InvalidInputError,
@@ -24,13 +16,11 @@ from .objectives import (
     central_difference_gradient,
     estimate_concavifier_hessian,
     estimate_concavifier_midpoint,
-    linear_objective,
     midpoint_acceleration,
     quadratic_objective,
     upper_quadratic_check,
 )
 from .relu import (
-    BoundReport,
     NetConfig,
     ReluDataset,
     Weights,
@@ -41,7 +31,6 @@ from .relu import (
     bound_alpha2,
     bound_alpha3,
     bound_alpha4,
-    compute_bound_report,
     forward_all,
     generate_dataset,
     gradient,

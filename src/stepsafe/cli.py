@@ -290,26 +290,17 @@ def cmd_scale_sweep(spec: ExperimentSpec) -> Path:
 
 def cmd_oracle(spec: ExperimentSpec) -> Path:
     spec.out.mkdir(parents=True, exist_ok=True)
-    strategy = _resolve_oracle_strategy(spec)
-    header = ["kind", "seed", "oracle", "alpha1", "alpha2", "alpha3", "alpha4", "oracle_over_alpha2"]
+    columns = ("oracle", "alpha1", "alpha2", "alpha3", "alpha4")
     rows = []
     for rep in range(spec.reps):
         seed = spec.run_seed(rep)
         data = relu.generate_dataset(NetConfig(spec.d, spec.k, spec.n, seed))
-        report = relu.compute_bound_report(
-            data, NetConfig(spec.d, spec.k, spec.n, seed),
-            alpha4_variant=spec.alpha4_variant,
-            oracle_strategy=strategy,
-            oracle_budget=spec.oracle_budget,
-        )
-        rows.append(
-            ["run", float(seed), report.alpha_oracle, report.alpha1, report.alpha2,
-             report.alpha3, report.alpha4, report.alpha_oracle / report.alpha2]
-        )
+        values = [_bound_value(b, data, spec) for b in columns]
+        rows.append(["run", float(seed)] + values + [values[0] / values[2]])
     rows += _summary_rows(rows)
     out = spec.out / "oracle.csv"
-    write_table(out, header, rows, timestamp=spec.stamp())
-    print(f"oracle ({strategy}): mean oracle/alpha2 = {rows[-2][-1]:.4f}")
+    write_table(out, ["kind", "seed", *columns, "oracle_over_alpha2"], rows, timestamp=spec.stamp())
+    print(f"oracle ({_resolve_oracle_strategy(spec)}): mean oracle/alpha2 = {rows[-2][-1]:.4f}")
     print(f"wrote {out}")
     return out
 

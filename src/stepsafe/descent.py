@@ -12,13 +12,12 @@ of f over the visited region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError
 from .objectives import ObjectiveFunction
-from .tableio import write_table
+from .tableio import read_floats, write_table
 
 DESCENT_SLACK_RTOL = 1e-9
 
@@ -68,19 +67,6 @@ class DescentTrace:
     def monotone(self) -> bool:
         """The loss never rose beyond the slack tolerance anywhere in the trace."""
         return bool(self.monotone_so_far[-1])
-
-
-def gd_step(x, grad, eta: float) -> np.ndarray:
-    """x - eta * grad."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    grad = np.atleast_1d(np.asarray(grad, dtype=float))
-    if x.shape != grad.shape:
-        raise InvalidInputError("point and gradient dimensions differ")
-    if not eta > 0.0:
-        raise InvalidInputError("step size must be positive")
-    if not np.all(np.isfinite(grad)):
-        raise NumericalFailureError("gradient has non-finite entries")
-    return x - eta * grad
 
 
 def run_descent(f: ObjectiveFunction, config: DescentConfig) -> DescentTrace:
@@ -141,17 +127,13 @@ def save_trace(trace: DescentTrace, path, timestamp: str | None = None) -> None:
 
 
 def load_trace(path) -> dict[str, np.ndarray]:
-    """Read a trace file back into column arrays (comment lines are skipped)."""
-    path = Path(path)
-    with path.open() as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
+    """Read a trace file back into column arrays (comment lines are skipped).
+    A file that is not a trace, or has a ragged row or a text cell, raises
+    InvalidInputError."""
+    header, table = read_floats(path)
+    if tuple(header) != TRACE_COLUMNS:
         raise InvalidInputError(f"{path} is not a descent trace file")
-    rows = [ln.split(",") for ln in lines[1:]]
-    return {
-        "step": np.array([int(r[0]) for r in rows]),
-        "loss": np.array([float(r[1]) for r in rows]),
-        "grad_norm": np.array([float(r[2]) for r in rows]),
-        "descent_gap": np.array([float(r[3]) for r in rows]),
-        "monotone_so_far": np.array([bool(int(r[4])) for r in rows]),
-    }
+    cols = dict(zip(TRACE_COLUMNS, table.T))
+    cols["step"] = cols["step"].astype(int)
+    cols["monotone_so_far"] = cols["monotone_so_far"] != 0.0
+    return cols

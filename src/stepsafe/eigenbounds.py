@@ -7,9 +7,8 @@ Three estimators with very different cost/tightness trade-offs:
 * ``brauer_cassini_upper`` -- closed form over row pairs, never looser than Gershgorin
   in its standard form
 
-plus a fast path for the block-constant matrices produced by stacking k copies
-of each data vector (``kron_allones_structure_lambda``).  The Gershgorin and
-Cassini formulas need only a diagonal and row radii, never the matrix itself.
+The Gershgorin and Cassini formulas need only a diagonal and row radii, never
+the matrix itself.
 """
 
 from __future__ import annotations
@@ -50,11 +49,6 @@ class SymMatrix:
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-
-def sym_matrix(values) -> SymMatrix:
-    """Build a SymMatrix from anything array-like."""
-    return SymMatrix(np.array(values, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -154,15 +148,3 @@ def brauer_cassini_upper(m: SymMatrix, variant: str = "standard") -> float:
     if m.size < 2:
         raise InvalidInputError("the pairwise bound requires a matrix of size >= 2")
     return _cassini(*_diag_radii(m.entries), variant)
-
-
-def kron_allones_structure_lambda(s: SymMatrix, k: int) -> float:
-    """k * lambda_max(S), the top eigenvalue of the kd x kd block matrix whose
-    (j, l) block equals S for every pair of blocks.
-
-    S must be the d x d uncentered second-moment matrix of the data; stacking
-    k copies of each data vector multiplies every eigenvalue of S by k.
-    """
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
-    return float(k) * float(np.linalg.eigvalsh(s.entries)[-1])

@@ -261,12 +261,3 @@ def quadratic_objective(a) -> ObjectiveFunction:
         return 0.5 * float(x @ g), g
 
     return ObjectiveFunction(dim=mat.size, value_and_gradient=value_and_gradient, hessian=lambda x: mat)
-
-
-def linear_objective(c) -> ObjectiveFunction:
-    """f(x) = c^T x; Hessian identically zero."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    zero = SymMatrix(np.zeros((c.shape[0], c.shape[0])))
-    return ObjectiveFunction(
-        dim=c.shape[0], value_and_gradient=lambda x: (float(c @ x), c.copy()), hessian=lambda x: zero
-    )

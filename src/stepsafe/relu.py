@@ -34,14 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .eigenbounds import SymMatrix, _cassini, _gershgorin, kron_allones_structure_lambda
+from .eigenbounds import SymMatrix, _cassini, _gershgorin
 from .errors import InvalidInputError, UnsupportedOperationError
 from .objectives import ObjectiveFunction
-from .tableio import write_table
+from .tableio import read_floats, write_table
 
 ORACLE_STRATEGIES = ("pattern-enum", "random-search")
 PATTERN_ENUM_MAX_POINTS = 12
@@ -231,8 +230,11 @@ def _allactive_rows(data: ReluDataset, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bound_alpha2(data: ReluDataset, k: int) -> float:
-    """(1/n) lambda_max(sum_i abar(x_i) abar(x_i)^T) = k lambda_max(S)."""
-    return kron_allones_structure_lambda(second_moment_matrix(data), k)
+    """(1/n) lambda_max(sum_i abar(x_i) abar(x_i)^T) = k lambda_max(S): stacking
+    k copies of each data vector multiplies every eigenvalue of S by k."""
+    if k < 1:
+        raise InvalidInputError("k must be at least 1")
+    return float(k) * float(np.linalg.eigvalsh(second_moment_matrix(data).entries)[-1])
 
 
 def bound_alpha3(data: ReluDataset, k: int) -> float:
@@ -304,40 +306,6 @@ def alpha_oracle(
     return _shared_direction_search(data, k, budget, rng)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """The four concavifier bounds (plus optional oracle) for one configuration."""
-
-    alpha1: float
-    alpha2: float
-    alpha3: float
-    alpha4: float
-    alpha_oracle: float | None
-    config: NetConfig
-    alpha4_variant: str
-
-
-def compute_bound_report(
-    data: ReluDataset,
-    config: NetConfig,
-    alpha4_variant: str = "standard",
-    oracle_strategy: str | None = None,
-    oracle_budget: int = 10_000,
-) -> BoundReport:
-    oracle = None
-    if oracle_strategy is not None:
-        oracle = alpha_oracle(data, config.k, oracle_strategy, oracle_budget)
-    return BoundReport(
-        alpha1=bound_alpha1(data, config.k),
-        alpha2=bound_alpha2(data, config.k),
-        alpha3=bound_alpha3(data, config.k),
-        alpha4=bound_alpha4(data, config.k, alpha4_variant),
-        alpha_oracle=oracle,
-        config=config,
-        alpha4_variant=alpha4_variant,
-    )
-
-
 def near_kink(w: Weights, data: ReluDataset, margin: float = KINK_MARGIN_RTOL) -> bool:
     """True when any |x_i^T w_j| < margin * ||x_i|| * ||w_j||.
 
@@ -390,22 +358,15 @@ def load_dataset(inputs_path, teacher_path, seed: int = -1) -> ReluDataset:
 
     The teacher width k is recovered from the weight-file length; targets are
     re-verified against the teacher forward pass.  Datasets loaded from disk
-    carry seed -1 unless told otherwise.
+    carry seed -1 unless told otherwise.  A malformed file (no rows, a ragged
+    row, a text cell, a wrong header or weight count) raises InvalidInputError.
     """
-    inputs_path, teacher_path = Path(inputs_path), Path(teacher_path)
-    with inputs_path.open() as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise InvalidInputError(f"{inputs_path} is empty")
-    header = lines[0].split(",")
+    header, table = read_floats(inputs_path)
     if len(header) < 2 or header[-1] != "y":
         raise InvalidInputError(f"{inputs_path} has an unexpected header {header!r}")
     d = len(header) - 1
-    table = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float)
-    if table.ndim != 2 or table.shape[1] != d + 1:
-        raise InvalidInputError(f"{inputs_path} rows do not match the header")
-    flat = np.loadtxt(teacher_path, dtype=float, ndmin=1)
-    if flat.shape[0] % d != 0:
-        raise InvalidInputError("teacher weight count is not a multiple of the input dimension")
-    teacher = Weights(flat, k=flat.shape[0] // d, d=d)
+    _, weights = read_floats(teacher_path, header=False)
+    if weights.shape[1] != 1 or weights.shape[0] % d != 0:
+        raise InvalidInputError(f"{teacher_path} does not hold one weight per line, a multiple of {d} lines")
+    teacher = Weights(weights[:, 0], k=weights.shape[0] // d, d=d)
     return ReluDataset(inputs=table[:, :d], targets=table[:, d], teacher=teacher, seed=seed)

@@ -1,13 +1,18 @@
 """Minimal delimited-text tables: one header row, comma-separated values.
 
-Every CSV the package writes goes through ``write_table``.  Floats are written
-with 17 significant digits so they round-trip exactly, bools as 0/1; readers
-parse every cell as float when possible and keep it as text otherwise.
+Every CSV the package writes goes through ``write_table`` and every one it
+reads through ``read_table``.  Floats are written with 17 significant digits
+so they round-trip exactly, bools as 0/1; the reader parses every cell as
+float when possible and keeps it as text otherwise.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+
+import numpy as np
+
+from .errors import InvalidInputError
 
 FLOAT_FMT = "%.17g"
 
@@ -39,12 +44,29 @@ def write_table(path, header, rows, timestamp: str | None = None) -> None:
             fh.write(",".join(format_cell(v) for v in row) + "\n")
 
 
-def read_table(path) -> tuple[list[str], list[list]]:
+def read_table(path, header: bool = True) -> tuple[list[str] | None, list[list]]:
+    """Header and rows of a table written by write_table, skipping blank and
+    '#' lines; header=False reads a file written with header=None and returns
+    None for its header.  A file without rows, or a row whose width differs
+    from the header's (or the first row's), raises InvalidInputError."""
     path = Path(path)
     with path.open() as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [ln.rstrip("\n").split(",") for ln in fh if ln.strip() and not ln.startswith("#")]
+    names = lines.pop(0) if header and lines else None
     if not lines:
-        raise OSError(f"{path} holds no table")
-    header = lines[0].split(",")
-    rows = [[parse_cell(cell) for cell in ln.split(",")] for ln in lines[1:]]
-    return header, rows
+        raise InvalidInputError(f"{path} holds no table")
+    width = len(names or lines[0])
+    for lineno, cells in enumerate(lines, start=1 + bool(names)):
+        if len(cells) != width:
+            raise InvalidInputError(f"{path}: table row {lineno} has {len(cells)} cells, expected {width}")
+    return names, [[parse_cell(cell) for cell in cells] for cells in lines]
+
+
+def read_floats(path, header: bool = True) -> tuple[list[str] | None, np.ndarray]:
+    """read_table for an all-numeric table: its rows as one (rows, width) float
+    array.  A text cell raises InvalidInputError."""
+    names, rows = read_table(path, header)
+    text = next((cell for row in rows for cell in row if isinstance(cell, str)), None)
+    if text is not None:
+        raise InvalidInputError(f"{path} holds a non-numeric cell {text!r}")
+    return names, np.array(rows, dtype=float)

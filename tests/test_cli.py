@@ -10,7 +10,15 @@ from stepsafe.cli import (
     EXIT_OK,
     main,
 )
-from stepsafe.relu import NetConfig, bound_alpha1, bound_alpha2, generate_dataset
+from stepsafe.relu import (
+    NetConfig,
+    alpha_oracle,
+    bound_alpha1,
+    bound_alpha2,
+    bound_alpha3,
+    bound_alpha4,
+    generate_dataset,
+)
 from stepsafe.tableio import read_table
 
 
@@ -115,6 +123,23 @@ class TestOracleCommand:
         _, rows = read_table(out / "oracle.csv")
         for r in _rows_of_kind(rows, "run"):
             assert r[7] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("strategy, d, k, n", [("pattern-enum", 2, 2, 8), ("random-search", 3, 2, 40)])
+    def test_row_matches_library(self, tmp_path, strategy, d, k, n):
+        # a run row is alpha_oracle on its default stream, alpha1..alpha4 and
+        # oracle/alpha2, bit for bit
+        out = tmp_path / "res"
+        code = main(["oracle", "--d", str(d), "--k", str(k), "--n", str(n), "--seed", "4", "--reps", "2",
+                     "--oracle-strategy", strategy, "--oracle-budget", "500", "--out", str(out), "--no-timestamp"])
+        assert code == EXIT_OK
+        _, rows = read_table(out / "oracle.csv")
+        runs = _rows_of_kind(rows, "run")
+        assert [r[1] for r in runs] == [4.0, 5.0]
+        for r in runs:
+            data = generate_dataset(NetConfig(d, k, n, int(r[1])))
+            oracle = alpha_oracle(data, k, strategy, budget=500)
+            bounds = [f(data, k) for f in (bound_alpha1, bound_alpha2, bound_alpha3, bound_alpha4)]
+            assert r[2:] == [oracle, *bounds, oracle / bounds[1]]
 
 
 class TestSpecFile:

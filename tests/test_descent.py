@@ -1,33 +1,44 @@
 """Tests for the fixed-step descent engine and trace recording."""
 
+import re
+
 import numpy as np
 import pytest
 
-from stepsafe.descent import DescentConfig, DescentTrace, gd_step, load_trace, run_descent, save_trace
-from stepsafe.errors import InvalidInputError, NumericalFailureError
+from stepsafe.descent import DescentConfig, DescentTrace, load_trace, run_descent, save_trace
+from stepsafe.errors import InvalidInputError
 from stepsafe.objectives import ObjectiveFunction, quadratic_objective, upper_quadratic_check
 from stepsafe.relu import NetConfig, generate_dataset, initial_weights, loss_objective
 
 
 class TestGdStep:
+    """One step x - eta * grad f(x), as run_descent takes it."""
+
+    def _step(self, grad, x0, eta):
+        f = ObjectiveFunction(dim=len(x0), value_and_gradient=lambda x: (0.0, np.asarray(grad(x), float)))
+        return run_descent(f, DescentConfig(eta=eta, steps=1, x0=x0))
+
     def test_basic(self):
-        assert np.array_equal(gd_step([1.0, 1.0], [1.0, 0.0], 0.5), [0.5, 1.0])
+        assert np.array_equal(self._step(lambda x: [1.0, 0.0], [1.0, 1.0], 0.5).final_point, [0.5, 1.0])
 
     def test_zero_gradient(self):
         x = np.array([2.0, -3.0])
-        assert np.array_equal(gd_step(x, np.zeros(2), 0.1), x)
+        assert np.array_equal(self._step(lambda x: np.zeros(2), x, 0.1).final_point, x)
 
     def test_exact_minimizer_of_isotropic_quadratic(self):
         x = np.array([3.0, -4.0])
-        assert np.array_equal(gd_step(x, x, 1.0), np.zeros(2))
+        assert np.array_equal(self._step(lambda x: x, x, 1.0).final_point, np.zeros(2))
 
     def test_nonfinite_gradient(self):
-        with pytest.raises(NumericalFailureError):
-            gd_step([1.0], [np.nan], 0.1)
+        trace = self._step(lambda x: [np.nan], [1.0], 0.1)
+        assert trace.diverged and trace.steps_taken == 0
+        assert np.array_equal(trace.final_point, [1.0])
 
     def test_bad_eta(self):
-        with pytest.raises(InvalidInputError):
-            gd_step([1.0], [1.0], 0.0)
+        # DescentConfig refuses a non-positive (or nan) step size and an empty step budget
+        for field in ({"eta": 0.0}, {"eta": -0.1}, {"eta": float("nan")}, {"steps": 0}):
+            with pytest.raises(InvalidInputError):
+                DescentConfig(**{"eta": 0.1, "steps": 1, "x0": [1.0], **field})
 
 
 class TestRunDescent:
@@ -168,4 +179,16 @@ class TestTraceIO:
         path = tmp_path / "junk.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(InvalidInputError):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["step,loss,grad_norm,descent_gap,monotone_so_far\n0,1,1,nan\n",
+         "step,loss,grad_norm,descent_gap,monotone_so_far\n0,1,one,nan,1\n", "# generated: now\n"],
+        ids=["ragged-row", "text-cell", "empty"],
+    )
+    def test_malformed_trace_rejected(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=re.escape(str(path))):
             load_trace(path)

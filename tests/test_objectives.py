@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepsafe.eigenbounds import SymMatrix
 from stepsafe.errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError
 from stepsafe.objectives import (
     BoxDomain,
@@ -13,7 +14,6 @@ from stepsafe.objectives import (
     central_difference_gradient,
     estimate_concavifier_hessian,
     estimate_concavifier_midpoint,
-    linear_objective,
     midpoint_acceleration,
     quadratic_objective,
     upper_quadratic_check,
@@ -22,6 +22,15 @@ from stepsafe.objectives import (
 
 def _square_1d():
     return quadratic_objective([[2.0]])  # f(x) = x^2
+
+
+def _linear(c):
+    # f(x) = c^T x, Hessian identically zero
+    c = np.asarray(c, dtype=float)
+    zero = SymMatrix(np.zeros((c.shape[0], c.shape[0])))
+    return ObjectiveFunction(
+        dim=c.shape[0], value_and_gradient=lambda x: (float(c @ x), c.copy()), hessian=lambda x: zero
+    )
 
 
 def _box(lo, hi, budget):
@@ -64,7 +73,7 @@ class TestMidpointAcceleration:
         assert midpoint_acceleration(_square_1d(), [1.0], [-1.0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_linear_is_zero(self):
-        f = linear_objective([3.0, -1.0])
+        f = _linear([3.0, -1.0])
         assert midpoint_acceleration(f, [0.0, 0.0], [1.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_quartic_pair(self):
@@ -94,7 +103,7 @@ class TestMidpointEstimator:
         assert np.all(x >= -1 - 1e-12) and np.all(y <= 1 + 1e-12)
 
     def test_linear_gives_zero(self):
-        f = linear_objective([1.0, -2.0])
+        f = _linear([1.0, -2.0])
         est = estimate_concavifier_midpoint(f, _box([-1, -1], [1, 1], 500), np.random.default_rng(1))
         assert est.value == pytest.approx(0.0, abs=1e-9)
 
@@ -135,12 +144,10 @@ class TestHessianEstimator:
     def test_sine_curvature(self):
         import math
 
-        from stepsafe.eigenbounds import sym_matrix
-
         f = ObjectiveFunction(
             dim=1,
             value_and_gradient=lambda x: (math.sin(x[0]), np.array([math.cos(x[0])])),
-            hessian=lambda x: sym_matrix([[-math.sin(x[0])]]),
+            hessian=lambda x: SymMatrix([[-math.sin(x[0])]]),
         )
         est = estimate_concavifier_hessian(f, _box([-np.pi], [np.pi], 1000), np.random.default_rng(5))
         # dense-grid reference for the curvature maximum over the box

@@ -1,6 +1,7 @@
 """Tests for the ReLU teacher-student model and the concavifier bounds."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from stepsafe.relu import (
     bound_alpha2,
     bound_alpha3,
     bound_alpha4,
-    compute_bound_report,
     forward_all,
     generate_dataset,
     gradient,
@@ -326,12 +326,13 @@ class TestAlphaBounds:
         for seed in range(15):
             cfg = NetConfig(d=4, k=3, n=50, seed=seed)
             data = generate_dataset(cfg)
-            rep = compute_bound_report(data, cfg, oracle_strategy="random-search", oracle_budget=300)
-            slack = 1e-9 * max(1.0, rep.alpha1)
-            assert rep.alpha2 <= rep.alpha1 + slack
-            assert rep.alpha2 <= rep.alpha3 + slack
-            assert rep.alpha2 <= rep.alpha4 + slack
-            assert rep.alpha_oracle <= rep.alpha2 + slack
+            a1, a2, a3, a4 = (f(data, cfg.k) for f in (bound_alpha1, bound_alpha2, bound_alpha3, bound_alpha4))
+            oracle = alpha_oracle(data, cfg.k, "random-search", budget=300)
+            slack = 1e-9 * max(1.0, a1)
+            assert a2 <= a1 + slack
+            assert a2 <= a3 + slack
+            assert a2 <= a4 + slack
+            assert oracle <= a2 + slack
 
     @pytest.mark.parametrize("variant", ["standard", "paper"])
     @pytest.mark.parametrize(
@@ -353,7 +354,7 @@ class TestAlphaBounds:
                 assert a4 == a3
 
     def test_one_second_moment_product_per_report(self):
-        # alpha2, alpha3 and alpha4 all need S = X^T X / n; a report forms it once
+        # alpha2, alpha3 and alpha4 all need S = X^T X / n; the dataset forms it once
         class CountingArray(np.ndarray):
             products = 0
 
@@ -366,10 +367,10 @@ class TestAlphaBounds:
         cfg = NetConfig(d=4, k=3, n=50, seed=1)
         data = generate_dataset(cfg)
         object.__setattr__(data, "inputs", data.inputs.view(CountingArray))
-        rep = compute_bound_report(data, cfg)
+        report = (bound_alpha1(data, 3), bound_alpha2(data, 3), bound_alpha3(data, 3), bound_alpha4(data, 3))
         assert CountingArray.products == 1
         plain = generate_dataset(cfg)
-        assert (rep.alpha2, rep.alpha3, rep.alpha4) == (
+        assert report[1:] == (
             bound_alpha2(plain, 3), bound_alpha3(plain, 3), bound_alpha4(plain, 3))
 
     def test_bounds_at_d1000_k1000_from_s_alone(self):
@@ -482,7 +483,7 @@ class TestAlphaOracle:
         with pytest.raises(InvalidInputError, match="no seed"):
             alpha_oracle(loaded, 2, "random-search", budget=500)
         with pytest.raises(InvalidInputError, match="no seed"):
-            compute_bound_report(loaded, NetConfig(3, 2, 40, -1), oracle_strategy="random-search")
+            alpha_oracle(loaded, 2, "random-search")
         assert alpha_oracle(loaded, 2, "random-search", budget=500, rng=np.random.default_rng(0)) > 0.0
 
     def test_random_search_below_alpha2(self):
@@ -535,3 +536,18 @@ class TestDatasetIO:
             b"x0,x1,y\n1,-2,2.1000000000000001\n3,0,6.2999999999999998\n"
         )
         assert (tmp_path / "teacher.csv").read_bytes() == b"2\n1\n0.10000000000000001\n-1\n"
+
+    @pytest.mark.parametrize(
+        "which, text",
+        [("inputs", "x0,x1,y\n1,2,3\n4,5\n"), ("inputs", "x0,x1,y\n1,abc,3\n"),
+         ("teacher", "0.5\nabc\n"), ("teacher", "")],
+        ids=["ragged-row", "text-cell", "text-weight", "empty-teacher"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, which, text):
+        # each malformed file raises InvalidInputError naming that file
+        data = generate_dataset(NetConfig(d=2, k=2, n=5, seed=0))
+        paths = {"inputs": tmp_path / "data.csv", "teacher": tmp_path / "teacher.csv"}
+        save_dataset(data, paths["inputs"], paths["teacher"])
+        paths[which].write_text(text)
+        with pytest.raises(InvalidInputError, match=re.escape(str(paths[which]))):
+            load_dataset(paths["inputs"], paths["teacher"])
