@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Print a sha256 digest of every file and stdout the CLI writes on a fixed set of runs.
+
+Runs `bounds`, `train` (all five bounds), `scale-sweep` and `oracle` with
+--no-timestamp on the six standard configurations at seeds 0-2, plus a
+pattern-enum `oracle` and `train --bounds oracle,alpha2` on d2 k2 n8, each
+into its own directory under a temporary directory.  Prints one line
+`sha256  run/file` per CSV and one `sha256  run/<stdout>` per run, with the
+output directory masked in the captured stdout.  The `--help` texts and the
+usage error are digested the same way.
+
+To check that a change keeps every output byte-identical, run it on both
+checkouts with the same environment and diff the two listings:
+
+    PYTHONPATH=<checkout>/src python scripts/output_digests.py > digests.txt
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads BLAS: one summation order
+os.environ["COLUMNS"] = "80"  # argparse wraps --help at the terminal width
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from run_bound_table import CONFIGS  # noqa: E402
+
+from stepsafe.cli import main  # noqa: E402
+
+
+def _runs():
+    for d, k, n in CONFIGS:
+        size = ["--d", str(d), "--k", str(k), "--n", str(n), "--seed", "0", "--reps", "3"]
+        name = f"d{d}_k{k}_n{n}"
+        yield f"bounds_{name}", ["bounds", *size]
+        yield f"train_{name}", ["train", "--bounds", "alpha1,alpha2,alpha3,alpha4,oracle", *size]
+        yield f"sweep_{name}", ["scale-sweep", *size]
+        yield f"oracle_{name}", ["oracle", *size]
+    small = ["--d", "2", "--k", "2", "--n", "8", "--seed", "0", "--reps", "3"]
+    yield "oracle_enum_d2_k2_n8", ["oracle", "--oracle-strategy", "pattern-enum", *small]
+    yield "train_oracle_d2_k2_n8", ["train", "--bounds", "oracle,alpha2", *small]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _captured(argv) -> str:
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+        code = main(argv)
+    return f"{text.getvalue()}exit {code}\n"
+
+
+def run() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in _runs():
+            out = Path(tmp) / name
+            text = _captured([*argv, "--out", str(out), "--no-timestamp"])
+            for path in sorted(out.glob("*.csv")):
+                print(f"{_sha(path.read_bytes())}  {name}/{path.name}")
+            print(f"{_sha(text.replace(str(out), '<out>').encode())}  {name}/<stdout>")
+    for argv in ([], ["bounds"], ["train"], ["scale-sweep"], ["oracle"]):
+        print(f"{_sha(_captured([*argv, '--help']).encode())}  help {' '.join(argv)}".rstrip())
+    print(f"{_sha(_captured(['bounds', '--bogus']).encode())}  usage error")
+
+
+if __name__ == "__main__":
+    run()

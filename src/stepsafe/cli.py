@@ -80,8 +80,10 @@ class ExperimentSpec:
             raise InvalidInputError("reps must be at least 1")
         if self.steps < 1:
             raise InvalidInputError("steps must be at least 1")
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise InvalidInputError("scale factors must be positive")
+        if not self.scales or not all(0.0 < s < np.inf for s in self.scales):
+            raise InvalidInputError("scale factors must be finite and positive")
+        if len({f"{s:g}" for s in self.scales}) < len(self.scales):  # traces are sweep_s<scale:g>_seed<s>.csv
+            raise InvalidInputError(f"scale factors {self.scales} repeat a trace-file label (sweep_s<scale:g>)")
         bad = [b for b in self.bounds if b not in BOUND_CHOICES]
         if bad or not self.bounds:
             raise InvalidInputError(f"bound selection must be a nonempty subset of {BOUND_CHOICES}")
@@ -91,9 +93,6 @@ class ExperimentSpec:
             raise InvalidInputError("oracle strategy must be auto, pattern-enum or random-search")
         if self.oracle_budget < 1:
             raise InvalidInputError("oracle budget must be at least 1")
-
-    def run_seed(self, rep: int) -> int:
-        return self.seed + rep
 
     def stamp(self) -> str | None:
         return None if self.no_timestamp else datetime.now(timezone.utc).isoformat()
@@ -200,86 +199,72 @@ def _summary_rows(kind_col_rows: list[list]) -> list[list]:
     return [["mean"] + [float(v) for v in mean], ["stddev"] + [float(v) for v in std]]
 
 
-def _run_descent_for(data, spec: ExperimentSpec, eta: float, seed: int):
+def _runs(spec: ExperimentSpec):
+    """Create spec.out, then yield (seed, dataset) for each run."""
+    spec.out.mkdir(parents=True, exist_ok=True)
+    for seed in range(spec.seed, spec.seed + spec.reps):
+        yield seed, relu.generate_dataset(NetConfig(spec.d, spec.k, spec.n, seed))
+
+
+def _descent_row(
+    spec: ExperimentSpec, data: relu.ReluDataset, seed: int, label, value: float, eta: float, trace_name: str
+) -> list:
+    """Descend at eta from the run's student init, save the trace as trace_name
+    and return the row [label, seed, value, eta, final_loss, monotone, diverged]."""
     if not np.isfinite(eta) or eta <= 0.0:
         raise NumericalFailureError(f"derived step size {eta!r} is unusable")
     w0 = relu.initial_weights(NetConfig(spec.d, spec.k, spec.n, seed))
-    objective = relu.loss_objective(data)
-    return run_descent(objective, DescentConfig(eta=eta, steps=spec.steps, x0=w0.flat))
+    trace = run_descent(relu.loss_objective(data), DescentConfig(eta=eta, steps=spec.steps, x0=w0.flat))
+    save_trace(trace, spec.out / trace_name, timestamp=spec.stamp())
+    return [label, float(seed), float(value), eta, float(trace.losses[-1]), trace.monotone, trace.diverged]
 
 
 # --- subcommands ---------------------------------------------------------------
 
 
 def cmd_bounds(spec: ExperimentSpec) -> Path:
-    spec.out.mkdir(parents=True, exist_ok=True)
-    header = ["kind", "seed"] + list(spec.bounds)
     rows = []
-    for rep in range(spec.reps):
-        seed = spec.run_seed(rep)
-        data = relu.generate_dataset(NetConfig(spec.d, spec.k, spec.n, seed))
+    for seed, data in _runs(spec):
         rows.append(["run", float(seed)] + [_bound_value(b, data, spec) for b in spec.bounds])
     rows += _summary_rows(rows)
     out = spec.out / "bounds.csv"
-    write_table(out, header, rows, timestamp=spec.stamp())
-    mean_row = rows[-2]
-    summary = ", ".join(f"{b}={v:.6g}" for b, v in zip(spec.bounds, mean_row[2:]))
+    write_table(out, ["kind", "seed", *spec.bounds], rows, timestamp=spec.stamp())
+    summary = ", ".join(f"{b}={v:.6g}" for b, v in zip(spec.bounds, rows[-2][2:]))
     print(f"bounds: d={spec.d} k={spec.k} n={spec.n} reps={spec.reps} mean {summary}")
     print(f"wrote {out}")
     return out
 
 
 def cmd_train(spec: ExperimentSpec) -> Path:
-    spec.out.mkdir(parents=True, exist_ok=True)
-    summary_rows = []
-    for rep in range(spec.reps):
-        seed = spec.run_seed(rep)
-        data = relu.generate_dataset(NetConfig(spec.d, spec.k, spec.n, seed))
+    rows = []
+    for seed, data in _runs(spec):
         for name in spec.bounds:
             value = _bound_value(name, data, spec)
-            trace = _run_descent_for(data, spec, 1.0 / value, seed)
-            path = spec.out / f"train_{name}_seed{seed}.csv"
-            save_trace(trace, path, timestamp=spec.stamp())
-            summary_rows.append(
-                [name, float(seed), float(value), 1.0 / value, float(trace.losses[-1]),
-                 trace.monotone, trace.diverged]
-            )
-            print(
-                f"train: {name}={value:.6g} eta={1.0 / value:.3e} seed={seed} "
-                f"final_loss={trace.losses[-1]:.3e} monotone={trace.monotone}"
-            )
+            row = _descent_row(spec, data, seed, name, value, 1.0 / value, f"train_{name}_seed{seed}.csv")
+            rows.append(row)
+            print(f"train: {name}={value:.6g} eta={row[3]:.3e} seed={seed} "
+                  f"final_loss={row[4]:.3e} monotone={row[5]}")
     out = spec.out / "train_summary.csv"
     write_table(
         out, ["bound", "seed", "bound_value", "eta", "final_loss", "monotone", "diverged"],
-        summary_rows, timestamp=spec.stamp(),
+        rows, timestamp=spec.stamp(),
     )
     print(f"wrote {out}")
     return out
 
 
 def cmd_scale_sweep(spec: ExperimentSpec) -> Path:
-    spec.out.mkdir(parents=True, exist_ok=True)
-    run_rows = []
-    by_scale: dict[float, list[bool]] = {s: [] for s in spec.scales}
-    for rep in range(spec.reps):
-        seed = spec.run_seed(rep)
-        data = relu.generate_dataset(NetConfig(spec.d, spec.k, spec.n, seed))
+    rows = []
+    for seed, data in _runs(spec):
         a2 = relu.bound_alpha2(data, spec.k)
         for scale in spec.scales:
-            trace = _run_descent_for(data, spec, scale / a2, seed)
-            path = spec.out / f"sweep_s{scale:g}_seed{seed}.csv"
-            save_trace(trace, path, timestamp=spec.stamp())
-            run_rows.append(
-                [float(scale), float(seed), float(a2), scale / a2, float(trace.losses[-1]),
-                 trace.monotone, trace.diverged]
-            )
-            by_scale[scale].append(not trace.monotone)
+            trace_name = f"sweep_s{scale:g}_seed{seed}.csv"
+            rows.append(_descent_row(spec, data, seed, float(scale), a2, scale / a2, trace_name))
     write_table(
-        spec.out / "sweep_runs.csv",
-        ["scale", "seed", "alpha2", "eta", "final_loss", "monotone", "diverged"],
-        run_rows, timestamp=spec.stamp(),
+        spec.out / "sweep_runs.csv", ["scale", "seed", "alpha2", "eta", "final_loss", "monotone", "diverged"],
+        rows, timestamp=spec.stamp(),
     )
-    summary = [[float(s), float(np.mean(flags)) if flags else 0.0] for s, flags in by_scale.items()]
+    summary = [[float(s), float(np.mean([not r[5] for r in rows if r[0] == s]))] for s in spec.scales]
     out = spec.out / "sweep_summary.csv"
     write_table(out, ["scale", "nonmonotone_fraction"], summary, timestamp=spec.stamp())
     for s, frac in summary:
@@ -289,12 +274,9 @@ def cmd_scale_sweep(spec: ExperimentSpec) -> Path:
 
 
 def cmd_oracle(spec: ExperimentSpec) -> Path:
-    spec.out.mkdir(parents=True, exist_ok=True)
     columns = ("oracle", "alpha1", "alpha2", "alpha3", "alpha4")
     rows = []
-    for rep in range(spec.reps):
-        seed = spec.run_seed(rep)
-        data = relu.generate_dataset(NetConfig(spec.d, spec.k, spec.n, seed))
+    for seed, data in _runs(spec):
         values = [_bound_value(b, data, spec) for b in columns]
         rows.append(["run", float(seed)] + values + [values[0] / values[2]])
     rows += _summary_rows(rows)
@@ -303,6 +285,14 @@ def cmd_oracle(spec: ExperimentSpec) -> Path:
     print(f"oracle ({_resolve_oracle_strategy(spec)}): mean oracle/alpha2 = {rows[-2][-1]:.4f}")
     print(f"wrote {out}")
     return out
+
+
+_COMMANDS = {
+    "bounds": (cmd_bounds, "bound table over seeds"),
+    "train": (cmd_train, "descent traces at eta = 1/bound"),
+    "scale-sweep": (cmd_scale_sweep, "descent traces at eta = scale/alpha2"),
+    "oracle": (cmd_oracle, "oracle next to the bounds"),
+}
 
 
 # --- argument parsing ----------------------------------------------------------
@@ -319,12 +309,7 @@ def _parser() -> _Parser:
     """Built on first use and kept for the life of the process."""
     parser = _Parser(prog="stepsafe", description="Concavifier bounds and safe-step experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("bounds", "bound table over seeds"),
-        ("train", "descent traces at eta = 1/bound"),
-        ("scale-sweep", "descent traces at eta = scale/alpha2"),
-        ("oracle", "oracle next to the bounds"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, epilog=inspect.cleandoc(ExperimentSpec.__doc__),
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--spec", type=Path, help="key = value file with the flag names as keys; flags override it")
@@ -336,19 +321,11 @@ def _parser() -> _Parser:
     return parser
 
 
-_COMMANDS = {
-    "bounds": cmd_bounds,
-    "train": cmd_train,
-    "scale-sweep": cmd_scale_sweep,
-    "oracle": cmd_oracle,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         spec = build_spec(args)
-        _COMMANDS[args.command](spec)
+        _COMMANDS[args.command][0](spec)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID_INPUT
     except InvalidInputError as exc:

@@ -178,31 +178,24 @@ def estimate_concavifier_midpoint(
     # information and their three-point cancellation noise grows like 1/sep^2
     min_sep2 = max((0.5 * eps) ** 2, MIDPOINT_SEPARATION_FLOOR**2)
 
-    best = -np.inf
-    best_pair = None
-    pairs = 0
-
-    if n_uniform:
-        xs = domain.sample(rng, n_uniform)
-        ys = domain.sample(rng, n_uniform)
-        for x, y in zip(xs, ys):
-            if np.sum((x - y) ** 2) < min_sep2:
-                continue
-            pairs += 1
-            psi = midpoint_acceleration(f, x, y)
-            if psi > best:
-                best, best_pair = psi, (x, y)
-
+    xs = domain.sample(rng, n_uniform)
+    ys = domain.sample(rng, n_uniform)
+    candidates = list(zip(xs, ys))
     if f.hessian is not None:
         directions = [np.linalg.eigh(f.hessian(domain.center).entries)[1][:, -1]]
     else:
         directions = list(np.eye(f.dim))
-    xs = domain.sample(rng, n_directed)
-    for i, x in enumerate(xs):
+    for i, x in enumerate(domain.sample(rng, n_directed)):
         u = directions[i % len(directions)]
         y = np.clip(x + eps * u, domain.lower, domain.upper)
         if np.sum((x - y) ** 2) < min_sep2:
             y = np.clip(x - eps * u, domain.lower, domain.upper)
+        candidates.append((x, y))
+
+    best = -np.inf
+    best_pair = None
+    pairs = 0
+    for x, y in candidates:
         if np.sum((x - y) ** 2) < min_sep2:
             continue
         pairs += 1
@@ -239,10 +232,10 @@ def estimate_concavifier_hessian(
     )
 
 
-def central_difference_gradient(fun: Callable[[np.ndarray], float], x, step: float | None = None) -> np.ndarray:
+def central_difference_gradient(fun: Callable[[np.ndarray], float], x) -> np.ndarray:
     """Central finite-difference gradient with h = 1e-6 * max(1, ||x||)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = step if step is not None else GRAD_CHECK_STEP_SCALE * max(1.0, float(np.linalg.norm(x)))
+    h = GRAD_CHECK_STEP_SCALE * max(1.0, float(np.linalg.norm(x)))
     grad = np.empty_like(x)
     for i in range(x.shape[0]):
         e = np.zeros_like(x)

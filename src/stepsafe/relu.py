@@ -306,15 +306,15 @@ def alpha_oracle(
     return _shared_direction_search(data, k, budget, rng)
 
 
-def near_kink(w: Weights, data: ReluDataset, margin: float = KINK_MARGIN_RTOL) -> bool:
-    """True when any |x_i^T w_j| < margin * ||x_i|| * ||w_j||.
+def near_kink(w: Weights, data: ReluDataset) -> bool:
+    """True when any |x_i^T w_j| < 1e-6 * ||x_i|| * ||w_j|| (KINK_MARGIN_RTOL).
 
     Gradient checks are skipped at such points: the loss gradient jumps across
     activation boundaries, so finite differences straddling one are meaningless.
     """
     z = np.abs(data.inputs @ w.matrix.T)
     scale = np.linalg.norm(data.inputs, axis=1)[:, None] * np.linalg.norm(w.matrix, axis=1)[None, :]
-    return bool(np.any(z < margin * scale))
+    return bool(np.any(z < KINK_MARGIN_RTOL * scale))
 
 
 def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:

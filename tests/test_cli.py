@@ -10,6 +10,7 @@ from stepsafe.cli import (
     EXIT_OK,
     main,
 )
+from stepsafe.descent import DescentConfig, load_trace, run_descent
 from stepsafe.relu import (
     NetConfig,
     alpha_oracle,
@@ -18,12 +19,26 @@ from stepsafe.relu import (
     bound_alpha3,
     bound_alpha4,
     generate_dataset,
+    initial_weights,
+    loss_objective,
 )
 from stepsafe.tableio import read_table
 
 
 def _rows_of_kind(rows, kind):
     return [r for r in rows if r[0] == kind]
+
+
+def _library_descent(d, k, n, seed, eta, steps):
+    """The descent a train or scale-sweep run makes, called on the library."""
+    data = generate_dataset(NetConfig(d, k, n, seed))
+    x0 = initial_weights(NetConfig(d, k, n, seed)).flat
+    return run_descent(loss_objective(data), DescentConfig(eta=eta, steps=steps, x0=x0))
+
+
+def _assert_descent_row(row, trace_path, trace):
+    assert row[3:] == [trace.eta, trace.losses[-1], float(trace.monotone), float(trace.diverged)]
+    assert np.array_equal(load_trace(trace_path)["loss"], trace.losses)
 
 
 class TestBoundsCommand:
@@ -86,6 +101,24 @@ class TestTrainCommand:
         assert len(rows) == 4
         assert all(r[5] == 1.0 for r in rows)  # safe steps descend monotonically
 
+    def test_summary_row_matches_library(self, tmp_path):
+        # each row, and the loss column of its trace, is run_descent at eta =
+        # 1/bound from the run's student init, bit for bit
+        out = tmp_path / "res"
+        code = main(["train", "--d", "2", "--k", "2", "--n", "8", "--steps", "15", "--seed", "3", "--reps", "2",
+                     "--bounds", "oracle,alpha1,alpha2", "--out", str(out), "--no-timestamp"])
+        assert code == EXIT_OK
+        library = {"oracle": lambda data: alpha_oracle(data, 2, "pattern-enum"),
+                   "alpha1": lambda data: bound_alpha1(data, 2), "alpha2": lambda data: bound_alpha2(data, 2)}
+        _, rows = read_table(out / "train_summary.csv")
+        assert [(r[0], r[1]) for r in rows] == [(b, s) for s in (3.0, 4.0) for b in library]
+        for row in rows:
+            bound, seed = row[0], int(row[1])
+            value = library[bound](generate_dataset(NetConfig(2, 2, 8, seed)))
+            trace = _library_descent(2, 2, 8, seed, 1.0 / value, 15)
+            assert row[2] == value
+            _assert_descent_row(row, out / f"train_{bound}_seed{seed}.csv", trace)
+
 
 class TestScaleSweepCommand:
     def test_summary_fractions(self, tmp_path):
@@ -99,6 +132,28 @@ class TestScaleSweepCommand:
         assert all(r[1] == 0.0 for r in rows)  # scales <= 1 always descend
         _, runs = read_table(out / "sweep_runs.csv")
         assert len(runs) == 4
+
+    def test_runs_match_library(self, tmp_path):
+        # each run row, its trace's loss column and the nonmonotone fractions
+        # come from run_descent at eta = scale/alpha2, bit for bit; scale 40
+        # overshoots, so a fraction other than 0 is checked too
+        out = tmp_path / "res"
+        code = main(["scale-sweep", "--d", "3", "--k", "2", "--n", "50", "--steps", "20",
+                     "--scales", "1,4,40", "--reps", "2", "--out", str(out), "--no-timestamp"])
+        assert code == EXIT_OK
+        _, runs = read_table(out / "sweep_runs.csv")
+        assert [(r[0], r[1]) for r in runs] == [(s, seed) for seed in (0.0, 1.0) for s in (1.0, 4.0, 40.0)]
+        nonmonotone = {1.0: [], 4.0: [], 40.0: []}
+        for row in runs:
+            scale, seed = row[0], int(row[1])
+            alpha2 = bound_alpha2(generate_dataset(NetConfig(3, 2, 50, seed)), 2)
+            trace = _library_descent(3, 2, 50, seed, scale / alpha2, 20)
+            assert row[2] == alpha2
+            _assert_descent_row(row, out / f"sweep_s{scale:g}_seed{seed}.csv", trace)
+            nonmonotone[scale].append(not trace.monotone)
+        _, summary = read_table(out / "sweep_summary.csv")
+        assert summary == [[s, float(np.mean(flags))] for s, flags in nonmonotone.items()]
+        assert summary[-1][1] > 0.0
 
 
 class TestOracleCommand:
@@ -177,6 +232,16 @@ class TestExitCodes:
 
     def test_invalid_bound_name(self, tmp_path):
         assert main(["bounds", "--bounds", "alpha9", "--out", str(tmp_path)]) == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize("scales", ["nan", "inf", "1,1.0000001"], ids=["nan", "inf", "label-collision"])
+    def test_bad_scales_rejected(self, tmp_path, capsys, scales):
+        # rejected before any file is written; 1 and 1.0000001 would both
+        # write sweep_s1_seed0.csv
+        out = tmp_path / "res"
+        assert main(["scale-sweep", "--d", "2", "--k", "1", "--n", "5", "--steps", "2",
+                     "--scales", f"0.5,{scales}", "--out", str(out)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith("stepsafe: invalid input: ")
+        assert not out.exists()
 
     def test_parser_error_maps_to_invalid_input(self):
         assert main(["bounds", "--alpha4-variant", "bogus"]) == EXIT_INVALID_INPUT
