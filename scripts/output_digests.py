@@ -4,10 +4,11 @@
 Runs `bounds`, `train` (all five bounds), `scale-sweep` and `oracle` with
 --no-timestamp on the six standard configurations at seeds 0-2, plus a
 pattern-enum `oracle` and `train --bounds oracle,alpha2` on d2 k2 n8, each
-into its own directory under a temporary directory.  Prints one line
-`sha256  run/file` per CSV and one `sha256  run/<stdout>` per run, with the
-output directory masked in the captured stdout.  The `--help` texts and the
-usage error are digested the same way.
+into its own directory under a temporary directory, and then
+`run_bound_table.py --reps 3`.  Prints one line `sha256  run/file` per CSV
+and one `sha256  run/<stdout>` per run, with the output directory masked in
+the captured stdout.  The `--help` texts and the usage error are digested
+the same way.
 
 To check that a change keeps every output byte-identical, run it on both
 checkouts with the same environment and diff the two listings:
@@ -28,6 +29,7 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from run_bound_table import CONFIGS  # noqa: E402
+from run_bound_table import main as bound_table  # noqa: E402
 
 from stepsafe.cli import main  # noqa: E402
 
@@ -49,10 +51,10 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _captured(argv) -> str:
+def _captured(argv, entry=main) -> str:
     text = io.StringIO()
     with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
-        code = main(argv)
+        code = entry(argv)
     return f"{text.getvalue()}exit {code}\n"
 
 
@@ -64,6 +66,11 @@ def run() -> None:
             for path in sorted(out.glob("*.csv")):
                 print(f"{_sha(path.read_bytes())}  {name}/{path.name}")
             print(f"{_sha(text.replace(str(out), '<out>').encode())}  {name}/<stdout>")
+        out = Path(tmp) / "bound_table"
+        text = _captured(["--reps", "3", "--out", str(out)], bound_table)
+        for path in sorted(out.glob("**/*.csv")):
+            print(f"{_sha(path.read_bytes())}  bound_table/{path.relative_to(out)}")
+        print(f"{_sha(text.replace(str(out), '<out>').encode())}  bound_table/<stdout>")
     for argv in ([], ["bounds"], ["train"], ["scale-sweep"], ["oracle"]):
         print(f"{_sha(_captured([*argv, '--help']).encode())}  help {' '.join(argv)}".rstrip())
     print(f"{_sha(_captured(['bounds', '--bogus']).encode())}  usage error")

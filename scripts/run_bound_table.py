@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Bound table over the six standard configurations, means over many seeds.
 
-Writes one bounds.csv per configuration plus a combined summary table.
+Runs `stepsafe bounds` once per configuration into DIR/d<d>_k<k>_n<n>/bounds.csv
+and combines the mean rows into DIR/summary.csv.  Exit codes are those of
+`stepsafe`: a bad --reps or --seed exits 1 before any file is written.
 """
 
-import argparse
+import sys
 from pathlib import Path
 
-from stepsafe.cli import ExperimentSpec, cmd_bounds
+from stepsafe import cli
 from stepsafe.tableio import read_table, write_table
 
 CONFIGS = [
@@ -20,22 +22,22 @@ CONFIGS = [
 ]
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
+def main(argv=None) -> int:
+    parser = cli._Parser(prog="stepsafe", usage="python scripts/run_bound_table.py [--reps N] [--seed S] [--out DIR]",
+                         description=__doc__)
+    parser.add_argument("--reps", default="20")  # text: stepsafe's converters check it
+    parser.add_argument("--seed", default="0")
     parser.add_argument("--out", type=Path, default=Path("results/bound_table"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)  # a usage error exits 1, as in stepsafe
 
     summary = []
     for d, k, n in CONFIGS:
-        spec = ExperimentSpec(
-            d=d, k=k, n=n, seed=args.seed, reps=args.reps,
-            out=args.out / f"d{d}_k{k}_n{n}", no_timestamp=True,
-        )
-        spec.validate()
-        path = cmd_bounds(spec)
-        _, rows = read_table(path)
+        out = args.out / f"d{d}_k{k}_n{n}"
+        code = cli.main(["bounds", "--d", str(d), "--k", str(k), "--n", str(n), "--seed", args.seed,
+                         "--reps", args.reps, "--out", str(out), "--no-timestamp"])
+        if code != cli.EXIT_OK:
+            return code
+        _, rows = read_table(out / "bounds.csv")
         mean = next(r for r in rows if r[0] == "mean")
         summary.append([float(d), float(k), float(n)] + mean[2:])
 
@@ -44,7 +46,8 @@ def main():
     print(f"\nwrote {out}")
     for row in summary:
         print("  d=%g k=%g n=%g  a1=%.4f a2=%.4f a3=%.4f a4=%.4f" % tuple(row))
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

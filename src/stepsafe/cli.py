@@ -76,6 +76,8 @@ class ExperimentSpec:
     def validate(self) -> None:
         if min(self.d, self.k, self.n) < 1:
             raise InvalidInputError("d, k and n must all be at least 1")
+        if self.seed < 0:  # numpy seeds are non-negative
+            raise InvalidInputError("seed must be at least 0")
         if self.reps < 1:
             raise InvalidInputError("reps must be at least 1")
         if self.steps < 1:
@@ -87,6 +89,8 @@ class ExperimentSpec:
         bad = [b for b in self.bounds if b not in BOUND_CHOICES]
         if bad or not self.bounds:
             raise InvalidInputError(f"bound selection must be a nonempty subset of {BOUND_CHOICES}")
+        if len(set(self.bounds)) < len(self.bounds):  # one column and one trace file per bound
+            raise InvalidInputError(f"bound selection {self.bounds} repeats a bound")
         if self.alpha4_variant not in ALPHA4_VARIANTS:
             raise InvalidInputError(f"alpha4 variant must be one of {ALPHA4_VARIANTS}")
         if self.oracle_strategy not in ("auto",) + relu.ORACLE_STRATEGIES:
@@ -186,8 +190,6 @@ def _bound_value(name: str, data: relu.ReluDataset, spec: ExperimentSpec) -> flo
         return relu.bound_alpha4(data, spec.k, spec.alpha4_variant)
     if name == "oracle":
         return relu.alpha_oracle(data, spec.k, _resolve_oracle_strategy(spec), spec.oracle_budget)
-    if name not in BOUND_CHOICES:
-        raise InvalidInputError(f"unknown bound {name!r}")
     return getattr(relu, f"bound_{name}")(data, spec.k)
 
 
@@ -207,12 +209,15 @@ def _runs(spec: ExperimentSpec):
 
 
 def _descent_row(
-    spec: ExperimentSpec, data: relu.ReluDataset, seed: int, label, value: float, eta: float, trace_name: str
+    spec: ExperimentSpec, data: relu.ReluDataset, seed: int, label, bound: str, scale: float, trace_name: str
 ) -> list:
-    """Descend at eta from the run's student init, save the trace as trace_name
-    and return the row [label, seed, value, eta, final_loss, monotone, diverged]."""
-    if not np.isfinite(eta) or eta <= 0.0:
-        raise NumericalFailureError(f"derived step size {eta!r} is unusable")
+    """Descend from the run's student init at eta = scale/value, value being the
+    bound's value on data (the one place a bound becomes a step size), save the
+    trace as trace_name and return [label, seed, value, eta, final_loss, monotone, diverged]."""
+    value = _bound_value(bound, data, spec)
+    if not np.isfinite(value) or value <= 0.0:
+        raise NumericalFailureError(f"bound {bound} is {value!r} at seed {seed}, so it gives no step size")
+    eta = scale / value
     w0 = relu.initial_weights(NetConfig(spec.d, spec.k, spec.n, seed))
     trace = run_descent(relu.loss_objective(data), DescentConfig(eta=eta, steps=spec.steps, x0=w0.flat))
     save_trace(trace, spec.out / trace_name, timestamp=spec.stamp())
@@ -222,7 +227,7 @@ def _descent_row(
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_bounds(spec: ExperimentSpec) -> Path:
+def cmd_bounds(spec: ExperimentSpec) -> None:
     rows = []
     for seed, data in _runs(spec):
         rows.append(["run", float(seed)] + [_bound_value(b, data, spec) for b in spec.bounds])
@@ -232,17 +237,15 @@ def cmd_bounds(spec: ExperimentSpec) -> Path:
     summary = ", ".join(f"{b}={v:.6g}" for b, v in zip(spec.bounds, rows[-2][2:]))
     print(f"bounds: d={spec.d} k={spec.k} n={spec.n} reps={spec.reps} mean {summary}")
     print(f"wrote {out}")
-    return out
 
 
-def cmd_train(spec: ExperimentSpec) -> Path:
+def cmd_train(spec: ExperimentSpec) -> None:
     rows = []
     for seed, data in _runs(spec):
         for name in spec.bounds:
-            value = _bound_value(name, data, spec)
-            row = _descent_row(spec, data, seed, name, value, 1.0 / value, f"train_{name}_seed{seed}.csv")
+            row = _descent_row(spec, data, seed, name, name, 1.0, f"train_{name}_seed{seed}.csv")
             rows.append(row)
-            print(f"train: {name}={value:.6g} eta={row[3]:.3e} seed={seed} "
+            print(f"train: {name}={row[2]:.6g} eta={row[3]:.3e} seed={seed} "
                   f"final_loss={row[4]:.3e} monotone={row[5]}")
     out = spec.out / "train_summary.csv"
     write_table(
@@ -250,16 +253,14 @@ def cmd_train(spec: ExperimentSpec) -> Path:
         rows, timestamp=spec.stamp(),
     )
     print(f"wrote {out}")
-    return out
 
 
-def cmd_scale_sweep(spec: ExperimentSpec) -> Path:
+def cmd_scale_sweep(spec: ExperimentSpec) -> None:
     rows = []
     for seed, data in _runs(spec):
-        a2 = relu.bound_alpha2(data, spec.k)
         for scale in spec.scales:
             trace_name = f"sweep_s{scale:g}_seed{seed}.csv"
-            rows.append(_descent_row(spec, data, seed, float(scale), a2, scale / a2, trace_name))
+            rows.append(_descent_row(spec, data, seed, float(scale), "alpha2", scale, trace_name))
     write_table(
         spec.out / "sweep_runs.csv", ["scale", "seed", "alpha2", "eta", "final_loss", "monotone", "diverged"],
         rows, timestamp=spec.stamp(),
@@ -270,10 +271,9 @@ def cmd_scale_sweep(spec: ExperimentSpec) -> Path:
     for s, frac in summary:
         print(f"scale-sweep: scale={s:g} nonmonotone_fraction={frac:.2f}")
     print(f"wrote {out}")
-    return out
 
 
-def cmd_oracle(spec: ExperimentSpec) -> Path:
+def cmd_oracle(spec: ExperimentSpec) -> None:
     columns = ("oracle", "alpha1", "alpha2", "alpha3", "alpha4")
     rows = []
     for seed, data in _runs(spec):
@@ -284,7 +284,6 @@ def cmd_oracle(spec: ExperimentSpec) -> Path:
     write_table(out, ["kind", "seed", *columns, "oracle_over_alpha2"], rows, timestamp=spec.stamp())
     print(f"oracle ({_resolve_oracle_strategy(spec)}): mean oracle/alpha2 = {rows[-2][-1]:.4f}")
     print(f"wrote {out}")
-    return out
 
 
 _COMMANDS = {

@@ -167,8 +167,7 @@ def loss(w: Weights, data: ReluDataset) -> float:
     """1/(2n) sum_i (f(x_i, w) - y_i)^2, with f(x, w) = sum_j max(0, x^T w_j)."""
     if w.d != data.d:
         raise InvalidInputError("weight dimension does not match the data")
-    resid = _forward_all(data.inputs, w.matrix) - data.targets
-    return float(0.5 * np.mean(resid**2))
+    return _loss_and_gradient(w.matrix, data)[0]
 
 
 def _loss_and_gradient(wmat: np.ndarray, data: ReluDataset) -> tuple[float, np.ndarray]:

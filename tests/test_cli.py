@@ -1,5 +1,10 @@
 """End-to-end tests of the command-line interface and its file outputs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +28,8 @@ from stepsafe.relu import (
     loss_objective,
 )
 from stepsafe.tableio import read_table
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _rows_of_kind(rows, kind):
@@ -243,6 +250,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("stepsafe: invalid input: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--bounds", "alpha2,alpha2"]],
+                             ids=["negative-seed", "repeated-bound"])
+    def test_bad_selection_rejected(self, tmp_path, capsys, flags):
+        # numpy refuses a negative seed; a repeated bound would write one
+        # trace file twice
+        out = tmp_path / "res"
+        assert main(["train", "--d", "2", "--k", "1", "--n", "5", "--steps", "2", *flags,
+                     "--out", str(out)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith("stepsafe: invalid input: ")
+        assert not out.exists()
+
     def test_parser_error_maps_to_invalid_input(self):
         assert main(["bounds", "--alpha4-variant", "bogus"]) == EXIT_INVALID_INPUT
 
@@ -261,3 +279,39 @@ class TestExitCodes:
         code = main(["train", "--d", "2", "--k", "1", "--n", "5", "--steps", "2",
                      "--bounds", "alpha2", "--out", str(tmp_path / "res")])
         assert code == EXIT_NUMERICAL_FAILURE
+
+    def test_zero_bound_is_numerical_failure(self, tmp_path, capsys):
+        # the single random-search draw activates nothing, so the oracle is 0
+        out = tmp_path / "res"
+        code = main(["train", "--d", "1", "--k", "1", "--n", "1", "--bounds", "oracle",
+                     "--oracle-strategy", "random-search", "--oracle-budget", "1", "--seed", "0",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("stepsafe: numerical failure: bound oracle is 0.0 at seed 0")
+        assert not (out / "train_oracle_seed0.csv").exists()
+
+
+class TestBoundTableScript:
+    @staticmethod
+    def _run(*args):
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        return subprocess.run([sys.executable, str(ROOT / "scripts" / "run_bound_table.py"), *args],
+                              env=env, capture_output=True, text=True, timeout=300)
+
+    def test_summary_rows_are_config_means(self, tmp_path):
+        assert self._run("--reps", "1", "--out", str(tmp_path)).returncode == EXIT_OK
+        header, summary = read_table(tmp_path / "summary.csv")
+        assert header == ["d", "k", "n", "alpha1", "alpha2", "alpha3", "alpha4"]
+        assert len(summary) == 6
+        for row in summary:
+            _, rows = read_table(tmp_path / "d{:g}_k{:g}_n{:g}".format(*row[:3]) / "bounds.csv")
+            assert row[3:] == _rows_of_kind(rows, "mean")[0][2:]
+
+    @pytest.mark.parametrize("reps", ["0", "x"], ids=["zero", "text"])
+    def test_bad_reps_rejected(self, tmp_path, reps):
+        result = self._run("--reps", reps, "--out", str(tmp_path / "res"))
+        assert result.returncode == EXIT_INVALID_INPUT
+        assert result.stderr.startswith("stepsafe: invalid input: ")
+        assert not (tmp_path / "res").exists()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepsafe.errors import InvalidInputError, UnsupportedOperationError
-from stepsafe.objectives import central_difference_gradient
+from stepsafe.objectives import central_difference_gradient, upper_quadratic_check
 from stepsafe.relu import (
     NetConfig,
     ReluDataset,
@@ -321,6 +321,26 @@ class TestAlphaBounds:
         for _ in range(1000):
             x, y = rng.standard_normal((2, 4)) * rng.uniform(0.3, 3.0)
             assert upper_quadratic_check(objective, x, y, a2).holds
+
+    @pytest.mark.parametrize("h", [1e-4, 1e-5, 1e-6])
+    def test_alpha2_fails_across_positive_residual_kink(self, h):
+        # alpha2 bounds the a.e. (Gauss-Newton) Hessian, not the loss across a
+        # kink.  At the student init, point 945 is inactive for neuron 4 and
+        # its residual r is positive.  A step h x_945 from x^T w_4 = -(h/2)|x|^2
+        # to +(h/2)|x|^2 turns it on and raises the loss by about
+        # (r/2n) h |x|^2, an O(h) term that no (alpha/2) h^2 |x|^2 covers.
+        cfg = NetConfig(d=10, k=5, n=1000, seed=0)
+        data = generate_dataset(cfg)
+        w = initial_weights(cfg).matrix.copy()
+        x, xx = data.inputs[945], float(data.inputs[945] @ data.inputs[945])
+        r = float(forward_all(x[None, :], _weights(w))[0] - data.targets[945])
+        assert x @ w[4] < 0.0 and r > 13.0
+        w[4] += (-(h / 2) * xx - x @ w[4]) / xx * x
+        y = w.copy()
+        y[4] += h * x
+        check = upper_quadratic_check(loss_objective(data), w.ravel(), y.ravel(), bound_alpha2(data, 5))
+        assert not check.holds
+        assert check.slack == pytest.approx(-r / (2 * data.n) * h * xx, rel=0.05)
 
     def test_bound_report_chain(self):
         for seed in range(15):
