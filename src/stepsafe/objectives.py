@@ -13,6 +13,10 @@ mid-point acceleration quotient
     psi(x, y) = 4 [f(x) + f(y) - 2 f((x+y)/2)] / ||x - y||^2
 
 whose supremum over a region characterizes the concavifier there.
+
+An objective is one fused value-and-gradient callable, optionally with a
+value-only callable: the quadratic-model check's f(y) and the three values of
+each midpoint quotient need no gradient, so they go through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -37,17 +41,24 @@ ESTIMATE_METHODS = ("hessian-sampling", "midpoint-sup")
 class ObjectiveFunction:
     """Scalar field over R^dim given by one callable x -> (f(x), grad f(x)),
     so a value and its gradient always come from the same point, plus an
-    optional Hessian callable."""
+    optional Hessian callable and an optional value-only callable x -> f(x).
+
+    ``value`` must return the value that ``value_and_gradient`` returns; it
+    only saves the gradient where a caller needs none (``evaluate``, and so
+    f(y) in the quadratic-model check and every midpoint quotient)."""
 
     dim: int
     value_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]]
     hessian: Optional[Callable[[np.ndarray], SymMatrix]] = None
+    value: Optional[Callable[[np.ndarray], float]] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidInputError("dimension must be at least 1")
 
     def evaluate(self, x) -> float:
+        if self.value is not None:
+            return float(self.value(x))
         return float(self.value_and_gradient(x)[0])
 
     def gradient(self, x) -> np.ndarray:

@@ -167,19 +167,34 @@ def loss(w: Weights, data: ReluDataset) -> float:
     """1/(2n) sum_i (f(x_i, w) - y_i)^2, with f(x, w) = sum_j max(0, x^T w_j)."""
     if w.d != data.d:
         raise InvalidInputError("weight dimension does not match the data")
-    return _loss_and_gradient(w.matrix, data)[0]
+    return _loss_value(w.matrix, data)
+
+
+def _loss_terms(wmat: np.ndarray, data: ReluDataset) -> tuple[np.ndarray, np.ndarray, float]:
+    """The neuron-major product W X^T, the residuals f(x_i, w) - y_i (summed over
+    neurons like _forward_all) and the loss: the one residual code of both loss
+    paths.  The loss has the bits of 0.5 * np.mean(resid**2), without np.mean's
+    Python overhead."""
+    zt = wmat @ data.inputs.T
+    resid = np.maximum(zt, 0.0).sum(axis=0) - data.targets
+    return zt, resid, float(0.5 * (np.add.reduce(resid * resid) / data.n))
+
+
+def _loss_value(wmat: np.ndarray, data: ReluDataset) -> float:
+    """The loss alone at the (k, d) weight matrix: the value of _loss_and_gradient
+    bit for bit, without forming the gradient."""
+    return _loss_terms(wmat, data)[2]
 
 
 def _loss_and_gradient(wmat: np.ndarray, data: ReluDataset) -> tuple[float, np.ndarray]:
-    """Loss and flat gradient at the (k, d) weight matrix from one neuron-major
-    product W X^T, laid out and summed like _forward_all.  The masked residuals
-    go into a Fortran-ordered (k, n) buffer, so the gradient product m X is the
-    same BLAS call, with the same bits, as the transposed point-major form."""
-    zt = wmat @ data.inputs.T
-    resid = np.maximum(zt, 0.0).sum(axis=0) - data.targets
+    """Loss and flat gradient at the (k, d) weight matrix from _loss_terms.  The
+    masked residuals go into a Fortran-ordered (k, n) buffer, so the gradient
+    product m X is the same BLAS call, with the same bits, as the transposed
+    point-major form."""
+    zt, resid, value = _loss_terms(wmat, data)
     m = np.multiply(zt >= 0.0, resid, out=np.empty(zt.shape, order="F"))
     gmat = m @ data.inputs / data.n
-    return float(0.5 * np.mean(resid**2)), gmat.reshape(-1)
+    return value, gmat.reshape(-1)
 
 
 def gradient(w: Weights, data: ReluDataset) -> np.ndarray:
@@ -243,10 +258,11 @@ def bound_alpha3(data: ReluDataset, k: int) -> float:
 
 def bound_alpha4(data: ReluDataset, k: int, variant: str = "standard") -> float:
     """Brauer/Cassini bound on the all-active matrix over d x d row pairs plus, for
-    k >= 2, twin rows (standard value: their Gershgorin value, so alpha4 = alpha3)."""
-    if k * data.d < 2:
-        raise InvalidInputError("the pairwise bound requires k*d >= 2")
-    return _cassini(*_allactive_rows(data, k), variant, twinned=k >= 2)
+    k >= 2, twin rows (standard value: their Gershgorin value, so alpha4 = alpha3).
+    At k*d = 1, M is the 1 x 1 matrix [S_11]: it has no row pairs, and its one
+    (i, i) value is its Gershgorin value, its entry, so alpha4 = alpha3 = alpha2."""
+    diag, radii = _allactive_rows(data, k)
+    return _cassini(diag, radii, variant, twinned=k >= 2 or diag.size == 1)
 
 
 def _shared_direction_search(data: ReluDataset, k: int, budget: int, rng: np.random.Generator) -> float:
@@ -325,16 +341,21 @@ def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
 
 
 def loss_objective(data: ReluDataset) -> ObjectiveFunction:
-    """The training loss as an objective over flat weights in R^{kd}; each
-    value-and-gradient call works on flat.reshape(k, d) directly."""
+    """The training loss as an objective over flat weights in R^{kd}; each call
+    works on flat.reshape(k, d) directly, and its value-only callable returns
+    the fused call's value bit for bit without forming the gradient."""
     k, d = data.teacher.k, data.teacher.d
 
     def value_and_gradient(flat):
         return _loss_and_gradient(np.asarray(flat, dtype=float).reshape(k, d), data)
 
+    def value(flat):
+        return _loss_value(np.asarray(flat, dtype=float).reshape(k, d), data)
+
     return ObjectiveFunction(
         dim=k * d,
         value_and_gradient=value_and_gradient,
+        value=value,
         hessian=lambda flat: loss_hessian_matrix(Weights(flat, k=k, d=d), data),
     )
 

@@ -92,6 +92,17 @@ class TestBoundsCommand:
         header, _ = read_table(out / "bounds.csv")
         assert header == ["kind", "seed", "alpha2", "alpha4"]
 
+    @pytest.mark.parametrize("command", ["bounds", "oracle"])
+    def test_kd_one_alpha4_is_alpha3_and_alpha2(self, tmp_path, command):
+        # k*d = 1: the all-active matrix is 1 x 1, so alpha4 is its entry
+        out = tmp_path / "res"
+        code = main([command, "--d", "1", "--k", "1", "--n", "5", "--reps", "2", "--out", str(out), "--no-timestamp"])
+        assert code == EXIT_OK
+        header, rows = read_table(out / f"{command}.csv")
+        for r in _rows_of_kind(rows, "run"):
+            col = dict(zip(header, r))
+            assert col["alpha4"] == col["alpha3"] == col["alpha2"]
+
 
 class TestTrainCommand:
     def test_traces_and_summary(self, tmp_path):

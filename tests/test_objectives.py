@@ -211,6 +211,39 @@ class TestEstimatorConsistency:
             ConcavifierEstimate(1.0, "analytic", 1, None)
 
 
+class TestValueCallable:
+    @staticmethod
+    def _counted(with_value):
+        # f(x) = 0.5 x^T A x whose callables count their calls
+        base = quadratic_objective([[2.0, 0.5], [0.5, 1.0]])
+        calls = {"value_and_gradient": 0, "value": 0}
+
+        def value_and_gradient(x):
+            calls["value_and_gradient"] += 1
+            return base.value_and_gradient(x)
+
+        def value(x):
+            calls["value"] += 1
+            return base.value_and_gradient(x)[0]
+
+        return ObjectiveFunction(2, value_and_gradient, value=value if with_value else None), calls
+
+    def test_value_only_callers_take_no_gradient(self):
+        f, calls = self._counted(with_value=True)
+        upper_quadratic_check(f, [0.0, 1.0], [1.0, -1.0], 3.0)
+        assert calls == {"value_and_gradient": 1, "value": 1}
+        calls.update(value_and_gradient=0, value=0)
+        midpoint_acceleration(f, [0.0, 1.0], [1.0, -1.0])
+        assert calls == {"value_and_gradient": 0, "value": 3}
+
+    def test_evaluate_falls_back_to_fused_value(self):
+        f, _ = self._counted(with_value=True)
+        g, calls = self._counted(with_value=False)
+        x = np.array([0.3, -1.7])
+        assert g.evaluate(x) == f.evaluate(x)
+        assert calls == {"value_and_gradient": 1, "value": 0}
+
+
 class TestFiniteDifferences:
     def test_gradient_agrees(self):
         rng = np.random.default_rng(2)

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepsafe.errors import InvalidInputError, UnsupportedOperationError
-from stepsafe.objectives import central_difference_gradient, upper_quadratic_check
+from stepsafe.objectives import (
+    BoxDomain,
+    ObjectiveFunction,
+    central_difference_gradient,
+    estimate_concavifier_midpoint,
+    upper_quadratic_check,
+)
 from stepsafe.relu import (
     NetConfig,
     ReluDataset,
@@ -129,10 +135,14 @@ class TestNeuronMajorKernel:
             teacher_outputs = _point_major(data.teacher.matrix, data.inputs, data.targets)[0]
             got_value, got_grad = loss_objective(data).value_and_gradient(w)
             got_outputs = forward_all(data.inputs, Weights(w, k=k, d=d))
+            # the value-only path shares the fused call's residuals and sum
+            value_only = (loss_objective(data).evaluate(w), loss(Weights(w, k=k, d=d), data))
+            assert value_only == (got_value, got_value)
             if exact:
                 assert np.array_equal(data.targets, teacher_outputs)
                 assert np.array_equal(got_outputs, outputs)
                 assert got_value == value
+                assert value_only == (value, value)
                 assert np.array_equal(got_grad, grad)
             else:
                 assert np.allclose(data.targets, teacher_outputs, rtol=1e-13, atol=0.0)
@@ -150,6 +160,24 @@ class TestNeuronMajorKernel:
             assert value == 0.0
             assert np.array_equal(grad, np.zeros(k * 10))
             assert loss(data.teacher, data) == 0.0
+
+
+class TestValueOnlyLoss:
+    @pytest.mark.parametrize("d, k, n", [(10, 5, 200), (3, 2, 40), (1, 1, 5), (4, 9, 60)])
+    def test_estimators_match_fused_fallback(self, d, k, n):
+        # without `value`, evaluate takes the fused call's value: the slacks and
+        # the midpoint estimate must not see which path served them
+        data = generate_dataset(NetConfig(d, k, n, seed=d * k))
+        f = loss_objective(data)
+        fallback = ObjectiveFunction(dim=f.dim, value_and_gradient=f.value_and_gradient, hessian=f.hessian)
+        rng = np.random.default_rng(n)
+        a2 = bound_alpha2(data, k)
+        for x, y in rng.standard_normal((50, 2, k * d)) * rng.uniform(0.3, 3.0, (50, 1, 1)):
+            assert upper_quadratic_check(f, x, y, a2) == upper_quadratic_check(fallback, x, y, a2)
+        box = BoxDomain(-np.ones(k * d), np.ones(k * d), budget=64)
+        got, ref = (estimate_concavifier_midpoint(g, box, np.random.default_rng(d)) for g in (f, fallback))
+        assert (got.value, got.samples_used) == (ref.value, ref.samples_used)
+        assert all(np.array_equal(a, b) for a, b in zip(got.witness, ref.witness))
 
 
 class TestActivationVectors:
@@ -303,15 +331,20 @@ class TestAlphaBounds:
         lit = bound_alpha4(data, 1, "paper")
         assert lit >= std
 
-    def test_alpha4_requires_kd_two(self):
+    def test_alpha4_at_kd_one_is_the_entry(self):
+        # k*d = 1: M = [S_11] has no row pairs, and its entry is its eigenvalue
         teacher = _weights([[0.5]])
-        data = _dataset_from_points([[1.0]], teacher)
+        data = _dataset_from_points([[1.0], [-3.0]], teacher)  # S_11 = 5
+        for variant in ("standard", "paper"):
+            assert bound_alpha4(data, 1, variant) == bound_alpha3(data, 1) == bound_alpha2(data, 1) == 5.0
         with pytest.raises(InvalidInputError):
-            bound_alpha4(data, 1)
+            bound_alpha4(data, 1, "bogus")
 
     def test_quadratic_model_holds_at_alpha2(self):
-        # alpha2 is a valid concavifier of the loss: the quadratic upper model
-        # holds for random weight pairs
+        # the quadratic upper model holds at alpha2 on these random pairs only
+        # because they are far apart: the (alpha2/2)|y - x|^2 term outgrows the
+        # O(|y - x|) rise across a positive-residual kink, which no alpha covers
+        # at short range (test_alpha2_fails_across_positive_residual_kink)
         data = generate_dataset(NetConfig(d=2, k=2, n=5, seed=12))
         a2 = bound_alpha2(data, 2)
         objective = loss_objective(data)
