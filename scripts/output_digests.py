@@ -8,7 +8,8 @@ into its own directory under a temporary directory, and then
 `run_bound_table.py --reps 3`.  Prints one line `sha256  run/file` per CSV
 and one `sha256  run/<stdout>` per run, with the output directory masked in
 the captured stdout.  The `--help` texts and the usage error are digested
-the same way.
+the same way, and so are the inputs and teacher files that `save_dataset`
+writes for `generate_dataset` at seed 0 on each standard configuration.
 
 To check that a change keeps every output byte-identical, run it on both
 checkouts with the same environment and diff the two listings:
@@ -32,6 +33,7 @@ from run_bound_table import CONFIGS  # noqa: E402
 from run_bound_table import main as bound_table  # noqa: E402
 
 from stepsafe.cli import main  # noqa: E402
+from stepsafe.relu import NetConfig, generate_dataset, save_dataset  # noqa: E402
 
 
 def _runs():
@@ -71,6 +73,12 @@ def run() -> None:
         for path in sorted(out.glob("**/*.csv")):
             print(f"{_sha(path.read_bytes())}  bound_table/{path.relative_to(out)}")
         print(f"{_sha(text.replace(str(out), '<out>').encode())}  bound_table/<stdout>")
+        for d, k, n in CONFIGS:
+            name = f"dataset_d{d}_k{k}_n{n}"
+            paths = [Path(tmp) / f"{name}_{part}.csv" for part in ("inputs", "teacher")]
+            save_dataset(generate_dataset(NetConfig(d, k, n, 0)), *paths)
+            for path in paths:
+                print(f"{_sha(path.read_bytes())}  {path.name}")
     for argv in ([], ["bounds"], ["train"], ["scale-sweep"], ["oracle"]):
         print(f"{_sha(_captured([*argv, '--help']).encode())}  help {' '.join(argv)}".rstrip())
     print(f"{_sha(_captured(['bounds', '--bogus']).encode())}  usage error")

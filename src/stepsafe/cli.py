@@ -30,7 +30,7 @@ from .descent import DescentConfig, run_descent, save_trace
 from .eigenbounds import ALPHA4_VARIANTS
 from .errors import InvalidInputError, NumericalFailureError
 from .relu import NetConfig
-from .tableio import write_table
+from .tableio import read_lines, write_table
 
 BOUND_CHOICES = ("alpha1", "alpha2", "alpha3", "alpha4", "oracle")
 DEFAULT_BOUNDS = ("alpha1", "alpha2", "alpha3", "alpha4")
@@ -105,21 +105,7 @@ class ExperimentSpec:
 # --- spec file + flag merging ------------------------------------------------
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise InvalidInputError(f"bad integer {text!r}") from exc
-
-
-def _parse_scales(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise InvalidInputError(f"bad scale list {text!r}") from exc
-
-
-def _parse_bounds(text: str) -> tuple:
+def _split(text: str) -> tuple:
     return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
@@ -129,17 +115,18 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise InvalidInputError(f"bad boolean value {text!r}")
+    raise ValueError(text)
 
 
 # Every ExperimentSpec field with the converter of its text value.  The table
 # gives each subcommand its flags (--alpha4-variant for alpha4_variant) and
 # the spec file its keys (alpha4-variant); both hand over text, and
-# build_spec converts it here.  Converters raise InvalidInputError.
+# build_spec converts it here.  A converter raises ValueError on bad text,
+# and build_spec turns that into InvalidInputError naming the key.
 FIELDS = {
-    "d": _parse_int, "k": _parse_int, "n": _parse_int, "seed": _parse_int, "reps": _parse_int,
-    "steps": _parse_int, "scales": _parse_scales, "bounds": _parse_bounds, "alpha4_variant": str,
-    "out": Path, "no_timestamp": _parse_bool, "oracle_strategy": str, "oracle_budget": _parse_int,
+    "d": int, "k": int, "n": int, "seed": int, "reps": int, "steps": int,
+    "scales": lambda text: tuple(map(float, _split(text))), "bounds": _split, "alpha4_variant": str,
+    "out": Path, "no_timestamp": _parse_bool, "oracle_strategy": str, "oracle_budget": int,
 }
 
 
@@ -148,28 +135,32 @@ def _key(name: str) -> str:
 
 
 def read_spec_file(path) -> dict:
-    """Flat key=value file mirroring the flags; '#' starts a comment."""
+    """Flat key=value UTF-8 file mirroring the flags; '#' starts a comment."""
     keys = {_key(name): name for name in FIELDS}
     values = {}
-    with Path(path).open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInputError(f"{path}:{lineno}: expected key = value")
-            key, text = (part.strip() for part in line.split("=", 1))
-            if key not in keys:
-                raise InvalidInputError(f"{path}:{lineno}: unknown key {key!r}")
-            values[keys[key]] = text
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidInputError(f"{path}:{lineno}: expected key = value")
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise InvalidInputError(f"{path}:{lineno}: unknown key {key!r}")
+        values[keys[key]] = text
     return values
 
 
 def build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Defaults, overridden by the spec file, overridden by explicit flags."""
-    text = read_spec_file(args.spec) if args.spec is not None else {}
-    text.update((name, getattr(args, name)) for name in FIELDS if getattr(args, name) is not None)
-    spec = ExperimentSpec(**{name: FIELDS[name](value) for name, value in text.items()})
+    values = read_spec_file(args.spec) if args.spec is not None else {}
+    values.update((name, getattr(args, name)) for name in FIELDS if getattr(args, name) is not None)
+    for name, text in values.items():
+        try:
+            values[name] = FIELDS[name](text)
+        except ValueError:
+            raise InvalidInputError(f"bad {_key(name)} value {text!r}") from None
+    spec = ExperimentSpec(**values)
     spec.validate()
     return spec
 

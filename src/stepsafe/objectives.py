@@ -172,7 +172,8 @@ def estimate_concavifier_midpoint(
     Half the budget goes to uniform random pairs, half to short pairs
     (x, x + eps*u) with u the eigenvector of the largest Hessian eigenvalue
     at the box center when a Hessian is available, else the coordinate axes.
-    eps is 1e-3 times the box diameter.
+    eps is 1e-3 times the box diameter.  The witness is the first pair with the
+    largest quotient; a NaN quotient counts in samples_used but never wins.
     """
     if domain.dim != f.dim:
         raise InvalidInputError("domain dimension does not match the objective")
@@ -191,33 +192,25 @@ def estimate_concavifier_midpoint(
 
     xs = domain.sample(rng, n_uniform)
     ys = domain.sample(rng, n_uniform)
-    candidates = list(zip(xs, ys))
     if f.hessian is not None:
-        directions = [np.linalg.eigh(f.hessian(domain.center).entries)[1][:, -1]]
+        directions = np.linalg.eigh(f.hessian(domain.center).entries)[1][:, -1:].T
     else:
-        directions = list(np.eye(f.dim))
-    for i, x in enumerate(domain.sample(rng, n_directed)):
-        u = directions[i % len(directions)]
-        y = np.clip(x + eps * u, domain.lower, domain.upper)
-        if np.sum((x - y) ** 2) < min_sep2:
-            y = np.clip(x - eps * u, domain.lower, domain.upper)
-        candidates.append((x, y))
-
-    best = -np.inf
-    best_pair = None
-    pairs = 0
-    for x, y in candidates:
-        if np.sum((x - y) ** 2) < min_sep2:
-            continue
-        pairs += 1
-        psi = midpoint_acceleration(f, x, y)
-        if psi > best:
-            best, best_pair = psi, (x, y)
-
-    if best_pair is None:
-        raise DegeneratePairError("no sampled pair exceeded the separation floor")
+        directions = np.eye(f.dim)
+    starts = domain.sample(rng, n_directed)
+    steps = eps * directions[np.arange(n_directed) % len(directions)]
+    ends = np.clip(starts + steps, domain.lower, domain.upper)
+    # a step that the box clips too short goes the other way instead
+    flip = np.sum((starts - ends) ** 2, axis=1) < min_sep2
+    ends[flip] = np.clip(starts[flip] - steps[flip], domain.lower, domain.upper)
+    xs, ys = np.vstack([xs, starts]), np.vstack([ys, ends])
+    keep = np.sum((xs - ys) ** 2, axis=1) >= min_sep2
+    xs, ys = xs[keep], ys[keep]
+    psi = np.array([midpoint_acceleration(f, x, y) for x, y in zip(xs, ys)])
+    if not np.any(psi > -np.inf):  # False for NaN
+        raise DegeneratePairError("no sampled pair exceeded the separation floor with a quotient above -inf")
+    best = int(np.nanargmax(psi))  # the first maximum, NaN skipped
     return ConcavifierEstimate(
-        value=max(0.0, best), method="midpoint-sup", samples_used=pairs, witness=best_pair
+        value=max(0.0, float(psi[best])), method="midpoint-sup", samples_used=len(psi), witness=(xs[best], ys[best])
     )
 
 
@@ -247,12 +240,8 @@ def central_difference_gradient(fun: Callable[[np.ndarray], float], x) -> np.nda
     """Central finite-difference gradient with h = 1e-6 * max(1, ||x||)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = GRAD_CHECK_STEP_SCALE * max(1.0, float(np.linalg.norm(x)))
-    grad = np.empty_like(x)
-    for i in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[i] = h
-        grad[i] = (float(fun(x + e)) - float(fun(x - e))) / (2.0 * h)
-    return grad
+    stencil = h * np.eye(x.shape[0])
+    return np.array([(float(fun(x + e)) - float(fun(x - e))) / (2.0 * h) for e in stencil])
 
 
 def quadratic_objective(a) -> ObjectiveFunction:

@@ -32,7 +32,7 @@ random search reports the best of many nonzero directions, on d x d Grams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -98,26 +98,21 @@ def _forward_all(inputs: np.ndarray, wmat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReluDataset:
-    """Teacher-generated inputs/targets; targets are exactly the teacher output."""
+    """Teacher-generated inputs; targets are derived here as the teacher output."""
 
     inputs: np.ndarray
-    targets: np.ndarray
     teacher: Weights
     seed: int
+    targets: np.ndarray = field(init=False)
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=float)
-        targets = np.asarray(self.targets, dtype=float)
         if inputs.ndim != 2 or inputs.shape[0] < 1:
             raise InvalidInputError("inputs must be a nonempty (n, d) array")
-        if targets.shape != (inputs.shape[0],):
-            raise InvalidInputError("targets must be a vector with one entry per input")
         if inputs.shape[1] != self.teacher.d:
             raise InvalidInputError("input dimension does not match the teacher")
-        if not np.array_equal(targets, _forward_all(inputs, self.teacher.matrix)):
-            raise InvalidInputError("targets do not equal the teacher forward pass")
         object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "targets", _forward_all(inputs, self.teacher.matrix))
 
     @property
     def n(self) -> int:
@@ -143,8 +138,7 @@ def generate_dataset(config: NetConfig) -> ReluDataset:
     rng = np.random.default_rng(config.seed)
     inputs = rng.standard_normal((config.n, config.d))
     teacher = Weights(rng.standard_normal(config.k * config.d), k=config.k, d=config.d)
-    targets = _forward_all(inputs, teacher.matrix)
-    return ReluDataset(inputs=inputs, targets=targets, teacher=teacher, seed=config.seed)
+    return ReluDataset(inputs=inputs, teacher=teacher, seed=config.seed)
 
 
 def initial_weights(config: NetConfig) -> Weights:
@@ -156,7 +150,7 @@ def initial_weights(config: NetConfig) -> Weights:
 
 def forward_all(inputs, w: Weights) -> np.ndarray:
     """sum_j max(0, x_i^T w_j) for every row x_i of ``inputs``; the computation
-    behind dataset targets, which ReluDataset checks for exact equality."""
+    behind dataset targets, which ReluDataset derives from its teacher."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != w.d:
         raise InvalidInputError(f"expected an (n, {w.d}) input array, got shape {inputs.shape}")
@@ -322,14 +316,16 @@ def alpha_oracle(
 
 
 def near_kink(w: Weights, data: ReluDataset) -> bool:
-    """True when any |x_i^T w_j| < 1e-6 * ||x_i|| * ||w_j|| (KINK_MARGIN_RTOL).
+    """True when any |x_i^T w_j| <= 1e-6 * ||x_i|| * ||w_j|| (KINK_MARGIN_RTOL) at
+    x_i != 0: w_j = 0 puts every such x_i on a boundary, and x_i = 0 has no kink in w.
 
     Gradient checks are skipped at such points: the loss gradient jumps across
     activation boundaries, so finite differences straddling one are meaningless.
     """
     z = np.abs(data.inputs @ w.matrix.T)
-    scale = np.linalg.norm(data.inputs, axis=1)[:, None] * np.linalg.norm(w.matrix, axis=1)[None, :]
-    return bool(np.any(z < KINK_MARGIN_RTOL * scale))
+    xnorm = np.linalg.norm(data.inputs, axis=1)[:, None]
+    scale = xnorm * np.linalg.norm(w.matrix, axis=1)[None, :]
+    return bool(np.any((z <= KINK_MARGIN_RTOL * scale) & (xnorm > 0.0)))
 
 
 def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
@@ -376,10 +372,10 @@ def save_dataset(data: ReluDataset, inputs_path, teacher_path) -> None:
 def load_dataset(inputs_path, teacher_path, seed: int = -1) -> ReluDataset:
     """Load a dataset pair written by save_dataset.
 
-    The teacher width k is recovered from the weight-file length; targets are
-    re-verified against the teacher forward pass.  Datasets loaded from disk
-    carry seed -1 unless told otherwise.  A malformed file (no rows, a ragged
-    row, a text cell, a wrong header or weight count) raises InvalidInputError.
+    The teacher width k is recovered from the weight-file length.  Datasets
+    loaded from disk carry seed -1 unless told otherwise.  A malformed file (not
+    UTF-8, no rows, a ragged row, a text cell, a wrong header or weight count,
+    or a y column that differs from the teacher's targets) raises InvalidInputError.
     """
     header, table = read_floats(inputs_path)
     if len(header) < 2 or header[-1] != "y":
@@ -389,4 +385,7 @@ def load_dataset(inputs_path, teacher_path, seed: int = -1) -> ReluDataset:
     if weights.shape[1] != 1 or weights.shape[0] % d != 0:
         raise InvalidInputError(f"{teacher_path} does not hold one weight per line, a multiple of {d} lines")
     teacher = Weights(weights[:, 0], k=weights.shape[0] // d, d=d)
-    return ReluDataset(inputs=table[:, :d], targets=table[:, d], teacher=teacher, seed=seed)
+    data = ReluDataset(inputs=table[:, :d], teacher=teacher, seed=seed)
+    if not np.array_equal(table[:, d], data.targets):
+        raise InvalidInputError(f"{inputs_path}: targets do not equal the teacher forward pass")
+    return data

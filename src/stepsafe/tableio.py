@@ -44,14 +44,21 @@ def write_table(path, header, rows, timestamp: str | None = None) -> None:
             fh.write(",".join(format_cell(v) for v in row) + "\n")
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; one that is not UTF-8 raises InvalidInputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def read_table(path, header: bool = True) -> tuple[list[str] | None, list[list]]:
     """Header and rows of a table written by write_table, skipping blank and
     '#' lines; header=False reads a file written with header=None and returns
     None for its header.  A file without rows, or a row whose width differs
     from the header's (or the first row's), raises InvalidInputError."""
     path = Path(path)
-    with path.open() as fh:
-        lines = [ln.rstrip("\n").split(",") for ln in fh if ln.strip() and not ln.startswith("#")]
+    lines = [ln.split(",") for ln in read_lines(path) if ln.strip() and not ln.startswith("#")]
     names = lines.pop(0) if header and lines else None
     if not lines:
         raise InvalidInputError(f"{path} holds no table")

@@ -235,12 +235,21 @@ class TestSpecFile:
         spec.write_text("depth = 4\n")
         assert main(["bounds", "--spec", str(spec)]) == EXIT_INVALID_INPUT
 
-    @pytest.mark.parametrize("line", ["d = abc", "oracle-budget = 1e4"])
-    def test_bad_value_rejected(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize(
+        "content, flags, named",
+        [pytest.param(b"d = abc\n", [], "bad d value 'abc'", id="d = abc"),
+         pytest.param(b"oracle-budget = 1e4\n", [], "bad oracle-budget value '1e4'", id="oracle-budget = 1e4"),
+         pytest.param(b"", ["--d", "abc"], "bad d value 'abc'", id="flag --d abc"),
+         pytest.param(b"d = 4 \xff\n", [], "run.spec is not UTF-8 text", id="not-utf8")],
+    )
+    def test_bad_value_rejected(self, tmp_path, capsys, content, flags, named):
+        # the message names the key (or the file) and no output directory is made
         spec = tmp_path / "run.spec"
-        spec.write_text(line + "\n")
-        assert main(["bounds", "--spec", str(spec), "--out", str(tmp_path / "res")]) == EXIT_INVALID_INPUT
-        assert capsys.readouterr().err.startswith("stepsafe: invalid input: ")
+        spec.write_bytes(content)
+        code = main(["bounds", "--spec", str(spec), *flags, "--out", str(tmp_path / "res")])
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("stepsafe: invalid input: ") and named in err
         assert not (tmp_path / "res").exists()
 
 

@@ -183,12 +183,13 @@ class TestTraceIO:
 
     @pytest.mark.parametrize(
         "text",
-        ["step,loss,grad_norm,descent_gap,monotone_so_far\n0,1,1,nan\n",
-         "step,loss,grad_norm,descent_gap,monotone_so_far\n0,1,one,nan,1\n", "# generated: now\n"],
-        ids=["ragged-row", "text-cell", "empty"],
+        [b"step,loss,grad_norm,descent_gap,monotone_so_far\n0,1,1,nan\n",
+         b"step,loss,grad_norm,descent_gap,monotone_so_far\n0,1,one,nan,1\n", b"# generated: now\n",
+         b"step,loss,grad_norm,descent_gap,monotone_so_far\n0,1,1,nan,\xff\n"],
+        ids=["ragged-row", "text-cell", "empty", "not-utf8"],
     )
     def test_malformed_trace_rejected(self, tmp_path, text):
         path = tmp_path / "trace.csv"
-        path.write_text(text)
+        path.write_bytes(text)
         with pytest.raises(InvalidInputError, match=re.escape(str(path))):
             load_trace(path)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from stepsafe.eigenbounds import SymMatrix, brauer_cassini_upper, gershgorin_upper, power_iteration
 from stepsafe.errors import InvalidInputError
-from stepsafe.relu import ReluDataset, Weights, bound_alpha2, forward_all
+from stepsafe.relu import ReluDataset, Weights, bound_alpha2
 
 
 def _random_sym(rng, n, scale=1.0):
@@ -161,7 +161,7 @@ class TestKronStructure:
     def _data(self, inputs, k):
         inputs = np.asarray(inputs, dtype=float)
         teacher = Weights(np.zeros(k * inputs.shape[1]), k=k, d=inputs.shape[1])
-        return ReluDataset(inputs=inputs, targets=forward_all(inputs, teacher), teacher=teacher, seed=-1)
+        return ReluDataset(inputs=inputs, teacher=teacher, seed=-1)
 
     def _explicit(self, data, k):
         return SymMatrix(np.kron(np.ones((k, k)), data.second_moment.entries))

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from stepsafe.eigenbounds import SymMatrix
 from stepsafe.errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError
 from stepsafe.objectives import (
+    DIRECTED_STEP_SCALE,
+    GRAD_CHECK_STEP_SCALE,
+    MIDPOINT_SEPARATION_FLOOR,
     BoxDomain,
     ConcavifierEstimate,
     ObjectiveFunction,
@@ -35,6 +38,34 @@ def _linear(c):
 
 def _box(lo, hi, budget):
     return BoxDomain(np.asarray(lo, float), np.asarray(hi, float), budget)
+
+
+def _midpoint_loop(f, domain, rng):
+    # the estimator's per-pair loop, the reference its array code must match
+    # bit for bit: (value, samples_used, witness)
+    n_uniform = domain.budget // 2
+    eps = DIRECTED_STEP_SCALE * domain.diameter
+    min_sep2 = max((0.5 * eps) ** 2, MIDPOINT_SEPARATION_FLOOR**2)
+    candidates = list(zip(domain.sample(rng, n_uniform), domain.sample(rng, n_uniform)))
+    if f.hessian is not None:
+        directions = [np.linalg.eigh(f.hessian(domain.center).entries)[1][:, -1]]
+    else:
+        directions = list(np.eye(f.dim))
+    for i, x in enumerate(domain.sample(rng, domain.budget - n_uniform)):
+        u = directions[i % len(directions)]
+        y = np.clip(x + eps * u, domain.lower, domain.upper)
+        if np.sum((x - y) ** 2) < min_sep2:
+            y = np.clip(x - eps * u, domain.lower, domain.upper)
+        candidates.append((x, y))
+    best, best_pair, pairs = -np.inf, None, 0
+    for x, y in candidates:
+        if np.sum((x - y) ** 2) < min_sep2:
+            continue
+        pairs += 1
+        psi = midpoint_acceleration(f, x, y)
+        if psi > best:
+            best, best_pair = psi, (x, y)
+    return max(0.0, best), pairs, best_pair
 
 
 class TestUpperQuadraticCheck:
@@ -126,6 +157,58 @@ class TestMidpointEstimator:
     def test_degenerate_box(self):
         with pytest.raises(DegeneratePairError):
             estimate_concavifier_midpoint(_square_1d(), _box([0.5], [0.5], 10))
+
+    @pytest.mark.parametrize(
+        "d, hessian, width",
+        [(1, True, 1.0), (3, True, 1.0), (3, False, 1.0), (2, False, 1.5e-3), (3, False, 1e-4)],
+        ids=["d1-hessian", "d3-hessian", "d3-axes", "flipped-steps", "dropped-steps"],
+    )
+    def test_matches_loop_reference(self, d, hessian, width):
+        # a last side of 1.5e-3 makes a third of its axis steps flip, one of
+        # 1e-4 makes every one too short to keep
+        a = np.random.default_rng(d).standard_normal((d, d))
+        f = quadratic_objective(a @ a.T - np.eye(d))
+        if not hessian:
+            f = ObjectiveFunction(dim=d, value_and_gradient=f.value_and_gradient)
+        box = _box(np.zeros(d), np.r_[np.ones(d - 1), width], 64)
+        est = estimate_concavifier_midpoint(f, box, np.random.default_rng(7))
+        value, pairs, (x, y) = _midpoint_loop(f, box, np.random.default_rng(7))
+        assert (est.value, est.samples_used) == (value, pairs)
+        assert np.array_equal(est.witness[0], x) and np.array_equal(est.witness[1], y)
+        assert pairs < 64 if width == 1e-4 else pairs == 64
+
+
+class TestMidpointWitness:
+    """The witness is the first pair with the largest quotient; a NaN quotient
+    counts in samples_used but never becomes the witness."""
+
+    BOX = BoxDomain([-1.0, -1.0], [1.0, 1.0], 6)
+
+    def _uniform_pairs(self, seed):
+        # the estimator draws its uniform pairs first: budget // 2 starts, then as many ends
+        rng = np.random.default_rng(seed)
+        return self.BOX.sample(rng, 3), self.BOX.sample(rng, 3)
+
+    def _estimate(self, value, seed):
+        f = ObjectiveFunction(dim=2, value_and_gradient=lambda x: (0.0, np.zeros(2)), value=value)
+        return estimate_concavifier_midpoint(f, self.BOX, np.random.default_rng(seed))
+
+    def test_first_maximum_wins(self):
+        # a constant gives every pair the quotient 0, so the first pair wins
+        est = self._estimate(lambda x: 0.0, 4)
+        xs, ys = self._uniform_pairs(4)
+        assert est.value == 0.0 and est.samples_used == 6
+        assert np.array_equal(est.witness[0], xs[0]) and np.array_equal(est.witness[1], ys[0])
+
+    def test_nan_counts_but_never_wins(self):
+        xs, ys = self._uniform_pairs(4)
+        est = self._estimate(lambda x: np.nan if np.array_equal(x, xs[0]) else 0.0, 4)
+        assert est.value == 0.0 and est.samples_used == 6
+        assert np.array_equal(est.witness[0], xs[1]) and np.array_equal(est.witness[1], ys[1])
+
+    def test_all_nan_raises(self):
+        with pytest.raises(DegeneratePairError):
+            self._estimate(lambda x: np.nan, 4)
 
 
 class TestHessianEstimator:
@@ -255,6 +338,18 @@ class TestFiniteDifferences:
             fd = central_difference_gradient(f.evaluate, x)
             grad = f.gradient(x)
             assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
+
+    def test_matches_loop_reference(self):
+        # the stencil rows of h*I give the bits of setting one coordinate at a time
+        f = lambda x: float(np.sum(np.sin(x) * x**2))  # noqa: E731
+        for x in np.random.default_rng(3).standard_normal((10, 5)) * [1, 10, 100, 1e-3, 0]:
+            h = GRAD_CHECK_STEP_SCALE * max(1.0, float(np.linalg.norm(x)))
+            ref = np.empty(5)
+            for i in range(5):
+                e = np.zeros(5)
+                e[i] = h
+                ref[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+            assert np.array_equal(central_difference_gradient(f, x), ref)
 
     def test_detects_wrong_gradient(self):
         f = ObjectiveFunction(dim=2, value_and_gradient=lambda x: (float(x @ x), x))  # true grad 2x

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stepsafe.relu as relu_module
 from stepsafe.errors import InvalidInputError, UnsupportedOperationError
 from stepsafe.objectives import (
     BoxDomain,
@@ -47,8 +48,7 @@ def _weights(rows):
 
 
 def _dataset_from_points(points, teacher):
-    points = np.asarray(points, dtype=float)
-    return ReluDataset(inputs=points, targets=forward_all(points, teacher), teacher=teacher, seed=-1)
+    return ReluDataset(inputs=points, teacher=teacher, seed=-1)
 
 
 def _kink_free_weights(rng, data, k):
@@ -268,6 +268,31 @@ class TestDatasetGeneration:
         assert w0.flat.shape == (8,)
         assert not np.array_equal(w0.flat, data.teacher.flat)
         assert np.array_equal(w0.flat, initial_weights(cfg).flat)
+
+    def test_one_forward_pass(self, monkeypatch):
+        # ReluDataset derives the targets; generate_dataset does not compute them too
+        calls = []
+        original = relu_module._forward_all
+        monkeypatch.setattr(relu_module, "_forward_all", lambda *args: calls.append(args) or original(*args))
+        data = generate_dataset(NetConfig(d=3, k=2, n=10, seed=0))
+        assert len(calls) == 1
+        assert np.array_equal(data.targets, original(data.inputs, data.teacher.matrix))
+
+
+class TestNearKink:
+    @pytest.mark.parametrize("case, expected", [("zero-weights", True), ("zero-neuron", True), ("zero-input", False)])
+    def test_zero_rows(self, case, expected):
+        # at w_j = 0 every x_i != 0 lies on neuron j's boundary; x_i = 0 has no kink in w
+        data = generate_dataset(NetConfig(3, 2, 20, 0))
+        w = np.random.default_rng(1).standard_normal((2, 3))
+        assert not near_kink(_weights(w), data)
+        if case == "zero-weights":
+            w[:] = 0.0
+        elif case == "zero-neuron":
+            w[1] = 0.0
+        else:
+            data = _dataset_from_points(np.vstack([np.zeros(3), data.inputs]), data.teacher)
+        assert near_kink(_weights(w), data) is expected
 
 
 class TestAlphaBounds:
@@ -577,7 +602,7 @@ class TestDatasetIO:
         cells[-1] = "1234.5"
         lines[1] = ",".join(cells)
         (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=re.escape(str(tmp_path / "data.csv"))):
             load_dataset(tmp_path / "data.csv", tmp_path / "teacher.csv")
 
     def test_file_bytes(self, tmp_path):
@@ -592,15 +617,15 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize(
         "which, text",
-        [("inputs", "x0,x1,y\n1,2,3\n4,5\n"), ("inputs", "x0,x1,y\n1,abc,3\n"),
-         ("teacher", "0.5\nabc\n"), ("teacher", "")],
-        ids=["ragged-row", "text-cell", "text-weight", "empty-teacher"],
+        [("inputs", b"x0,x1,y\n1,2,3\n4,5\n"), ("inputs", b"x0,x1,y\n1,abc,3\n"),
+         ("teacher", b"0.5\nabc\n"), ("teacher", b""), ("inputs", b"x0,x1,y\n1,\xff,3\n")],
+        ids=["ragged-row", "text-cell", "text-weight", "empty-teacher", "not-utf8"],
     )
     def test_malformed_file_rejected(self, tmp_path, which, text):
         # each malformed file raises InvalidInputError naming that file
         data = generate_dataset(NetConfig(d=2, k=2, n=5, seed=0))
         paths = {"inputs": tmp_path / "data.csv", "teacher": tmp_path / "teacher.csv"}
         save_dataset(data, paths["inputs"], paths["teacher"])
-        paths[which].write_text(text)
+        paths[which].write_bytes(text)
         with pytest.raises(InvalidInputError, match=re.escape(str(paths[which]))):
             load_dataset(paths["inputs"], paths["teacher"])
