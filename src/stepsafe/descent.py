@@ -24,7 +24,7 @@ DESCENT_SLACK_RTOL = 1e-9
 TRACE_COLUMNS = ("step", "loss", "grad_norm", "descent_gap", "monotone_so_far")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DescentConfig:
     """Step size, step budget and initial point.  Every run takes the full
     step budget unless the objective or its gradient turns non-finite."""
@@ -34,14 +34,14 @@ class DescentConfig:
     x0: np.ndarray
 
     def __post_init__(self):
-        if not self.eta > 0.0:
-            raise InvalidInputError("step size must be positive")
+        if not 0.0 < self.eta < np.inf:  # False for NaN
+            raise InvalidInputError("step size must be positive and finite")
         if self.steps < 1:
             raise InvalidInputError("step budget must be at least 1")
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DescentTrace:
     """Per-step record of a descent run.
 

@@ -27,7 +27,7 @@ MAX_POWER_ITERATIONS = 100_000
 ALPHA4_VARIANTS = ("standard", "paper")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Dense symmetric matrix, symmetry verified at construction."""
 
@@ -51,7 +51,7 @@ class SymMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenResult:
     """Dominant eigenpair as returned by power iteration.
 

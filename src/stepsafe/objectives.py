@@ -43,29 +43,34 @@ class ObjectiveFunction:
     so a value and its gradient always come from the same point, plus an
     optional Hessian callable and an optional value-only callable x -> f(x).
 
-    ``value`` must return the value that ``value_and_gradient`` returns; it
-    only saves the gradient where a caller needs none (``evaluate``, and so
-    f(y) in the quadratic-model check and every midpoint quotient)."""
+    ``value`` maps one point (dim,) to f, or a stack (m, dim) to (m,) values (another shape
+    raises InvalidInputError), each the value ``value_and_gradient`` returns; it only saves
+    the gradient where a caller needs none (``evaluate``, and so f(y) in the quadratic-model
+    check and every midpoint quotient); ``evaluate`` takes stacks either way."""
 
     dim: int
     value_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]]
     hessian: Optional[Callable[[np.ndarray], SymMatrix]] = None
-    value: Optional[Callable[[np.ndarray], float]] = None
+    value: Optional[Callable[[np.ndarray], float | np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidInputError("dimension must be at least 1")
 
-    def evaluate(self, x) -> float:
-        if self.value is not None:
-            return float(self.value(x))
-        return float(self.value_and_gradient(x)[0])
+    def evaluate(self, x) -> float | np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim < 2:
+            return float(self.value(x) if self.value is not None else self.value_and_gradient(x)[0])
+        fx = np.asarray(self.value(x) if self.value is not None else [self.evaluate(row) for row in x], dtype=float)
+        if fx.shape != x.shape[:1]:
+            raise InvalidInputError(f"value returned shape {fx.shape} for a stack of shape {x.shape}")
+        return fx
 
     def gradient(self, x) -> np.ndarray:
         return self.value_and_gradient(x)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxDomain:
     """Axis-aligned box with a sample-count budget for the estimators."""
 
@@ -101,7 +106,7 @@ class BoxDomain:
         return rng.uniform(self.lower, self.upper, size=(count, self.dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConcavifierEstimate:
     """Sampled estimate of the optimal concavifier over a box.
 
@@ -128,9 +133,9 @@ class QuadraticCheck:
     slack: float
 
 
-def _as_point(f: ObjectiveFunction, x) -> np.ndarray:
+def _as_point(f: ObjectiveFunction, x, stack: bool = False) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (f.dim,):
+    if x.shape != (f.dim,) and not (stack and x.ndim == 2 and x.shape[1] == f.dim):
         raise InvalidInputError(f"expected a point of dimension {f.dim}, got shape {x.shape}")
     return x
 
@@ -143,7 +148,7 @@ def upper_quadratic_check(f: ObjectiveFunction, x, y, alpha: float) -> Quadratic
     """
     x = _as_point(f, x)
     y = _as_point(f, y)
-    if alpha < 0.0:
+    if not alpha >= 0.0:  # False for NaN
         raise InvalidInputError("alpha must be non-negative")
     fx, gx = f.value_and_gradient(x)
     fx = float(fx)
@@ -153,15 +158,17 @@ def upper_quadratic_check(f: ObjectiveFunction, x, y, alpha: float) -> Quadratic
     return QuadraticCheck(holds=slack >= -tol, slack=slack)
 
 
-def midpoint_acceleration(f: ObjectiveFunction, x, y) -> float:
-    """psi(x, y) = 4 [f(x) + f(y) - 2 f((x+y)/2)] / ||x - y||^2."""
-    x = _as_point(f, x)
-    y = _as_point(f, y)
-    sep2 = float(np.sum((x - y) ** 2))
-    if sep2 < MIDPOINT_SEPARATION_FLOOR**2:
+def midpoint_acceleration(f: ObjectiveFunction, x, y) -> float | np.ndarray:
+    """psi(x, y) = 4 [f(x) + f(y) - 2 f((x+y)/2)] / ||x - y||^2 for one pair, or the
+    (m,) quotients of two stacks (m, dim) row by row; three ``evaluate`` calls either way."""
+    x, y = _as_point(f, x, stack=True), _as_point(f, y, stack=True)
+    if x.shape != y.shape:
+        raise InvalidInputError(f"point shapes {x.shape} and {y.shape} differ")
+    sep2 = np.sum((x - y) ** 2, axis=-1)
+    if np.any(sep2 < MIDPOINT_SEPARATION_FLOOR**2):
         raise DegeneratePairError("points are closer than the separation floor")
-    mid = (x + y) / 2.0
-    return 4.0 / sep2 * (f.evaluate(x) + f.evaluate(y) - 2.0 * f.evaluate(mid))
+    psi = 4.0 / sep2 * (f.evaluate(x) + f.evaluate(y) - 2.0 * f.evaluate((x + y) / 2.0))
+    return float(psi) if x.ndim == 1 else psi
 
 
 def estimate_concavifier_midpoint(
@@ -205,7 +212,7 @@ def estimate_concavifier_midpoint(
     xs, ys = np.vstack([xs, starts]), np.vstack([ys, ends])
     keep = np.sum((xs - ys) ** 2, axis=1) >= min_sep2
     xs, ys = xs[keep], ys[keep]
-    psi = np.array([midpoint_acceleration(f, x, y) for x, y in zip(xs, ys)])
+    psi = midpoint_acceleration(f, xs, ys)
     if not np.any(psi > -np.inf):  # False for NaN
         raise DegeneratePairError("no sampled pair exceeded the separation floor with a quotient above -inf")
     best = int(np.nanargmax(psi))  # the first maximum, NaN skipped

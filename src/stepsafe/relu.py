@@ -46,6 +46,7 @@ ORACLE_STRATEGIES = ("pattern-enum", "random-search")
 PATTERN_ENUM_MAX_POINTS = 12
 PATTERN_ENUM_MAX_DIM = 3
 KINK_MARGIN_RTOL = 1e-6
+STACK_CHUNK_ENTRIES = 2**13  # (m, k, n) entries per chunk of a stacked loss: 64 KB of float64
 
 # seed stream tags for student initializations and the oracle search, kept
 # distinct from data streams
@@ -67,7 +68,7 @@ class NetConfig:
             raise InvalidInputError("d, k and n must all be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weights:
     """Flat weight vector in R^{k*d}; block j holds the weights of neuron j."""
 
@@ -96,7 +97,7 @@ def _forward_all(inputs: np.ndarray, wmat: np.ndarray) -> np.ndarray:
     return np.maximum(wmat @ inputs.T, 0.0).sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReluDataset:
     """Teacher-generated inputs; targets are derived here as the teacher output."""
 
@@ -164,20 +165,26 @@ def loss(w: Weights, data: ReluDataset) -> float:
     return _loss_value(w.matrix, data)
 
 
-def _loss_terms(wmat: np.ndarray, data: ReluDataset) -> tuple[np.ndarray, np.ndarray, float]:
+def _loss_terms(wmat: np.ndarray, data: ReluDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The neuron-major product W X^T, the residuals f(x_i, w) - y_i (summed over
     neurons like _forward_all) and the loss: the one residual code of both loss
     paths.  The loss has the bits of 0.5 * np.mean(resid**2), without np.mean's
-    Python overhead."""
+    Python overhead.  A stack (m, k, d) gives (m,) losses, each with the bits of
+    its own call, since the stacked product is one GEMM per matrix."""
     zt = wmat @ data.inputs.T
-    resid = np.maximum(zt, 0.0).sum(axis=0) - data.targets
-    return zt, resid, float(0.5 * (np.add.reduce(resid * resid) / data.n))
+    resid = np.maximum(zt, 0.0).sum(axis=-2) - data.targets
+    return zt, resid, 0.5 * (np.add.reduce(resid * resid, axis=-1) / data.n)
 
 
-def _loss_value(wmat: np.ndarray, data: ReluDataset) -> float:
-    """The loss alone at the (k, d) weight matrix: the value of _loss_and_gradient
-    bit for bit, without forming the gradient."""
-    return _loss_terms(wmat, data)[2]
+def _loss_value(wmat: np.ndarray, data: ReluDataset) -> float | np.ndarray:
+    """The loss at a (k, d) weight matrix, or the (m,) losses at a stack (m, k, d) in chunks of
+    STACK_CHUNK_ENTRIES: the values of _loss_and_gradient bit for bit, without the gradient."""
+    if wmat.ndim == 2:
+        return float(_loss_terms(wmat, data)[2])
+    out, step = np.empty(len(wmat)), max(1, STACK_CHUNK_ENTRIES // (wmat.shape[1] * data.n))
+    for i in range(0, len(wmat), step):
+        out[i : i + step] = _loss_terms(wmat[i : i + step], data)[2]
+    return out
 
 
 def _loss_and_gradient(wmat: np.ndarray, data: ReluDataset) -> tuple[float, np.ndarray]:
@@ -188,7 +195,7 @@ def _loss_and_gradient(wmat: np.ndarray, data: ReluDataset) -> tuple[float, np.n
     zt, resid, value = _loss_terms(wmat, data)
     m = np.multiply(zt >= 0.0, resid, out=np.empty(zt.shape, order="F"))
     gmat = m @ data.inputs / data.n
-    return value, gmat.reshape(-1)
+    return float(value), gmat.reshape(-1)
 
 
 def gradient(w: Weights, data: ReluDataset) -> np.ndarray:
@@ -338,15 +345,16 @@ def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
 
 def loss_objective(data: ReluDataset) -> ObjectiveFunction:
     """The training loss as an objective over flat weights in R^{kd}; each call
-    works on flat.reshape(k, d) directly, and its value-only callable returns
-    the fused call's value bit for bit without forming the gradient."""
+    works on flat.reshape(k, d) directly, and its value-only callable returns the fused
+    call's value bit for bit without forming the gradient, also for a stack (m, kd)."""
     k, d = data.teacher.k, data.teacher.d
 
     def value_and_gradient(flat):
         return _loss_and_gradient(np.asarray(flat, dtype=float).reshape(k, d), data)
 
     def value(flat):
-        return _loss_value(np.asarray(flat, dtype=float).reshape(k, d), data)
+        flat = np.asarray(flat, dtype=float)
+        return _loss_value(flat.reshape(-1, k, d) if flat.ndim == 2 else flat.reshape(k, d), data)
 
     return ObjectiveFunction(
         dim=k * d,

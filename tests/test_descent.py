@@ -35,8 +35,8 @@ class TestGdStep:
         assert np.array_equal(trace.final_point, [1.0])
 
     def test_bad_eta(self):
-        # DescentConfig refuses a non-positive (or nan) step size and an empty step budget
-        for field in ({"eta": 0.0}, {"eta": -0.1}, {"eta": float("nan")}, {"steps": 0}):
+        # DescentConfig refuses a non-positive, nan or infinite step size and an empty step budget
+        for field in ({"eta": 0.0}, {"eta": -0.1}, {"eta": float("nan")}, {"eta": float("inf")}, {"steps": 0}):
             with pytest.raises(InvalidInputError):
                 DescentConfig(**{"eta": 0.1, "steps": 1, "x0": [1.0], **field})
 

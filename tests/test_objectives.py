@@ -87,6 +87,10 @@ class TestUpperQuadraticCheck:
         with pytest.raises(InvalidInputError):
             upper_quadratic_check(_square_1d(), [0.0], [1.0], -0.1)
 
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(InvalidInputError):
+            upper_quadratic_check(_square_1d(), [0.0], [1.0], float("nan"))
+
     @given(
         diag=st.lists(st.floats(0.1, 20.0), min_size=2, max_size=5),
         seed=st.integers(0, 10_000),
@@ -114,6 +118,26 @@ class TestMidpointAcceleration:
     def test_degenerate_pair(self):
         with pytest.raises(DegeneratePairError):
             midpoint_acceleration(_square_1d(), [1.0], [1.0 + 1e-10])
+
+    @pytest.mark.parametrize("with_value", [True, False], ids=["value", "fallback"])
+    def test_stacks_match_single_pairs(self, with_value):
+        # two stacks (m, dim) give the quotients of their row pairs bit for bit,
+        # through value (a stack callable) or the fused fallback row by row
+        value = lambda x: np.sum(np.cos(x) * x**2, axis=-1)  # noqa: E731
+        f = ObjectiveFunction(4, lambda x: (value(x), None), value=value if with_value else None)
+        xs, ys = np.random.default_rng(6).standard_normal((2, 9, 4))
+        psi = midpoint_acceleration(f, xs, ys)
+        assert psi.shape == (9,)
+        assert np.array_equal(psi, [midpoint_acceleration(f, x, y) for x, y in zip(xs, ys)])
+        assert isinstance(midpoint_acceleration(f, xs[0], ys[0]), float)
+
+    def test_stack_with_one_close_pair_rejected(self):
+        xs = np.array([[0.0], [1.0], [2.0]])
+        ys = xs + [[1.0], [1e-10], [1.0]]
+        with pytest.raises(DegeneratePairError):
+            midpoint_acceleration(_square_1d(), xs, ys)
+        with pytest.raises(InvalidInputError):
+            midpoint_acceleration(_square_1d(), xs, ys[:2])
 
     def test_failed_check_implies_large_midpoint(self):
         # if the quadratic model fails at level alpha for a pair, the midpoint
@@ -195,20 +219,20 @@ class TestMidpointWitness:
 
     def test_first_maximum_wins(self):
         # a constant gives every pair the quotient 0, so the first pair wins
-        est = self._estimate(lambda x: 0.0, 4)
+        est = self._estimate(lambda x: 0.0 * x[..., 0], 4)
         xs, ys = self._uniform_pairs(4)
         assert est.value == 0.0 and est.samples_used == 6
         assert np.array_equal(est.witness[0], xs[0]) and np.array_equal(est.witness[1], ys[0])
 
     def test_nan_counts_but_never_wins(self):
         xs, ys = self._uniform_pairs(4)
-        est = self._estimate(lambda x: np.nan if np.array_equal(x, xs[0]) else 0.0, 4)
+        est = self._estimate(lambda x: np.where(np.all(x == xs[0], axis=-1), np.nan, 0.0), 4)
         assert est.value == 0.0 and est.samples_used == 6
         assert np.array_equal(est.witness[0], xs[1]) and np.array_equal(est.witness[1], ys[1])
 
     def test_all_nan_raises(self):
         with pytest.raises(DegeneratePairError):
-            self._estimate(lambda x: np.nan, 4)
+            self._estimate(lambda x: np.nan * x[..., 0], 4)
 
 
 class TestHessianEstimator:
@@ -325,6 +349,30 @@ class TestValueCallable:
         x = np.array([0.3, -1.7])
         assert g.evaluate(x) == f.evaluate(x)
         assert calls == {"value_and_gradient": 1, "value": 0}
+
+    def test_stack_value_of_wrong_shape_rejected(self):
+        # a value written for one point may reduce a whole stack to one number,
+        # which would otherwise broadcast into every quotient
+        f = ObjectiveFunction(2, lambda x: (float(x @ x), 2 * x), value=lambda x: np.sum(x * x))
+        assert f.evaluate([1.0, 2.0]) == 5.0
+        with pytest.raises(InvalidInputError, match="shape"):
+            f.evaluate(np.ones((3, 2)))
+
+    def test_midpoint_stacks_take_three_value_calls(self):
+        # every pair of a stack, and so every pair the estimator keeps, is
+        # served by three stacked value calls: the ends, then the midpoints
+        shapes = []
+
+        def value(x):
+            shapes.append(x.shape)
+            return 0.5 * np.sum(x * x, axis=-1)
+
+        f = ObjectiveFunction(2, lambda x: (0.5 * float(x @ x), x), value=value)
+        midpoint_acceleration(f, *np.random.default_rng(8).standard_normal((2, 5, 2)))
+        assert shapes == [(5, 2)] * 3
+        shapes.clear()
+        est = estimate_concavifier_midpoint(f, _box([-1, -1], [1, 1], 40), np.random.default_rng(9))
+        assert shapes == [(est.samples_used, 2)] * 3 and est.samples_used == 40
 
 
 class TestFiniteDifferences:

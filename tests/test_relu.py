@@ -180,6 +180,27 @@ class TestValueOnlyLoss:
         assert all(np.array_equal(a, b) for a, b in zip(got.witness, ref.witness))
 
 
+    @pytest.mark.parametrize("k_range", [(1, 8), (8, 201)], ids=["k<=7", "k>=8"])
+    def test_stacked_values_match_fused(self, k_range):
+        # a stack (m, kd) is evaluated in chunks of the stacked product, one
+        # GEMM per point, so each row equals its own fused call bit for bit;
+        # m = 1 and m on both sides of a chunk boundary, and m = 0
+        rng = np.random.default_rng(k_range)
+        shapes = [(1, 1), (2, 5000)] + [(int(rng.integers(1, 30)), int(rng.integers(1, 400))) for _ in range(8)]
+        for d, n in shapes:
+            k = int(rng.integers(*k_range))
+            data = generate_dataset(NetConfig(d, k, n, int(rng.integers(0, 2**31))))
+            f = loss_objective(data)
+            fallback = ObjectiveFunction(dim=f.dim, value_and_gradient=f.value_and_gradient)
+            step = max(1, relu_module.STACK_CHUNK_ENTRIES // (k * n))
+            for m in sorted({0, 1, max(1, step - 1), step, step + 1, 2 * step + 1}):
+                ws = rng.standard_normal((m, k * d)) * 10.0 ** rng.uniform(-3, 3)
+                ref = np.array([f.value_and_gradient(w)[0] for w in ws]).reshape(m)
+                got = f.evaluate(ws)
+                assert got.shape == (m,) and np.array_equal(got, ref)
+                assert np.array_equal(fallback.evaluate(ws), ref)
+
+
 class TestActivationVectors:
     def test_zero_weights_all_active(self):
         # the indicator is >=, so w = 0 activates every neuron on every point
