@@ -74,10 +74,7 @@ class ExperimentSpec:
     oracle_budget: int = 10_000
 
     def validate(self) -> None:
-        if min(self.d, self.k, self.n) < 1:
-            raise InvalidInputError("d, k and n must all be at least 1")
-        if self.seed < 0:  # numpy seeds are non-negative
-            raise InvalidInputError("seed must be at least 0")
+        NetConfig(self.d, self.k, self.n, self.seed)  # raises on a bad d, k, n or seed
         if self.reps < 1:
             raise InvalidInputError("reps must be at least 1")
         if self.steps < 1:

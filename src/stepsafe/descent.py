@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .objectives import ObjectiveFunction
+from .objectives import ObjectiveFunction, _as_point
 from .tableio import read_floats, write_table
 
 DESCENT_SLACK_RTOL = 1e-9
@@ -76,9 +76,7 @@ def run_descent(f: ObjectiveFunction, config: DescentConfig) -> DescentTrace:
     If the objective or gradient becomes non-finite the trace is truncated
     and flagged diverged.
     """
-    x = config.x0.copy()
-    if x.shape != (f.dim,):
-        raise InvalidInputError(f"initial point has shape {x.shape}, expected ({f.dim},)")
+    x = _as_point(f, config.x0).copy()
     fx, g = f.value_and_gradient(x)
     fx, g = float(fx), np.asarray(g, dtype=float)
     if not np.isfinite(fx):

@@ -37,16 +37,24 @@ GRAD_CHECK_STEP_SCALE = 1e-6
 ESTIMATE_METHODS = ("hessian-sampling", "midpoint-sup")
 
 
+def _as_point(f: ObjectiveFunction, x, stack: bool = False) -> np.ndarray:
+    """x as a point (dim,) of f, or with ``stack`` as a stack (m, dim) too: the one shape rule."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (f.dim,) and not (stack and x.ndim == 2 and x.shape[1] == f.dim):
+        raise InvalidInputError(f"expected a point of dimension {f.dim}, got shape {x.shape}")
+    return x
+
+
 @dataclass
 class ObjectiveFunction:
     """Scalar field over R^dim given by one callable x -> (f(x), grad f(x)),
     so a value and its gradient always come from the same point, plus an
     optional Hessian callable and an optional value-only callable x -> f(x).
 
-    ``value`` maps one point (dim,) to f, or a stack (m, dim) to (m,) values (another shape
-    raises InvalidInputError), each the value ``value_and_gradient`` returns; it only saves
-    the gradient where a caller needs none (``evaluate``, and so f(y) in the quadratic-model
-    check and every midpoint quotient); ``evaluate`` takes stacks either way."""
+    The callables are raw: every entry point of the package checks its points with
+    _as_point first.  ``value`` maps a point (dim,) to f, or a stack (m, dim) to (m,)
+    values (``evaluate`` rejects another shape), each the value ``value_and_gradient``
+    returns; it saves the gradient where a caller needs none (``evaluate``)."""
 
     dim: int
     value_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -58,8 +66,8 @@ class ObjectiveFunction:
             raise InvalidInputError("dimension must be at least 1")
 
     def evaluate(self, x) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim < 2:
+        x = _as_point(self, x, stack=True)
+        if x.ndim == 1:
             return float(self.value(x) if self.value is not None else self.value_and_gradient(x)[0])
         fx = np.asarray(self.value(x) if self.value is not None else [self.evaluate(row) for row in x], dtype=float)
         if fx.shape != x.shape[:1]:
@@ -67,7 +75,7 @@ class ObjectiveFunction:
         return fx
 
     def gradient(self, x) -> np.ndarray:
-        return self.value_and_gradient(x)[1]
+        return self.value_and_gradient(_as_point(self, x))[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +93,8 @@ class BoxDomain:
             raise InvalidInputError("lower and upper must be vectors of equal length")
         if not np.all(lo <= hi):
             raise InvalidInputError("lower must be <= upper componentwise")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):  # no uniform samples, no finite diameter
+            raise InvalidInputError("lower and upper must be finite")
         if self.budget < 1:
             raise InvalidInputError("budget must be at least 1")
         object.__setattr__(self, "lower", lo)
@@ -133,13 +143,6 @@ class QuadraticCheck:
     slack: float
 
 
-def _as_point(f: ObjectiveFunction, x, stack: bool = False) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (f.dim,) and not (stack and x.ndim == 2 and x.shape[1] == f.dim):
-        raise InvalidInputError(f"expected a point of dimension {f.dim}, got shape {x.shape}")
-    return x
-
-
 def upper_quadratic_check(f: ObjectiveFunction, x, y, alpha: float) -> QuadraticCheck:
     """Test f(y) <= f(x) + grad f(x)^T (y-x) + (alpha/2)||y-x||^2.
 
@@ -148,8 +151,8 @@ def upper_quadratic_check(f: ObjectiveFunction, x, y, alpha: float) -> Quadratic
     """
     x = _as_point(f, x)
     y = _as_point(f, y)
-    if not alpha >= 0.0:  # False for NaN
-        raise InvalidInputError("alpha must be non-negative")
+    if not 0.0 <= alpha < np.inf:  # False for NaN
+        raise InvalidInputError("alpha must be non-negative and finite")
     fx, gx = f.value_and_gradient(x)
     fx = float(fx)
     diff = y - x
@@ -182,8 +185,7 @@ def estimate_concavifier_midpoint(
     eps is 1e-3 times the box diameter.  The witness is the first pair with the
     largest quotient; a NaN quotient counts in samples_used but never wins.
     """
-    if domain.dim != f.dim:
-        raise InvalidInputError("domain dimension does not match the objective")
+    _as_point(f, domain.lower)
     if domain.budget < 2:
         raise InvalidInputError("midpoint estimation needs a budget of at least 2")
     if domain.diameter < MIDPOINT_SEPARATION_FLOOR:
@@ -228,8 +230,7 @@ def estimate_concavifier_hessian(
     has to converge) over sampled points in the box."""
     if f.hessian is None:
         raise UnsupportedOperationError("objective does not provide a Hessian")
-    if domain.dim != f.dim:
-        raise InvalidInputError("domain dimension does not match the objective")
+    _as_point(f, domain.lower)
     rng = rng if rng is not None else np.random.default_rng(0)
 
     best = -np.inf

@@ -66,6 +66,8 @@ class NetConfig:
     def __post_init__(self):
         if self.d < 1 or self.k < 1 or self.n < 1:
             raise InvalidInputError("d, k and n must all be at least 1")
+        if self.seed < 0:  # numpy seeds are non-negative
+            raise InvalidInputError("seed must be at least 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +160,21 @@ def forward_all(inputs, w: Weights) -> np.ndarray:
     return _forward_all(inputs, w.matrix)
 
 
-def loss(w: Weights, data: ReluDataset) -> float:
-    """1/(2n) sum_i (f(x_i, w) - y_i)^2, with f(x, w) = sum_j max(0, x^T w_j)."""
+def _checked_matrix(w: Weights, data: ReluDataset) -> np.ndarray:
+    """The (k, d) weight matrix of w, once its d is the data's input dimension."""
     if w.d != data.d:
         raise InvalidInputError("weight dimension does not match the data")
-    return _loss_value(w.matrix, data)
+    return w.matrix
+
+
+def _check_width(k: int) -> None:
+    if k < 1:
+        raise InvalidInputError("k must be at least 1")
+
+
+def loss(w: Weights, data: ReluDataset) -> float:
+    """1/(2n) sum_i (f(x_i, w) - y_i)^2, with f(x, w) = sum_j max(0, x^T w_j)."""
+    return _loss_value(_checked_matrix(w, data), data)
 
 
 def _loss_terms(wmat: np.ndarray, data: ReluDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,23 +212,19 @@ def _loss_and_gradient(wmat: np.ndarray, data: ReluDataset) -> tuple[float, np.n
 
 def gradient(w: Weights, data: ReluDataset) -> np.ndarray:
     """(1/n) sum_i (f(x_i, w) - y_i) * a(x_i, w), flat in R^{kd}."""
-    if w.d != data.d:
-        raise InvalidInputError("weight dimension does not match the data")
-    return _loss_and_gradient(w.matrix, data)[1]
+    return _loss_and_gradient(_checked_matrix(w, data), data)[1]
 
 
 def alpha_single_point(x, k: int) -> float:
     """Exact optimal concavifier of the single-point loss: k * ||x||^2."""
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
+    _check_width(k)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return float(k) * float(x @ x)
 
 
 def bound_alpha1(data: ReluDataset, k: int) -> float:
     """(k/n) sum_i ||x_i||^2."""
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
+    _check_width(k)
     return float(k) / data.n * float((data.inputs**2).sum())
 
 
@@ -226,19 +234,16 @@ def second_moment_matrix(data: ReluDataset) -> SymMatrix:
 
 
 def allactive_gram_matrix(data: ReluDataset, k: int) -> SymMatrix:
-    """Explicit kd x kd matrix M = (1/n) sum_i abar(x_i) abar(x_i)^T; a test
+    """Explicit kd x kd matrix M = (1/n) sum_i abar(x_i) abar(x_i)^T: the loss
+    Hessian at w = 0, where the >= indicator activates every neuron.  A test
     reference only, since it takes O((kd)^2) memory."""
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
-    stacked = np.tile(data.inputs, (1, k))
-    m = stacked.T @ stacked / data.n
-    return SymMatrix((m + m.T) / 2.0)
+    _check_width(k)
+    return loss_hessian_matrix(Weights(np.zeros(k * data.d), k=k, d=data.d), data)
 
 
 def _allactive_rows(data: ReluDataset, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal S_ii and radius k sum_j |S_ij| - S_ii of the rows i of M = J_k (x) S."""
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
+    _check_width(k)
     s = second_moment_matrix(data).entries
     diag = np.diag(s)
     return diag, k * np.abs(s).sum(axis=1) - diag
@@ -247,8 +252,7 @@ def _allactive_rows(data: ReluDataset, k: int) -> tuple[np.ndarray, np.ndarray]:
 def bound_alpha2(data: ReluDataset, k: int) -> float:
     """(1/n) lambda_max(sum_i abar(x_i) abar(x_i)^T) = k lambda_max(S): stacking
     k copies of each data vector multiplies every eigenvalue of S by k."""
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
+    _check_width(k)
     return float(k) * float(np.linalg.eigvalsh(second_moment_matrix(data).entries)[-1])
 
 
@@ -303,8 +307,7 @@ def alpha_oracle(
     directions and reports a lower bound on alpha2; its default stream is
     (data.seed, ORACLE_STREAM), apart from the data stream.
     """
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
+    _check_width(k)
     if strategy not in ORACLE_STRATEGIES:
         raise InvalidInputError(f"unknown strategy {strategy!r}; expected one of {ORACLE_STRATEGIES}")
     if strategy == "pattern-enum":
@@ -329,7 +332,7 @@ def near_kink(w: Weights, data: ReluDataset) -> bool:
     Gradient checks are skipped at such points: the loss gradient jumps across
     activation boundaries, so finite differences straddling one are meaningless.
     """
-    z = np.abs(data.inputs @ w.matrix.T)
+    z = np.abs(data.inputs @ _checked_matrix(w, data).T)
     xnorm = np.linalg.norm(data.inputs, axis=1)[:, None]
     scale = xnorm * np.linalg.norm(w.matrix, axis=1)[None, :]
     return bool(np.any((z <= KINK_MARGIN_RTOL * scale) & (xnorm > 0.0)))
@@ -337,7 +340,7 @@ def near_kink(w: Weights, data: ReluDataset) -> bool:
 
 def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
     """Almost-everywhere loss Hessian (1/n) sum_i a(x_i, w) a(x_i, w)^T."""
-    mask = (data.inputs @ w.matrix.T) >= 0.0
+    mask = (data.inputs @ _checked_matrix(w, data).T) >= 0.0
     stacked = (mask[:, :, None] * data.inputs[:, None, :]).reshape(data.n, w.k * w.d)
     h = stacked.T @ stacked / data.n
     return SymMatrix((h + h.T) / 2.0)
@@ -354,7 +357,7 @@ def loss_objective(data: ReluDataset) -> ObjectiveFunction:
 
     def value(flat):
         flat = np.asarray(flat, dtype=float)
-        return _loss_value(flat.reshape(-1, k, d) if flat.ndim == 2 else flat.reshape(k, d), data)
+        return _loss_value(flat.reshape(*flat.shape[:-1], k, d), data)
 
     return ObjectiveFunction(
         dim=k * d,

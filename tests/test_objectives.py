@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepsafe.descent import DescentConfig, run_descent
 from stepsafe.eigenbounds import SymMatrix
 from stepsafe.errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError
 from stepsafe.objectives import (
@@ -88,8 +89,10 @@ class TestUpperQuadraticCheck:
             upper_quadratic_check(_square_1d(), [0.0], [1.0], -0.1)
 
     def test_nan_alpha_rejected(self):
-        with pytest.raises(InvalidInputError):
-            upper_quadratic_check(_square_1d(), [0.0], [1.0], float("nan"))
+        # alpha = inf at y == x would give the slack 0 * inf = nan
+        for alpha in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError, match="alpha must be non-negative"):
+                upper_quadratic_check(_square_1d(), [0.0], [0.0], alpha)
 
     @given(
         diag=st.lists(st.floats(0.1, 20.0), min_size=2, max_size=5),
@@ -101,6 +104,41 @@ class TestUpperQuadraticCheck:
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal((2, len(diag)))
         assert upper_quadratic_check(f, x, y, max(diag)).holds
+
+
+class TestPointRule:
+    """Every entry point that takes a point of an objective checks it with the one
+    rule: a point is (dim,), and only the stacked callers take (m, dim)."""
+
+    F = quadratic_objective(np.eye(2))
+    CALLERS = {
+        "evaluate": lambda f, x: f.evaluate(x),
+        "gradient": lambda f, x: f.gradient(x),
+        "run_descent": lambda f, x: run_descent(f, DescentConfig(eta=0.1, steps=1, x0=x)),
+        "midpoint-estimator": lambda f, x: estimate_concavifier_midpoint(f, BoxDomain(x - 1.0, x + 1.0, 8)),
+        "hessian-estimator": lambda f, x: estimate_concavifier_hessian(f, BoxDomain(x - 1.0, x + 1.0, 8)),
+    }
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_point_of_another_dimension(self, caller, dim):
+        with pytest.raises(InvalidInputError, match=r"expected a point of dimension 2, got shape"):
+            self.CALLERS[caller](self.F, np.zeros(dim))
+
+    @pytest.mark.parametrize("caller, shape", [("evaluate", (2, 2, 2)), ("evaluate", (4, 3)), ("gradient", (4, 2))])
+    def test_stack_where_none_fits(self, caller, shape):
+        with pytest.raises(InvalidInputError, match=r"expected a point of dimension 2, got shape"):
+            self.CALLERS[caller](self.F, np.zeros(shape))
+
+
+class TestBoxDomain:
+    @pytest.mark.parametrize(
+        "lower, upper", [([-np.inf], [1.0]), ([-1.0], [np.inf])], ids=["infinite-lower", "infinite-upper"]
+    )
+    def test_infinite_bound_rejected(self, lower, upper):
+        # a box with an infinite side has no uniform samples, and rng.uniform would fail inside numpy
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            BoxDomain(lower, upper, 4)
 
 
 class TestMidpointAcceleration:

@@ -203,10 +203,16 @@ class TestValueOnlyLoss:
 
 class TestActivationVectors:
     def test_zero_weights_all_active(self):
-        # the indicator is >=, so w = 0 activates every neuron on every point
-        data = generate_dataset(NetConfig(d=3, k=2, n=20, seed=2))
-        h = loss_hessian_matrix(Weights(np.zeros(6), k=2, d=3), data).entries
-        assert np.array_equal(h, allactive_gram_matrix(data, 2).entries)
+        # the indicator is >=, so w = 0 activates every neuron on every point:
+        # the Hessian there, which allactive_gram_matrix returns, is the Gram of
+        # the tiled inputs [X, ..., X] bit for bit
+        for d, k, n in [(3, 2, 20), (10, 5, 1000), (1, 1, 5), (4, 9, 60)]:
+            data = generate_dataset(NetConfig(d=d, k=k, n=n, seed=2))
+            stacked = np.tile(data.inputs, (1, k))
+            m = stacked.T @ stacked / n
+            tiled = (m + m.T) / 2.0
+            assert np.array_equal(loss_hessian_matrix(Weights(np.zeros(k * d), k=k, d=d), data).entries, tiled)
+            assert np.array_equal(allactive_gram_matrix(data, k).entries, tiled)
 
     @given(
         coords=st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=5),
@@ -261,6 +267,40 @@ class TestGradient:
             gm = gradient(Weights(w.flat - e, 2, 2), data)
             h_fd[:, i] = (gp - gm) / (2 * step)
         assert np.linalg.norm(h_fd - h) <= 1e-4 * max(1.0, np.linalg.norm(h))
+
+
+class TestInputRules:
+    """One statement per rule, reached by every caller."""
+
+    @pytest.mark.parametrize("caller", [loss, gradient, near_kink, loss_hessian_matrix])
+    def test_weights_of_another_dimension(self, caller):
+        data = generate_dataset(NetConfig(d=3, k=2, n=10, seed=0))
+        with pytest.raises(InvalidInputError, match="weight dimension does not match the data"):
+            caller(Weights(np.ones(8), k=2, d=4), data)
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidInputError, match="seed must be at least 0"):
+            NetConfig(1, 1, 1, -1)
+
+    @pytest.mark.parametrize(
+        "caller",
+        [
+            lambda data: alpha_single_point([1.0, 2.0], 0),
+            lambda data: bound_alpha1(data, 0),
+            lambda data: bound_alpha2(data, 0),
+            lambda data: bound_alpha3(data, 0),
+            lambda data: bound_alpha4(data, 0),
+            lambda data: allactive_gram_matrix(data, 0),
+            lambda data: alpha_oracle(data, 0, "pattern-enum"),
+            lambda data: alpha_oracle(data, 0, "random-search", budget=4),
+        ],
+        ids=["alpha_single_point", "alpha1", "alpha2", "alpha3", "alpha4", "allactive_gram_matrix",
+             "oracle-pattern-enum", "oracle-random-search"],
+    )
+    def test_zero_width(self, caller):
+        data = generate_dataset(NetConfig(d=2, k=1, n=5, seed=0))
+        with pytest.raises(InvalidInputError, match="k must be at least 1"):
+            caller(data)
 
 
 class TestDatasetGeneration:
