@@ -93,8 +93,9 @@ class BoxDomain:
             raise InvalidInputError("lower and upper must be vectors of equal length")
         if not np.all(lo <= hi):
             raise InvalidInputError("lower must be <= upper componentwise")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):  # no uniform samples, no finite diameter
-            raise InvalidInputError("lower and upper must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite width needs finite sides; rng.uniform needs it
+            if not np.isfinite(hi - lo).all():
+                raise InvalidInputError("lower, upper and upper - lower must be finite")
         if self.budget < 1:
             raise InvalidInputError("budget must be at least 1")
         object.__setattr__(self, "lower", lo)

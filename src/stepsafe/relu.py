@@ -32,7 +32,7 @@ random search reports the best of many nonzero directions, on d x d Grams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +47,9 @@ PATTERN_ENUM_MAX_POINTS = 12
 PATTERN_ENUM_MAX_DIM = 3
 KINK_MARGIN_RTOL = 1e-6
 STACK_CHUNK_ENTRIES = 2**13  # (m, k, n) entries per chunk of a stacked loss: 64 KB of float64
+_DIRECTION_CHUNK = 256  # oracle directions per chunk: larger chunks grow peak memory, not speed
+_TOP_SOLVE_BLOCK = 8  # Grams per eigvalsh call in _max_top_eigenvalue
+_TOP_BOUND_RTOL = 1e-10  # widening of the trace-power bound, on top of 16 d^2 ulps
 
 # seed stream tags for student initializations and the oracle search, kept
 # distinct from data streams
@@ -106,7 +109,6 @@ class ReluDataset:
     inputs: np.ndarray
     teacher: Weights
     seed: int
-    targets: np.ndarray = field(init=False)
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=float)
@@ -115,7 +117,6 @@ class ReluDataset:
         if inputs.shape[1] != self.teacher.d:
             raise InvalidInputError("input dimension does not match the teacher")
         object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", _forward_all(inputs, self.teacher.matrix))
 
     @property
     def n(self) -> int:
@@ -124,6 +125,12 @@ class ReluDataset:
     @property
     def d(self) -> int:
         return self.inputs.shape[1]
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """The teacher's outputs, computed on first read and kept: the bounds and
+        the oracle never read them."""
+        return _forward_all(self.inputs, self.teacher.matrix)
 
     @cached_property
     def second_moment(self) -> SymMatrix:
@@ -219,6 +226,8 @@ def alpha_single_point(x, k: int) -> float:
     """Exact optimal concavifier of the single-point loss: k * ||x||^2."""
     _check_width(k)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim != 1:
+        raise InvalidInputError(f"expected one point, got shape {x.shape}")
     return float(k) * float(x @ x)
 
 
@@ -270,14 +279,51 @@ def bound_alpha4(data: ReluDataset, k: int, variant: str = "standard") -> float:
     return _cassini(diag, radii, variant, twinned=k >= 2 or diag.size == 1)
 
 
+def _top_eigenvalue_bound(grams: np.ndarray) -> np.ndarray:
+    """A certified upper bound u >= lambda_max per Gram of a batch (m, d, d) of PSD Grams.
+
+    u = tr(G) tr(A^16)^(1/16) with A = G / tr(G), where tr(A^16) = ||A^8||_F^2 after three
+    batched squarings; the trace scaling keeps tr(A^16) in [d^-16, 1], clear of overflow and
+    underflow.  Rounding moves the computed u and eigvalsh's lambda_max by a few d^2 ulps
+    relative, which the widening covers.  A zero-trace Gram is 0 and has u = 0; a bound that is
+    not a number certifies nothing and reads inf."""
+    d = grams.shape[-1]
+    trace = np.einsum("ijj->i", grams)
+    a = grams / np.where(trace > 0.0, trace, 1.0)[:, None, None]
+    for _ in range(3):
+        a = a @ a
+    widen = 1.0 + _TOP_BOUND_RTOL + 16 * d * d * np.finfo(float).eps
+    return np.nan_to_num(trace * np.einsum("ijk,ijk->i", a, a) ** (1 / 16) * widen, nan=np.inf)
+
+
+def _max_top_eigenvalue(grams: np.ndarray, floor: float) -> float:
+    """max(floor, eigvalsh(grams)[:, -1].max()) for a batch (m, d, d) of PSD Grams, bit for bit.
+
+    eigvalsh runs only on Grams whose _top_eigenvalue_bound exceeds the best so far, in
+    decreasing order of the bound and in blocks of _TOP_SOLVE_BLOCK.  A skipped Gram has
+    lambda_max <= u <= best, so it cannot change the maximum."""
+    bound = _top_eigenvalue_bound(grams)
+    order = np.argsort(-bound)
+    best = floor
+    for start in range(0, len(order), _TOP_SOLVE_BLOCK):
+        block = order[start : start + _TOP_SOLVE_BLOCK]
+        if bound[block[0]] <= best:  # bounds decrease along order: no later Gram can beat best
+            break
+        block = block[bound[block] > best]
+        best = max(best, float(np.linalg.eigvalsh(grams[block])[:, -1].max()))
+    return best
+
+
 def _shared_direction_search(data: ReluDataset, k: int, budget: int, rng: np.random.Generator) -> float:
     """(k/n) max lambda_max(sum_{x_i^T v >= 0} x_i x_i^T) over ``budget`` Gaussian
     directions v in R^d: a GEMM of the masks against the flattened outer
-    products x_i x_i^T gives a chunk of d x d Grams.  Directions come in
-    chunks and points in blocks (one block unless n d^2 > 2e6), so no array
-    holds much more than 2e6 entries."""
+    products x_i x_i^T gives a chunk of d x d Grams, and _max_top_eigenvalue
+    solves only those that can beat the best so far.  Directions come in chunks
+    of at most _DIRECTION_CHUNK (fewer once n or d^2 passes 2e6 / _DIRECTION_CHUNK)
+    and points in blocks (one block unless n d^2 > 2e6), so the per-chunk masks,
+    Grams and products stay small."""
     n, d = data.inputs.shape
-    chunk = int(max(1, min(1024, 2e6 // max(n, d * d))))
+    chunk = int(max(1, min(_DIRECTION_CHUNK, 2e6 // max(n, d * d))))
     rows = int(max(1, 2e6 // (d * d)))
     blocks = [data.inputs[i : i + rows] for i in range(0, n, rows)]
     best = 0.0
@@ -287,7 +333,7 @@ def _shared_direction_search(data: ReluDataset, k: int, budget: int, rng: np.ran
             ((x @ v.T) >= 0.0).T.astype(float) @ (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
             for x in blocks
         )
-        best = max(best, float(np.linalg.eigvalsh(grams.reshape(-1, d, d))[:, -1].max()))
+        best = _max_top_eigenvalue(grams.reshape(-1, d, d), best)
     return float(k) * best / n
 
 

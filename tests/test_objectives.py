@@ -133,10 +133,13 @@ class TestPointRule:
 
 class TestBoxDomain:
     @pytest.mark.parametrize(
-        "lower, upper", [([-np.inf], [1.0]), ([-1.0], [np.inf])], ids=["infinite-lower", "infinite-upper"]
+        "lower, upper",
+        [([-np.inf], [1.0]), ([-1.0], [np.inf]), ([-1e308, 0.0], [1e308, 1.0])],
+        ids=["infinite-lower", "infinite-upper", "overflowing-width"],
     )
     def test_infinite_bound_rejected(self, lower, upper):
-        # a box with an infinite side has no uniform samples, and rng.uniform would fail inside numpy
+        # a box with an infinite side or width has no uniform samples, and rng.uniform
+        # would fail inside numpy (OverflowError on a width past the float range)
         with pytest.raises(InvalidInputError, match="must be finite"):
             BoxDomain(lower, upper, 4)
 

@@ -331,13 +331,19 @@ class TestDatasetGeneration:
         assert np.array_equal(w0.flat, initial_weights(cfg).flat)
 
     def test_one_forward_pass(self, monkeypatch):
-        # ReluDataset derives the targets; generate_dataset does not compute them too
+        # ReluDataset derives the targets on first read and keeps them; the bounds and the
+        # oracle never read them, so a report costs no forward pass
         calls = []
         original = relu_module._forward_all
         monkeypatch.setattr(relu_module, "_forward_all", lambda *args: calls.append(args) or original(*args))
         data = generate_dataset(NetConfig(d=3, k=2, n=10, seed=0))
-        assert len(calls) == 1
-        assert np.array_equal(data.targets, original(data.inputs, data.teacher.matrix))
+        bound_alpha1(data, 2)
+        bound_alpha4(data, 2)
+        alpha_oracle(data, 2, "random-search", budget=10)
+        assert not calls
+        targets = data.targets
+        assert data.targets is targets and len(calls) == 1
+        assert np.array_equal(targets, original(data.inputs, data.teacher.matrix))
 
 
 class TestNearKink:
@@ -361,6 +367,11 @@ class TestAlphaBounds:
         assert alpha_single_point([3.0, 4.0], 5) == 125.0
         assert alpha_single_point([0.0, 0.0], 3) == 0.0
         assert alpha_single_point([1.0], 1) == 1.0
+
+    def test_alpha_single_point_rejects_a_stack(self):
+        # x @ x on a (2, 2) array is a matrix, which float() cannot take
+        with pytest.raises(InvalidInputError, match="expected one point"):
+            alpha_single_point([[1.0, 2.0], [3.0, 4.0]], 1)
 
     def test_alpha1_by_hand(self):
         teacher = _weights([[0.0, 0.0]] * 3)
@@ -610,6 +621,18 @@ class TestAlphaOracle:
         found = alpha_oracle(data, 2, "random-search", budget=budget, rng=np.random.default_rng(9))
         assert found == pytest.approx(2 * best / n, rel=1e-12)
 
+    @pytest.mark.parametrize("d, n, budget", [(10, 200, 1000), (3, 1, 300), (1, 30, 600)],
+                             ids=["partial-chunk", "n1", "d1"])
+    def test_random_search_matches_unpruned(self, d, n, budget):
+        # the same chunks and GEMMs with eigvalsh on every Gram give the same bits
+        data = generate_dataset(NetConfig(d, 2, n, seed=5))
+        x, chunk, rng, best = data.inputs, relu_module._DIRECTION_CHUNK, np.random.default_rng(3), 0.0
+        for start in range(0, budget, chunk):
+            v = rng.standard_normal((min(chunk, budget - start), d))
+            grams = ((x @ v.T) >= 0.0).T.astype(float) @ (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
+            best = max(best, float(np.linalg.eigvalsh(grams.reshape(-1, d, d))[:, -1].max()))
+        assert alpha_oracle(data, 2, "random-search", budget=budget, rng=np.random.default_rng(3)) == 2 * best / n
+
     def test_random_search_default_stream(self):
         data = generate_dataset(NetConfig(d=3, k=2, n=40, seed=7))
         assert alpha_oracle(data, 2, "random-search", budget=500) == alpha_oracle(
@@ -643,6 +666,49 @@ class TestAlphaOracle:
         data = generate_dataset(NetConfig(d=2, k=1, n=4, seed=0))
         with pytest.raises(InvalidInputError):
             alpha_oracle(data, 1, "grid")
+
+
+def _gram_batch(d):
+    # full-rank, rank-one and zero Grams at scales from 1e-150 to 1e150, shuffled,
+    # plus the masked Grams of one search chunk
+    rng = np.random.default_rng(d)
+    factors = [rng.standard_normal((40, d, d)), rng.standard_normal((40, d, 1)), np.zeros((10, d, 1))]
+    grams = np.concatenate([f @ f.transpose(0, 2, 1) for f in factors])
+    grams *= 10.0 ** rng.choice([-150, -3, 0, 3, 150], size=len(grams))[:, None, None]
+    x, v = rng.standard_normal((50, d)), rng.standard_normal((64, d))
+    masked = ((x @ v.T) >= 0.0).T.astype(float) @ (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
+    return np.concatenate([rng.permutation(grams), masked.reshape(-1, d, d)])
+
+
+class TestMaxTopEigenvalue:
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_bound_above_top_eigenvalue(self, d):
+        grams = _gram_batch(d)
+        bound = relu_module._top_eigenvalue_bound(grams)
+        assert np.all(bound >= np.linalg.eigvalsh(grams)[:, -1])
+        assert np.all(bound[np.einsum("ijj->i", grams) == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_equals_eigvalsh_maximum(self, d):
+        grams = _gram_batch(d)
+        tops = np.linalg.eigvalsh(grams)[:, -1]
+        # no floor, a floor some Grams beat, a floor none beats, and an all-zero batch
+        for floor in (0.0, float(np.median(tops)), 2.0 * float(tops.max())):
+            assert relu_module._max_top_eigenvalue(grams, floor) == max(floor, float(tops.max()))
+        zeros = np.zeros((5, d, d))
+        assert relu_module._max_top_eigenvalue(zeros, 0.0) == float(np.linalg.eigvalsh(zeros)[:, -1].max())
+        # rank-one Grams, where the bound is tightest: u = tr(G) up to the widening
+        for scale in (1e-150, 1.0, 1e150):
+            x = scale * np.random.default_rng(d).standard_normal((30, d, 1))
+            ranked = x @ x.transpose(0, 2, 1)
+            assert relu_module._max_top_eigenvalue(ranked, 0.0) == float(np.linalg.eigvalsh(ranked)[:, -1].max())
+
+    def test_search_solves_few_grams(self, monkeypatch):
+        # the trace-power bound rules out almost every Gram of a d10 n200 search
+        solved, original = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or original(a))
+        alpha_oracle(generate_dataset(NetConfig(10, 5, 200, seed=0)), 5, "random-search", budget=2000)
+        assert sum(solved) < 0.05 * 2000
 
 
 class TestDatasetIO:
