@@ -116,6 +116,8 @@ class ReluDataset:
             raise InvalidInputError("inputs must be a nonempty (n, d) array")
         if inputs.shape[1] != self.teacher.d:
             raise InvalidInputError("input dimension does not match the teacher")
+        if not (np.isfinite(inputs).all() and np.isfinite(self.teacher.flat).all()):
+            raise InvalidInputError("inputs and teacher weights must be finite")
         object.__setattr__(self, "inputs", inputs)
 
     @property
@@ -184,37 +186,40 @@ def loss(w: Weights, data: ReluDataset) -> float:
     return _loss_value(_checked_matrix(w, data), data)
 
 
-def _loss_terms(wmat: np.ndarray, data: ReluDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The neuron-major product W X^T, the residuals f(x_i, w) - y_i (summed over
-    neurons like _forward_all) and the loss: the one residual code of both loss
-    paths.  The loss has the bits of 0.5 * np.mean(resid**2), without np.mean's
-    Python overhead.  A stack (m, k, d) gives (m,) losses, each with the bits of
-    its own call, since the stacked product is one GEMM per matrix."""
-    zt = wmat @ data.inputs.T
-    resid = np.maximum(zt, 0.0).sum(axis=-2) - data.targets
-    return zt, resid, 0.5 * (np.add.reduce(resid * resid, axis=-1) / data.n)
+def _loss_terms(wmat: np.ndarray, data: ReluDataset, z=None, active=None) -> tuple[np.ndarray, np.ndarray]:
+    """The residuals f(x_i, w) - y_i of the neuron-major product W X^T (summed over neurons
+    like _forward_all) and the loss: the one residual code of both loss paths.  The loss has
+    the bits of 0.5 * np.mean(resid**2), without np.mean's Python overhead.  A stack (m, k, d)
+    gives (m,) losses, each with the bits of its own call, since the stacked product is one
+    GEMM per matrix.  Given (k, n) buffers, W X^T goes into the float one ``z``, the bool one
+    ``active`` records z >= 0, and the ReLU is taken in place."""
+    zt = np.matmul(wmat, data.inputs.T, out=z)
+    if active is not None:
+        np.greater_equal(zt, 0.0, out=active)
+    resid = np.maximum(zt, 0.0, out=z).sum(axis=-2) - data.targets
+    return resid, 0.5 * (np.add.reduce(resid * resid, axis=-1) / data.n)
 
 
 def _loss_value(wmat: np.ndarray, data: ReluDataset) -> float | np.ndarray:
     """The loss at a (k, d) weight matrix, or the (m,) losses at a stack (m, k, d) in chunks of
     STACK_CHUNK_ENTRIES: the values of _loss_and_gradient bit for bit, without the gradient."""
     if wmat.ndim == 2:
-        return float(_loss_terms(wmat, data)[2])
+        return float(_loss_terms(wmat, data)[1])
     out, step = np.empty(len(wmat)), max(1, STACK_CHUNK_ENTRIES // (wmat.shape[1] * data.n))
     for i in range(0, len(wmat), step):
-        out[i : i + step] = _loss_terms(wmat[i : i + step], data)[2]
+        out[i : i + step] = _loss_terms(wmat[i : i + step], data)[1]
     return out
 
 
-def _loss_and_gradient(wmat: np.ndarray, data: ReluDataset) -> tuple[float, np.ndarray]:
-    """Loss and flat gradient at the (k, d) weight matrix from _loss_terms.  The
-    masked residuals go into a Fortran-ordered (k, n) buffer, so the gradient
-    product m X is the same BLAS call, with the same bits, as the transposed
-    point-major form."""
-    zt, resid, value = _loss_terms(wmat, data)
-    m = np.multiply(zt >= 0.0, resid, out=np.empty(zt.shape, order="F"))
-    gmat = m @ data.inputs / data.n
-    return float(value), gmat.reshape(-1)
+def _loss_and_gradient(wmat: np.ndarray, data: ReluDataset, work=None) -> tuple[float, np.ndarray]:
+    """Loss and flat gradient at the (k, d) weight matrix, in the (k, n) float and bool
+    buffers ``work`` (fresh ones if None).  The masked residuals m overwrite the float
+    buffer in Fortran order, so the gradient product m X is the BLAS call, with the bits,
+    of the point-major form, and needs no (k, n) array of its own."""
+    z, active = work or (np.empty((len(wmat), data.n)), np.empty((len(wmat), data.n), dtype=bool))
+    resid, value = _loss_terms(wmat, data, z, active)
+    m = np.multiply(active, resid, out=z.reshape(data.n, -1).T)
+    return float(value), (m @ data.inputs / data.n).reshape(-1)
 
 
 def gradient(w: Weights, data: ReluDataset) -> np.ndarray:
@@ -321,18 +326,22 @@ def _shared_direction_search(data: ReluDataset, k: int, budget: int, rng: np.ran
     solves only those that can beat the best so far.  Directions come in chunks
     of at most _DIRECTION_CHUNK (fewer once n or d^2 passes 2e6 / _DIRECTION_CHUNK)
     and points in blocks (one block unless n d^2 > 2e6), so the per-chunk masks,
-    Grams and products stay small."""
+    Grams and products stay small.  One block's products are formed once per
+    search; several blocks form theirs per chunk, so one block's are held at a time."""
     n, d = data.inputs.shape
+
+    def outer(x):  # the flattened x_i x_i^T of a point block, (rows, d^2)
+        return (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
+
     chunk = int(max(1, min(_DIRECTION_CHUNK, 2e6 // max(n, d * d))))
     rows = int(max(1, 2e6 // (d * d)))
     blocks = [data.inputs[i : i + rows] for i in range(0, n, rows)]
+    held = [outer(blocks[0])] if n <= rows else None
     best = 0.0
     for start in range(0, budget, chunk):
         v = rng.standard_normal((min(chunk, budget - start), d))
-        grams = sum(
-            ((x @ v.T) >= 0.0).T.astype(float) @ (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
-            for x in blocks
-        )
+        products = held or map(outer, blocks)
+        grams = sum(((x @ v.T) >= 0.0).T.astype(float) @ p for x, p in zip(blocks, products))
         best = _max_top_eigenvalue(grams.reshape(-1, d, d), best)
     return float(k) * best / n
 
@@ -395,11 +404,14 @@ def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
 def loss_objective(data: ReluDataset) -> ObjectiveFunction:
     """The training loss as an objective over flat weights in R^{kd}; each call
     works on flat.reshape(k, d) directly, and its value-only callable returns the fused
-    call's value bit for bit without forming the gradient, also for a stack (m, kd)."""
+    call's value bit for bit without forming the gradient, also for a stack (m, kd).  The
+    fused call reuses one (k, n) workspace that this objective owns, so one objective must
+    not be called from two threads at once."""
     k, d = data.teacher.k, data.teacher.d
+    work = (np.empty((k, data.n)), np.empty((k, data.n), dtype=bool))
 
     def value_and_gradient(flat):
-        return _loss_and_gradient(np.asarray(flat, dtype=float).reshape(k, d), data)
+        return _loss_and_gradient(np.asarray(flat, dtype=float).reshape(k, d), data, work)
 
     def value(flat):
         flat = np.asarray(flat, dtype=float)

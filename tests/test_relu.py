@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,15 @@ def _point_major(wmat, inputs, targets):
     resid = outputs - targets
     gmat = ((z >= 0) * resid[:, None]).T @ inputs / inputs.shape[0]
     return outputs, float(0.5 * np.mean(resid**2)), gmat.reshape(-1)
+
+
+def _fortran_buffer_kernel(wmat, data):
+    # the fused kernel without a workspace: fresh (k, n) arrays for W X^T, the
+    # ReLU and the mask, and the masked residuals in a fresh Fortran-ordered buffer
+    zt = wmat @ data.inputs.T
+    resid = np.maximum(zt, 0.0).sum(axis=0) - data.targets
+    m = np.multiply(zt >= 0.0, resid, out=np.empty(zt.shape, order="F"))
+    return float(0.5 * (np.add.reduce(resid * resid) / data.n)), (m @ data.inputs / data.n).reshape(-1)
 
 
 class TestWeights:
@@ -160,6 +170,55 @@ class TestNeuronMajorKernel:
             assert value == 0.0
             assert np.array_equal(grad, np.zeros(k * 10))
             assert loss(data.teacher, data) == 0.0
+
+
+class TestLossWorkspace:
+    """The loss objective's fused call reuses one (k, n) float and one bool buffer."""
+
+    def test_matches_fortran_buffer_formula(self):
+        # bit for bit on every width from 1 to 200, at d = 1 and n = 1 too, on
+        # repeated calls of one objective (a warm workspace) and on relu.gradient
+        rng = np.random.default_rng(15)
+        shapes = [(1, 1, 1), (1, 200, 1), (1, 7, 500), (1, 120, 300), (5, 200, 1), (50, 200, 300), (10, 50, 10_000)]
+        shapes += [(int(rng.integers(1, 60)), k, int(rng.integers(1, 400))) for k in range(1, 201, 3)]
+        for d, k, n in shapes:
+            data = generate_dataset(NetConfig(d, k, n, int(rng.integers(0, 2**31))))
+            f = loss_objective(data)
+            for w in rng.standard_normal((3, k * d)) * 10.0 ** rng.uniform(-3, 3, (3, 1)):
+                value, grad = _fortran_buffer_kernel(w.reshape(k, d), data)
+                got_value, got_grad = f.value_and_gradient(w)
+                assert got_value == value and np.array_equal(got_grad, grad)
+                assert np.array_equal(gradient(Weights(w, k=k, d=d), data), grad)
+
+    @pytest.mark.parametrize("d, k, n", [(10, 5, 10_000), (10, 50, 1000)])
+    def test_warm_call_allocates_less_than_one_buffer(self, d, k, n):
+        # a warmed call allocates only (n,) residuals and (k, d) gradients: its
+        # tracemalloc peak stays below one (k, n) float array of k n 8 bytes
+        data = generate_dataset(NetConfig(d, k, n, seed=1))
+        f, w = loss_objective(data), initial_weights(NetConfig(d, k, n, seed=1)).flat
+        f.value_and_gradient(w)
+        tracemalloc.start()
+        try:
+            f.value_and_gradient(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < k * n * 8
+
+    def test_objectives_share_no_workspace(self):
+        # two objectives on one dataset, called alternately, and a returned
+        # gradient kept across later calls, give the bits of fresh objectives
+        data = generate_dataset(NetConfig(d=4, k=6, n=300, seed=2))
+        rng = np.random.default_rng(2)
+        f, g = loss_objective(data), loss_objective(data)
+        kept = []
+        for w, v in rng.standard_normal((10, 2, 24)):
+            got = (f.value_and_gradient(w), g.value_and_gradient(v))
+            ref = (loss_objective(data).value_and_gradient(w), loss_objective(data).value_and_gradient(v))
+            for (a, ga), (b, gb) in zip(got, ref):
+                assert a == b and np.array_equal(ga, gb)
+            kept.append((got[0][1], ref[0][1].copy()))
+        assert all(np.array_equal(a, b) for a, b in kept)
 
 
 class TestValueOnlyLoss:
@@ -301,6 +360,24 @@ class TestInputRules:
         data = generate_dataset(NetConfig(d=2, k=1, n=5, seed=0))
         with pytest.raises(InvalidInputError, match="k must be at least 1"):
             caller(data)
+
+    @pytest.mark.parametrize("where, value", [("inputs", np.nan), ("inputs", -np.inf), ("teacher", np.nan)])
+    def test_non_finite_dataset(self, where, value):
+        # a NaN input had reached random search, which died in eigvalsh
+        inputs, teacher = np.ones((4, 2)), np.ones(4)
+        {"inputs": inputs, "teacher": teacher}[where][1] = value
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            alpha_oracle(ReluDataset(inputs, Weights(teacher, k=2, d=2), seed=0), 2, "random-search", budget=8)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_in_dataset_file(self, tmp_path, cell):
+        data = generate_dataset(NetConfig(d=2, k=2, n=5, seed=0))
+        save_dataset(data, tmp_path / "data.csv", tmp_path / "teacher.csv")
+        lines = (tmp_path / "data.csv").read_text().splitlines()
+        lines[2] = ",".join([cell] + lines[2].split(",")[1:])
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            load_dataset(tmp_path / "data.csv", tmp_path / "teacher.csv")
 
 
 class TestDatasetGeneration:
@@ -621,15 +698,22 @@ class TestAlphaOracle:
         found = alpha_oracle(data, 2, "random-search", budget=budget, rng=np.random.default_rng(9))
         assert found == pytest.approx(2 * best / n, rel=1e-12)
 
-    @pytest.mark.parametrize("d, n, budget", [(10, 200, 1000), (3, 1, 300), (1, 30, 600)],
-                             ids=["partial-chunk", "n1", "d1"])
+    @pytest.mark.parametrize("d, n, budget", [(10, 200, 1000), (3, 1, 300), (1, 30, 600), (50, 900, 300)],
+                             ids=["partial-chunk", "n1", "d1", "two-blocks"])
     def test_random_search_matches_unpruned(self, d, n, budget):
-        # the same chunks and GEMMs with eigvalsh on every Gram give the same bits
+        # the same chunks and GEMMs with eigvalsh on every Gram, and outer
+        # products formed per chunk and per point block of 2e6 / d^2 rows,
+        # give the same bits as products formed once per search
         data = generate_dataset(NetConfig(d, 2, n, seed=5))
-        x, chunk, rng, best = data.inputs, relu_module._DIRECTION_CHUNK, np.random.default_rng(3), 0.0
+        chunk, rng, best = relu_module._DIRECTION_CHUNK, np.random.default_rng(3), 0.0
+        blocks = [data.inputs[i : i + int(2e6 // (d * d))] for i in range(0, n, int(2e6 // (d * d)))]
+        assert len(blocks) == (2 if d == 50 else 1)
         for start in range(0, budget, chunk):
             v = rng.standard_normal((min(chunk, budget - start), d))
-            grams = ((x @ v.T) >= 0.0).T.astype(float) @ (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
+            grams = sum(
+                ((x @ v.T) >= 0.0).T.astype(float) @ (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
+                for x in blocks
+            )
             best = max(best, float(np.linalg.eigvalsh(grams.reshape(-1, d, d))[:, -1].max()))
         assert alpha_oracle(data, 2, "random-search", budget=budget, rng=np.random.default_rng(3)) == 2 * best / n
 
