@@ -1,11 +1,12 @@
 """Largest-eigenvalue estimation for dense symmetric matrices.
 
-Three estimators with very different cost/tightness trade-offs:
+Four estimators with very different cost/tightness trade-offs:
 
 * ``power_iteration``    -- iterative, tight (converges to the dominant eigenvalue)
 * ``gershgorin_upper``   -- closed form, one pass over the rows
 * ``brauer_cassini_upper`` -- closed form over row pairs, never looser than Gershgorin
   in its standard form
+* ``_max_top_eigenvalue`` -- exact over a batch of matrices, screened by a certified bound
 
 The Gershgorin and Cassini formulas need only a diagonal and row radii, never
 the matrix itself.
@@ -23,6 +24,9 @@ SYMMETRY_RTOL = 1e-10
 RQ_CHANGE_TOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 MAX_POWER_ITERATIONS = 100_000
+_BATCH_ENTRIES = 2e6  # float64 entries per stacked batch of matrices (16 MB)
+_TOP_SOLVE_BLOCK = 8  # matrices per eigvalsh call in _max_top_eigenvalue
+_TOP_BOUND_RTOL = 1e-10  # widening of the centred trace-power bound, on top of 16 d^2 ulps
 
 ALPHA4_VARIANTS = ("standard", "paper")
 
@@ -130,6 +134,44 @@ def _cassini(diag: np.ndarray, radii: np.ndarray, variant: str, twinned: bool = 
     if not twinned:
         np.fill_diagonal(vals, -np.inf)
     return float(vals.max())
+
+
+def _top_eigenvalue_bound(mats: np.ndarray) -> np.ndarray:
+    """A certified bound u >= lambda_max per matrix of a batch (m, d, d) of symmetric matrices: with
+    c = tr(G)/d and B = G - cI, every eigenvalue has lambda - c <= tr(B^8)^(1/8) =: r (an even power).  B is
+    scaled by G's largest entry, so its powers never overflow and underflow only where B << |c|; the widening
+    covers that and a few d^2 ulps of ||G||_2 <= |c| + r.  A zero matrix has u = 0; NaN reads inf."""
+    d = mats.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.einsum("ijj->i", mats) / d
+        scale = np.maximum(np.abs(mats).max(axis=(1, 2)), np.finfo(float).tiny)
+        a = mats / scale[:, None, None]
+        a.reshape(-1, d * d)[:, :: d + 1] -= (c / scale)[:, None]  # a = B / scale: entries at most 2
+        a = a @ a
+        a = a @ a  # two squarings hold two (m, d, d) arrays at a time, not three
+        r = scale * np.einsum("ijk,ijk->i", a, a) ** (1 / 8)  # tr(B^8) = ||B^4||_F^2
+        u = c + r + (_TOP_BOUND_RTOL + 16 * d * d * np.finfo(float).eps) * (np.abs(c) + r)
+    return np.where(np.isnan(u), np.inf, u)
+
+
+def _max_top_eigenvalue(mats: np.ndarray, floor: float = -np.inf) -> tuple[float, int]:
+    """(max(floor, eigvalsh(mats)[:, -1].max()), the first index attaining it) for a batch (m, d, d) of
+    symmetric matrices, bit for bit; the index is -1 if none beats floor, and NaN never wins.  eigvalsh runs
+    in blocks of _TOP_SOLVE_BLOCK in decreasing order of the bound u, where u >= best so far (a skipped one
+    has lambda_max <= u < best).  One block is solved whole: large matrices come few, and cost a solve to bound."""
+    bound = _top_eigenvalue_bound(mats) if len(mats) > _TOP_SOLVE_BLOCK else np.full(len(mats), np.inf)
+    order = np.argsort(-bound)
+    best, first = floor, -1
+    for start in range(0, len(order), _TOP_SOLVE_BLOCK):
+        block = order[start : start + _TOP_SOLVE_BLOCK]
+        if bound[block[0]] < best:  # bounds decrease along order: no later matrix can reach best
+            break
+        block = np.sort(block[bound[block] >= best])  # index order: argmax takes the first of a tie
+        tops = np.linalg.eigvalsh(mats[block])[:, -1]
+        i = int(np.argmax(np.where(np.isnan(tops), -np.inf, tops)))
+        if (tops[i], -block[i]) > (best, -first):  # a larger value, or a tie at a lower index
+            best, first = float(tops[i]), int(block[i])
+    return best, first
 
 
 def gershgorin_upper(m: SymMatrix) -> float:

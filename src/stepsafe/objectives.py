@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigenbounds import SymMatrix
+from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _max_top_eigenvalue
 from .errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError
 
 QUAD_CHECK_RTOL = 1e-9
@@ -227,19 +227,20 @@ def estimate_concavifier_midpoint(
 def estimate_concavifier_hessian(
     f: ObjectiveFunction, domain: BoxDomain, rng: np.random.Generator | None = None
 ) -> ConcavifierEstimate:
-    """Maximize the largest Hessian eigenvalue (dense eigvalsh, so no iteration
-    has to converge) over sampled points in the box."""
+    """Maximize the largest Hessian eigenvalue (dense eigvalsh, so no iteration has to converge) over
+    sampled points in the box, their Hessians stacked in chunks of at most _BATCH_ENTRIES entries.
+    The witness is the first sample with the largest value; a NaN value never wins."""
     if f.hessian is None:
         raise UnsupportedOperationError("objective does not provide a Hessian")
     _as_point(f, domain.lower)
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    best = -np.inf
-    witness = None
-    for x in domain.sample(rng, domain.budget):
-        lam = float(np.linalg.eigvalsh(f.hessian(x).entries)[-1])
-        if lam > best:
-            best, witness = lam, x
+    xs = domain.sample(rng, domain.budget)
+    step = int(max(1, _BATCH_ENTRIES // f.dim**2))
+    best, witness = -np.inf, None
+    for start in range(0, len(xs), step):
+        best, first = _max_top_eigenvalue(np.stack([f.hessian(x).entries for x in xs[start : start + step]]), best)
+        witness = xs[start + first] if first >= 0 else witness  # first = -1: no better sample here
     return ConcavifierEstimate(
         value=max(0.0, best), method="hessian-sampling", samples_used=domain.budget, witness=witness
     )

@@ -27,7 +27,7 @@ in O(nd^2 + d^3), whatever k is, and M is never built.
 The oracle's optimum gives every neuron the same activation pattern s, so it
 is (k/n) max_s lambda_max(X_s^T X_s) over the patterns of one direction v.
 Since w = 0 activates every point, that maximum is alpha2 (pattern-enum);
-random search reports the best of many nonzero directions, on d x d Grams.
+random search hands eigenbounds the d x d Grams of many nonzero directions.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigenbounds import SymMatrix, _cassini, _gershgorin
+from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _cassini, _gershgorin, _max_top_eigenvalue
 from .errors import InvalidInputError, UnsupportedOperationError
 from .objectives import ObjectiveFunction
 from .tableio import read_floats, write_table
@@ -48,8 +48,6 @@ PATTERN_ENUM_MAX_DIM = 3
 KINK_MARGIN_RTOL = 1e-6
 STACK_CHUNK_ENTRIES = 2**13  # (m, k, n) entries per chunk of a stacked loss: 64 KB of float64
 _DIRECTION_CHUNK = 256  # oracle directions per chunk: larger chunks grow peak memory, not speed
-_TOP_SOLVE_BLOCK = 8  # Grams per eigvalsh call in _max_top_eigenvalue
-_TOP_BOUND_RTOL = 1e-10  # widening of the trace-power bound, on top of 16 d^2 ulps
 
 # seed stream tags for student initializations and the oracle search, kept
 # distinct from data streams
@@ -95,11 +93,14 @@ class Weights:
         return self.flat.reshape(self.k, self.d)
 
 
-def _forward_all(inputs: np.ndarray, wmat: np.ndarray) -> np.ndarray:
-    """The one forward pass, neuron-major: the (k, n) product W X^T summed over
-    neurons.  _loss_and_gradient sums the same layout in the same order, so the
-    loss and gradient at the teacher are exactly 0 for every k."""
-    return np.maximum(wmat @ inputs.T, 0.0).sum(axis=0)
+def _forward_all(inputs: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.ndarray:
+    """The one forward pass, neuron-major: W X^T summed over neurons (axis -2: a stack (m, k, d) gives
+    (m, n)), for targets and residuals alike, so the teacher's loss and gradient are exactly 0.  Given
+    (k, n) buffers, W X^T goes into ``z``, ``active`` records z >= 0, and the ReLU is taken in place."""
+    zt = np.matmul(wmat, inputs.T, out=z)
+    if active is not None:
+        np.greater_equal(zt, 0.0, out=active)
+    return np.maximum(zt, 0.0, out=z).sum(axis=-2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,16 +188,10 @@ def loss(w: Weights, data: ReluDataset) -> float:
 
 
 def _loss_terms(wmat: np.ndarray, data: ReluDataset, z=None, active=None) -> tuple[np.ndarray, np.ndarray]:
-    """The residuals f(x_i, w) - y_i of the neuron-major product W X^T (summed over neurons
-    like _forward_all) and the loss: the one residual code of both loss paths.  The loss has
-    the bits of 0.5 * np.mean(resid**2), without np.mean's Python overhead.  A stack (m, k, d)
-    gives (m,) losses, each with the bits of its own call, since the stacked product is one
-    GEMM per matrix.  Given (k, n) buffers, W X^T goes into the float one ``z``, the bool one
-    ``active`` records z >= 0, and the ReLU is taken in place."""
-    zt = np.matmul(wmat, data.inputs.T, out=z)
-    if active is not None:
-        np.greater_equal(zt, 0.0, out=active)
-    resid = np.maximum(zt, 0.0, out=z).sum(axis=-2) - data.targets
+    """The residuals f(x_i, w) - y_i of _forward_all (in its buffers, if given) and the loss, with
+    the bits of 0.5 * np.mean(resid**2): the one residual code of both loss paths.  A stack
+    (m, k, d) gives (m,) losses, each with the bits of its own call (one GEMM per matrix)."""
+    resid = _forward_all(data.inputs, wmat, z, active) - data.targets
     return resid, 0.5 * (np.add.reduce(resid * resid, axis=-1) / data.n)
 
 
@@ -284,57 +279,19 @@ def bound_alpha4(data: ReluDataset, k: int, variant: str = "standard") -> float:
     return _cassini(diag, radii, variant, twinned=k >= 2 or diag.size == 1)
 
 
-def _top_eigenvalue_bound(grams: np.ndarray) -> np.ndarray:
-    """A certified upper bound u >= lambda_max per Gram of a batch (m, d, d) of PSD Grams.
-
-    u = tr(G) tr(A^16)^(1/16) with A = G / tr(G), where tr(A^16) = ||A^8||_F^2 after three
-    batched squarings; the trace scaling keeps tr(A^16) in [d^-16, 1], clear of overflow and
-    underflow.  Rounding moves the computed u and eigvalsh's lambda_max by a few d^2 ulps
-    relative, which the widening covers.  A zero-trace Gram is 0 and has u = 0; a bound that is
-    not a number certifies nothing and reads inf."""
-    d = grams.shape[-1]
-    trace = np.einsum("ijj->i", grams)
-    a = grams / np.where(trace > 0.0, trace, 1.0)[:, None, None]
-    for _ in range(3):
-        a = a @ a
-    widen = 1.0 + _TOP_BOUND_RTOL + 16 * d * d * np.finfo(float).eps
-    return np.nan_to_num(trace * np.einsum("ijk,ijk->i", a, a) ** (1 / 16) * widen, nan=np.inf)
-
-
-def _max_top_eigenvalue(grams: np.ndarray, floor: float) -> float:
-    """max(floor, eigvalsh(grams)[:, -1].max()) for a batch (m, d, d) of PSD Grams, bit for bit.
-
-    eigvalsh runs only on Grams whose _top_eigenvalue_bound exceeds the best so far, in
-    decreasing order of the bound and in blocks of _TOP_SOLVE_BLOCK.  A skipped Gram has
-    lambda_max <= u <= best, so it cannot change the maximum."""
-    bound = _top_eigenvalue_bound(grams)
-    order = np.argsort(-bound)
-    best = floor
-    for start in range(0, len(order), _TOP_SOLVE_BLOCK):
-        block = order[start : start + _TOP_SOLVE_BLOCK]
-        if bound[block[0]] <= best:  # bounds decrease along order: no later Gram can beat best
-            break
-        block = block[bound[block] > best]
-        best = max(best, float(np.linalg.eigvalsh(grams[block])[:, -1].max()))
-    return best
-
-
 def _shared_direction_search(data: ReluDataset, k: int, budget: int, rng: np.random.Generator) -> float:
-    """(k/n) max lambda_max(sum_{x_i^T v >= 0} x_i x_i^T) over ``budget`` Gaussian
-    directions v in R^d: a GEMM of the masks against the flattened outer
-    products x_i x_i^T gives a chunk of d x d Grams, and _max_top_eigenvalue
-    solves only those that can beat the best so far.  Directions come in chunks
-    of at most _DIRECTION_CHUNK (fewer once n or d^2 passes 2e6 / _DIRECTION_CHUNK)
-    and points in blocks (one block unless n d^2 > 2e6), so the per-chunk masks,
-    Grams and products stay small.  One block's products are formed once per
-    search; several blocks form theirs per chunk, so one block's are held at a time."""
+    """(k/n) max lambda_max(sum_{x_i^T v >= 0} x_i x_i^T) over ``budget`` Gaussian directions v in R^d:
+    a GEMM of the masks against the flattened outer products x_i x_i^T gives a chunk of d x d Grams for
+    _max_top_eigenvalue.  Directions come in chunks of at most _DIRECTION_CHUNK (fewer once n or d^2
+    passes 2e6 / _DIRECTION_CHUNK) and points in blocks (one unless n d^2 > 2e6), so masks, Grams and
+    products stay small; one block's products are formed once per search, several blocks' per chunk."""
     n, d = data.inputs.shape
 
     def outer(x):  # the flattened x_i x_i^T of a point block, (rows, d^2)
         return (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
 
-    chunk = int(max(1, min(_DIRECTION_CHUNK, 2e6 // max(n, d * d))))
-    rows = int(max(1, 2e6 // (d * d)))
+    chunk = int(max(1, min(_DIRECTION_CHUNK, _BATCH_ENTRIES // max(n, d * d))))
+    rows = int(max(1, _BATCH_ENTRIES // (d * d)))
     blocks = [data.inputs[i : i + rows] for i in range(0, n, rows)]
     held = [outer(blocks[0])] if n <= rows else None
     best = 0.0
@@ -342,7 +299,7 @@ def _shared_direction_search(data: ReluDataset, k: int, budget: int, rng: np.ran
         v = rng.standard_normal((min(chunk, budget - start), d))
         products = held or map(outer, blocks)
         grams = sum(((x @ v.T) >= 0.0).T.astype(float) @ p for x, p in zip(blocks, products))
-        best = _max_top_eigenvalue(grams.reshape(-1, d, d), best)
+        best = _max_top_eigenvalue(grams.reshape(-1, d, d), best)[0]
     return float(k) * best / n
 
 

@@ -1,12 +1,21 @@
 """Tests for the symmetric-matrix eigenvalue machinery."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stepsafe.eigenbounds import SymMatrix, brauer_cassini_upper, gershgorin_upper, power_iteration
+from stepsafe.eigenbounds import (
+    SymMatrix,
+    _max_top_eigenvalue,
+    _top_eigenvalue_bound,
+    brauer_cassini_upper,
+    gershgorin_upper,
+    power_iteration,
+)
 from stepsafe.errors import InvalidInputError
 from stepsafe.relu import ReluDataset, Weights, bound_alpha2
 
@@ -194,3 +203,110 @@ class TestKronStructure:
     def test_rejects_bad_k(self):
         with pytest.raises(InvalidInputError):
             bound_alpha2(self._data(np.eye(2), 1), 0)
+
+
+def _gram_batch(d):
+    # full-rank, rank-one and zero Grams at scales from 1e-150 to 1e150, shuffled,
+    # plus the masked Grams of one search chunk
+    rng = np.random.default_rng(d)
+    factors = [rng.standard_normal((40, d, d)), rng.standard_normal((40, d, 1)), np.zeros((10, d, 1))]
+    grams = np.concatenate([f @ f.transpose(0, 2, 1) for f in factors])
+    grams *= 10.0 ** rng.choice([-150, -3, 0, 3, 150], size=len(grams))[:, None, None]
+    x, v = rng.standard_normal((50, d)), rng.standard_normal((64, d))
+    masked = ((x @ v.T) >= 0.0).T.astype(float) @ (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
+    return np.concatenate([rng.permutation(grams), masked.reshape(-1, d, d)])
+
+
+def _symmetric_batch(d):
+    # indefinite, negative definite, cI, and nonzero zero-trace matrices such as
+    # diag(1, -1), each also scaled by 1e-150 and 1e150, shuffled
+    rng = np.random.default_rng(d + 100)
+    g = rng.standard_normal((30, d, d))
+    indefinite = g + g.transpose(0, 2, 1)
+    negative = -(g @ g.transpose(0, 2, 1)) - 1e-3 * np.eye(d)
+    scalar = np.array([-2.0, 0.0, 0.1, 3.0])[:, None, None] * np.eye(d)
+    traceless = indefinite[:10] - np.einsum("ijj->i", indefinite[:10])[:, None, None] / d * np.eye(d)
+    pairs = np.diag(np.resize([1.0, -1.0], d) * (np.arange(d) < d - d % 2))[None]
+    batch = np.concatenate([indefinite, negative, scalar, traceless, pairs])
+    return rng.permutation(np.concatenate([batch, 1e-150 * batch, 1e150 * batch]))
+
+
+def _unpruned(mats, floor=-np.inf):
+    # the maximum and its first index by a plain loop over eigvalsh
+    best, first = floor, -1
+    for i, top in enumerate(np.linalg.eigvalsh(mats)[:, -1]):
+        if top > best:
+            best, first = float(top), i
+    return best, first
+
+
+class TestMaxTopEigenvalue:
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_bound_above_top_eigenvalue(self, d):
+        grams = _gram_batch(d)
+        bound = _top_eigenvalue_bound(grams)
+        assert np.all(bound >= np.linalg.eigvalsh(grams)[:, -1])
+        assert np.all(bound[np.einsum("ijj->i", grams) == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_equals_eigvalsh_maximum(self, d):
+        grams = _gram_batch(d)
+        tops = np.linalg.eigvalsh(grams)[:, -1]
+        # no floor, a floor some Grams beat, a floor none beats, and an all-zero batch
+        for floor in (0.0, float(np.median(tops)), 2.0 * float(tops.max())):
+            assert _max_top_eigenvalue(grams, floor)[0] == max(floor, float(tops.max()))
+        zeros = np.zeros((5, d, d))
+        assert _max_top_eigenvalue(zeros, 0.0)[0] == float(np.linalg.eigvalsh(zeros)[:, -1].max())
+        # rank-one Grams, where the bound is tightest: u is lambda_max up to d^(1/8) of
+        # the spread about the mean eigenvalue, and the widening
+        for scale in (1e-150, 1.0, 1e150):
+            x = scale * np.random.default_rng(d).standard_normal((30, d, 1))
+            ranked = x @ x.transpose(0, 2, 1)
+            assert _max_top_eigenvalue(ranked, 0.0)[0] == float(np.linalg.eigvalsh(ranked)[:, -1].max())
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_symmetric_bound_above_top_eigenvalue(self, d):
+        mats = _symmetric_batch(d)
+        assert np.all(_top_eigenvalue_bound(mats) >= np.linalg.eigvalsh(mats)[:, -1])
+
+    def test_rank_one_at_large_d(self):
+        # tr(B^8)^(1/8) exceeds lambda_max - c by (d - 1)^-7 / 8 relative on a rank-one
+        # Gram, below one ulp at d = 200, where only the widening keeps u above eigvalsh
+        x = np.random.default_rng(200).standard_normal((30, 200, 1))
+        grams = x @ x.transpose(0, 2, 1)
+        assert np.all(_top_eigenvalue_bound(grams) >= np.linalg.eigvalsh(grams)[:, -1])
+
+    def test_bound_above_eigvalsh_error(self):
+        # eigvalsh returns 1.5000054 for this matrix, whose top eigenvalue is 1.5
+        a = np.where(np.arange(16).reshape(4, 4) == 1, 3.0, 3.5744346e-160)
+        a = (a + a.T)[None] / 2.0
+        assert _top_eigenvalue_bound(a)[0] >= np.linalg.eigvalsh(a)[0, -1]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_matches_unpruned_loop(self, d):
+        for mats in (_gram_batch(d), _symmetric_batch(d)):
+            tops = np.linalg.eigvalsh(mats)[:, -1]
+            for floor in (-np.inf, 0.0, float(np.median(tops)), 2.0 * float(tops.max())):
+                assert _max_top_eigenvalue(mats, floor) == _unpruned(mats, floor)
+
+    def test_ties_keep_the_first_index(self):
+        # equal matrices, and a zero matrix tying 8 later ones whose bounds are larger,
+        # so it is solved in a later block than they are
+        same = np.broadcast_to(np.diag([1.0, 3.0]), (20, 2, 2))
+        assert _max_top_eigenvalue(same) == (3.0, 0)
+        tied = np.concatenate([np.zeros((1, 2, 2)), np.broadcast_to(np.diag([0.0, -1.0]), (8, 2, 2))])
+        assert _top_eigenvalue_bound(tied)[0] < _top_eigenvalue_bound(tied)[1]
+        assert _max_top_eigenvalue(tied) == _unpruned(tied) == (0.0, 0)
+        assert _max_top_eigenvalue(tied, 0.0) == (0.0, -1)
+
+    def test_nan_never_wins(self):
+        # a NaN matrix's bound reads inf, so it is solved, and its NaN top eigenvalue loses
+        mats = np.concatenate([np.full((1, 2, 2), np.nan), np.arange(1.0, 11.0)[:, None, None] * np.eye(2)])
+        assert _max_top_eigenvalue(mats) == _unpruned(mats) == (10.0, 10)
+        assert _max_top_eigenvalue(mats[:1]) == (-np.inf, -1)
+
+    def test_non_finite_bound_reads_inf_without_warning(self):
+        huge = np.full((1, 3, 3), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _top_eigenvalue_bound(huge)[0] == np.inf

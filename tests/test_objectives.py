@@ -22,6 +22,7 @@ from stepsafe.objectives import (
     quadratic_objective,
     upper_quadratic_check,
 )
+from stepsafe.relu import NetConfig, generate_dataset, loss_objective
 
 
 def _square_1d():
@@ -279,15 +280,20 @@ class TestMidpointWitness:
 class TestHessianEstimator:
     def test_constant_hessian(self):
         f = quadratic_objective(np.diag([1.0, 3.0]))
-        est = estimate_concavifier_hessian(f, _box([-1, -1], [1, 1], 64), np.random.default_rng(0))
+        box = _box([-1, -1], [1, 1], 64)
+        est = estimate_concavifier_hessian(f, box, np.random.default_rng(0))
         assert est.value == pytest.approx(3.0, abs=1e-8)
         assert est.method == "hessian-sampling"
         assert est.samples_used == 64
+        # every sample ties, so the witness is the first one
+        assert np.array_equal(est.witness, box.sample(np.random.default_rng(0), 1)[0])
 
     def test_isotropic(self):
         f = quadratic_objective(np.eye(4))
-        est = estimate_concavifier_hessian(f, _box([-1] * 4, [1] * 4, 32), np.random.default_rng(0))
+        box = _box([-1] * 4, [1] * 4, 32)
+        est = estimate_concavifier_hessian(f, box, np.random.default_rng(0))
         assert est.value == pytest.approx(1.0, abs=1e-8)
+        assert np.array_equal(est.witness, box.sample(np.random.default_rng(0), 1)[0])
 
     def test_sine_curvature(self):
         import math
@@ -307,8 +313,10 @@ class TestHessianEstimator:
         # f = (x1^2 - 3 x2^2)/2: the largest Hessian eigenvalue is 1, while the
         # eigenvalue of largest magnitude is -3
         f = quadratic_objective(np.diag([1.0, -3.0]))
-        est = estimate_concavifier_hessian(f, _box([-1, -1], [1, 1], 8), np.random.default_rng(0))
+        box = _box([-1, -1], [1, 1], 8)
+        est = estimate_concavifier_hessian(f, box, np.random.default_rng(0))
         assert est.value == 1.0
+        assert np.array_equal(est.witness, box.sample(np.random.default_rng(0), 1)[0])
 
     def test_missing_hessian(self):
         f = ObjectiveFunction(dim=1, value_and_gradient=lambda x: (float(x[0]), np.ones(1)))
@@ -325,6 +333,20 @@ class TestHessianEstimator:
         est = estimate_concavifier_hessian(f, _box([-1] * 5, [1] * 5, 16), rng)
         lipschitz = np.linalg.eigvalsh(a)[-1]
         assert est.value == pytest.approx(lipschitz, abs=1e-8 * max(1.0, lipschitz))
+
+    def test_matches_eigvalsh_loop_on_loss(self):
+        # the value and witness of a plain eigvalsh loop over the samples, on the
+        # d10 k5 n200 loss over [-1, 1]^50
+        for seed in range(5):
+            f = loss_objective(generate_dataset(NetConfig(10, 5, 200, seed)))
+            box = _box([-1.0] * 50, [1.0] * 50, 16)
+            best, witness = -np.inf, None
+            for x in box.sample(np.random.default_rng(seed), 16):
+                top = float(np.linalg.eigvalsh(f.hessian(x).entries)[-1])
+                if top > best:
+                    best, witness = top, x
+            est = estimate_concavifier_hessian(f, box, np.random.default_rng(seed))
+            assert est.value == best and np.array_equal(est.witness, witness)
 
 
 class TestEstimatorConsistency:
