@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _as_integer
 from .objectives import ObjectiveFunction, _as_point
 from .tableio import read_floats, write_table
 
@@ -36,7 +36,7 @@ class DescentConfig:
     def __post_init__(self):
         if not 0.0 < self.eta < np.inf:  # False for NaN
             raise InvalidInputError("step size must be positive and finite")
-        if self.steps < 1:
+        if _as_integer(self.steps, "step budget") < 1:
             raise InvalidInputError("step budget must be at least 1")
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
 

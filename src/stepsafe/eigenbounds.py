@@ -6,7 +6,8 @@ Four estimators with very different cost/tightness trade-offs:
 * ``gershgorin_upper``   -- closed form, one pass over the rows
 * ``brauer_cassini_upper`` -- closed form over row pairs, never looser than Gershgorin
   in its standard form
-* ``_max_top_eigenvalue`` -- exact over a batch of matrices, screened by a certified bound
+* ``_max_top_eigenvalue`` -- exact over a batch of matrices, screened by a certified bound,
+  solved in blocks of at most 8 matrices and 800 entries (a 50 x 50 matrix alone)
 
 The Gershgorin and Cassini formulas need only a diagonal and row radii, never
 the matrix itself.
@@ -25,7 +26,8 @@ RQ_CHANGE_TOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 MAX_POWER_ITERATIONS = 100_000
 _BATCH_ENTRIES = 2e6  # float64 entries per stacked batch of matrices (16 MB)
-_TOP_SOLVE_BLOCK = 8  # matrices per eigvalsh call in _max_top_eigenvalue
+_TOP_SOLVE_BLOCK = 8  # most matrices per eigvalsh call in _max_top_eigenvalue, and most solved without a bound
+_TOP_SOLVE_ENTRIES = 800  # most entries per eigvalsh call once the bound screens: one 50 x 50 matrix at a time
 _TOP_BOUND_RTOL = 1e-10  # widening of the centred trace-power bound, on top of 16 d^2 ulps
 
 ALPHA4_VARIANTS = ("standard", "paper")
@@ -156,14 +158,20 @@ def _top_eigenvalue_bound(mats: np.ndarray) -> np.ndarray:
 
 def _max_top_eigenvalue(mats: np.ndarray, floor: float = -np.inf) -> tuple[float, int]:
     """(max(floor, eigvalsh(mats)[:, -1].max()), the first index attaining it) for a batch (m, d, d) of
-    symmetric matrices, bit for bit; the index is -1 if none beats floor, and NaN never wins.  eigvalsh runs
-    in blocks of _TOP_SOLVE_BLOCK in decreasing order of the bound u, where u >= best so far (a skipped one
-    has lambda_max <= u < best).  One block is solved whole: large matrices come few, and cost a solve to bound."""
-    bound = _top_eigenvalue_bound(mats) if len(mats) > _TOP_SOLVE_BLOCK else np.full(len(mats), np.inf)
+    symmetric matrices, bit for bit; the index is -1 if none beats floor, and NaN never wins.  A batch of at
+    most _TOP_SOLVE_BLOCK is solved whole: large matrices come few, and cost a solve to bound.  Otherwise
+    eigvalsh runs in decreasing order of the bound u, where u >= best so far (a skipped one has lambda_max
+    <= u < best), in blocks of at most _TOP_SOLVE_BLOCK matrices and _TOP_SOLVE_ENTRIES entries, so that a
+    solve of a large matrix is not spent where its bound would have skipped it."""
+    if len(mats) <= _TOP_SOLVE_BLOCK:
+        bound, size = np.full(len(mats), np.inf), _TOP_SOLVE_BLOCK
+    else:
+        bound = _top_eigenvalue_bound(mats)
+        size = min(_TOP_SOLVE_BLOCK, max(1, _TOP_SOLVE_ENTRIES // mats.shape[-1] ** 2))
     order = np.argsort(-bound)
     best, first = floor, -1
-    for start in range(0, len(order), _TOP_SOLVE_BLOCK):
-        block = order[start : start + _TOP_SOLVE_BLOCK]
+    for start in range(0, len(order), size):
+        block = order[start : start + size]
         if bound[block[0]] < best:  # bounds decrease along order: no later matrix can reach best
             break
         block = np.sort(block[bound[block] >= best])  # index order: argmax takes the first of a tie

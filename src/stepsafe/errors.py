@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for integer inputs."""
+
+import operator
 
 
 class InvalidInputError(ValueError):
@@ -15,3 +17,12 @@ class UnsupportedOperationError(InvalidInputError):
 
 class NumericalFailureError(ArithmeticError):
     """A computation produced non-finite or otherwise unusable numbers."""
+
+
+def _as_integer(value, name: str) -> int:
+    """value as an int when it is one (a Python or numpy integer, by operator.index), else
+    InvalidInputError naming it: a count or seed such as 1e3 fails where it enters, not in numpy."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _max_top_eigenvalue
-from .errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError
+from .errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError, _as_integer
 
 QUAD_CHECK_RTOL = 1e-9
 MIDPOINT_SEPARATION_FLOOR = 1e-8
@@ -39,7 +39,8 @@ ESTIMATE_METHODS = ("hessian-sampling", "midpoint-sup")
 
 def _as_point(f: ObjectiveFunction, x, stack: bool = False) -> np.ndarray:
     """x as a point (dim,) of f, or with ``stack`` as a stack (m, dim) too: the one shape rule."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    x = x.reshape(1) if x.ndim == 0 else x
     if x.shape != (f.dim,) and not (stack and x.ndim == 2 and x.shape[1] == f.dim):
         raise InvalidInputError(f"expected a point of dimension {f.dim}, got shape {x.shape}")
     return x
@@ -68,14 +69,18 @@ class ObjectiveFunction:
     def evaluate(self, x) -> float | np.ndarray:
         x = _as_point(self, x, stack=True)
         if x.ndim == 1:
-            return float(self.value(x) if self.value is not None else self.value_and_gradient(x)[0])
-        fx = np.asarray(self.value(x) if self.value is not None else [self.evaluate(row) for row in x], dtype=float)
+            return self._value_at(x)
+        fx = np.asarray(self.value(x) if self.value is not None else [self._value_at(row) for row in x], dtype=float)
         if fx.shape != x.shape[:1]:
             raise InvalidInputError(f"value returned shape {fx.shape} for a stack of shape {x.shape}")
         return fx
 
     def gradient(self, x) -> np.ndarray:
         return self.value_and_gradient(_as_point(self, x))[1]
+
+    def _value_at(self, x: np.ndarray) -> float:
+        """f at a point that _as_point has checked, from ``value`` when it is set."""
+        return float(self.value(x) if self.value is not None else self.value_and_gradient(x)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +101,7 @@ class BoxDomain:
         with np.errstate(over="ignore", invalid="ignore"):  # a finite width needs finite sides; rng.uniform needs it
             if not np.isfinite(hi - lo).all():
                 raise InvalidInputError("lower, upper and upper - lower must be finite")
-        if self.budget < 1:
+        if _as_integer(self.budget, "budget") < 1:
             raise InvalidInputError("budget must be at least 1")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
@@ -157,7 +162,7 @@ def upper_quadratic_check(f: ObjectiveFunction, x, y, alpha: float) -> Quadratic
     fx, gx = f.value_and_gradient(x)
     fx = float(fx)
     diff = y - x
-    slack = fx + float(gx @ diff) + 0.5 * alpha * float(diff @ diff) - f.evaluate(y)
+    slack = fx + float(gx @ diff) + 0.5 * alpha * float(diff @ diff) - f._value_at(y)
     tol = QUAD_CHECK_RTOL * max(1.0, abs(fx))
     return QuadraticCheck(holds=slack >= -tol, slack=slack)
 

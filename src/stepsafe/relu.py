@@ -11,7 +11,8 @@ whose almost-everywhere Hessian is (1/n) sum_i a(x_i, w) a(x_i, w)^T, where
 a(x, w) stacks k copies of x, each masked by the activation indicator
 1{x^T w_j >= 0} (so w = 0 activates every neuron), and abar(x) is the
 all-active stack.  One forward pass serves targets, loss and gradient: the
-neuron-major (k, n) product W X^T, summed over neurons.  Four upper bounds on
+neuron-major (k, n) product W X^T, its ReLU taken in place, summed over
+neurons.  Four upper bounds on
 the optimal concavifier:
 
     alpha1 = (k/n) sum_i ||x_i||^2          (per-point top-eigenvalue sum)
@@ -38,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _cassini, _gershgorin, _max_top_eigenvalue
-from .errors import InvalidInputError, UnsupportedOperationError
+from .errors import InvalidInputError, UnsupportedOperationError, _as_integer
 from .objectives import ObjectiveFunction
 from .tableio import read_floats, write_table
 
@@ -65,6 +66,8 @@ class NetConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("d", "k", "n", "seed"):
+            _as_integer(getattr(self, name), name)
         if self.d < 1 or self.k < 1 or self.n < 1:
             raise InvalidInputError("d, k and n must all be at least 1")
         if self.seed < 0:  # numpy seeds are non-negative
@@ -95,12 +98,13 @@ class Weights:
 
 def _forward_all(inputs: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.ndarray:
     """The one forward pass, neuron-major: W X^T summed over neurons (axis -2: a stack (m, k, d) gives
-    (m, n)), for targets and residuals alike, so the teacher's loss and gradient are exactly 0.  Given
-    (k, n) buffers, W X^T goes into ``z``, ``active`` records z >= 0, and the ReLU is taken in place."""
+    (m, n)), for targets and residuals alike, so the teacher's loss and gradient are exactly 0.  W X^T
+    goes into ``z`` if given (a (k, n) buffer), ``active`` records z >= 0 if given, and the ReLU is taken
+    in place on the product, which np.add.reduce (what ndarray.sum calls) sums over neurons."""
     zt = np.matmul(wmat, inputs.T, out=z)
     if active is not None:
         np.greater_equal(zt, 0.0, out=active)
-    return np.maximum(zt, 0.0, out=z).sum(axis=-2)
+    return np.add.reduce(np.maximum(zt, 0.0, out=zt), axis=-2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,48 +182,53 @@ def _checked_matrix(w: Weights, data: ReluDataset) -> np.ndarray:
 
 
 def _check_width(k: int) -> None:
-    if k < 1:
+    if _as_integer(k, "k") < 1:
         raise InvalidInputError("k must be at least 1")
 
 
 def loss(w: Weights, data: ReluDataset) -> float:
     """1/(2n) sum_i (f(x_i, w) - y_i)^2, with f(x, w) = sum_j max(0, x^T w_j)."""
-    return _loss_value(_checked_matrix(w, data), data)
+    return _loss_value(_checked_matrix(w, data), data.inputs, data.targets)
 
 
-def _loss_terms(wmat: np.ndarray, data: ReluDataset, z=None, active=None) -> tuple[np.ndarray, np.ndarray]:
+def _loss_terms(
+    wmat: np.ndarray, inputs: np.ndarray, targets: np.ndarray, z=None, active=None
+) -> tuple[np.ndarray, np.ndarray]:
     """The residuals f(x_i, w) - y_i of _forward_all (in its buffers, if given) and the loss, with
     the bits of 0.5 * np.mean(resid**2): the one residual code of both loss paths.  A stack
     (m, k, d) gives (m,) losses, each with the bits of its own call (one GEMM per matrix)."""
-    resid = _forward_all(data.inputs, wmat, z, active) - data.targets
-    return resid, 0.5 * (np.add.reduce(resid * resid, axis=-1) / data.n)
+    resid = _forward_all(inputs, wmat, z, active) - targets
+    return resid, 0.5 * (np.add.reduce(resid * resid, axis=-1) / len(targets))
 
 
-def _loss_value(wmat: np.ndarray, data: ReluDataset) -> float | np.ndarray:
+def _loss_value(wmat: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> float | np.ndarray:
     """The loss at a (k, d) weight matrix, or the (m,) losses at a stack (m, k, d) in chunks of
     STACK_CHUNK_ENTRIES: the values of _loss_and_gradient bit for bit, without the gradient."""
     if wmat.ndim == 2:
-        return float(_loss_terms(wmat, data)[1])
-    out, step = np.empty(len(wmat)), max(1, STACK_CHUNK_ENTRIES // (wmat.shape[1] * data.n))
+        return float(_loss_terms(wmat, inputs, targets)[1])
+    out, step = np.empty(len(wmat)), max(1, STACK_CHUNK_ENTRIES // (wmat.shape[1] * len(targets)))
     for i in range(0, len(wmat), step):
-        out[i : i + step] = _loss_terms(wmat[i : i + step], data)[1]
+        out[i : i + step] = _loss_terms(wmat[i : i + step], inputs, targets)[1]
     return out
 
 
-def _loss_and_gradient(wmat: np.ndarray, data: ReluDataset, work=None) -> tuple[float, np.ndarray]:
+def _loss_and_gradient(
+    wmat: np.ndarray, inputs: np.ndarray, targets: np.ndarray, work=None
+) -> tuple[float, np.ndarray]:
     """Loss and flat gradient at the (k, d) weight matrix, in the (k, n) float and bool
     buffers ``work`` (fresh ones if None).  The masked residuals m overwrite the float
     buffer in Fortran order, so the gradient product m X is the BLAS call, with the bits,
     of the point-major form, and needs no (k, n) array of its own."""
-    z, active = work or (np.empty((len(wmat), data.n)), np.empty((len(wmat), data.n), dtype=bool))
-    resid, value = _loss_terms(wmat, data, z, active)
-    m = np.multiply(active, resid, out=z.reshape(data.n, -1).T)
-    return float(value), (m @ data.inputs / data.n).reshape(-1)
+    n = len(targets)
+    z, active = work or (np.empty((len(wmat), n)), np.empty((len(wmat), n), dtype=bool))
+    resid, value = _loss_terms(wmat, inputs, targets, z, active)
+    m = np.multiply(active, resid, out=z.reshape(n, -1).T)
+    return float(value), (m @ inputs / n).reshape(-1)
 
 
 def gradient(w: Weights, data: ReluDataset) -> np.ndarray:
     """(1/n) sum_i (f(x_i, w) - y_i) * a(x_i, w), flat in R^{kd}."""
-    return _loss_and_gradient(_checked_matrix(w, data), data)[1]
+    return _loss_and_gradient(_checked_matrix(w, data), data.inputs, data.targets)[1]
 
 
 def alpha_single_point(x, k: int) -> float:
@@ -328,7 +337,7 @@ def alpha_oracle(
                 f"pattern enumeration needs n <= {PATTERN_ENUM_MAX_POINTS} and d <= {PATTERN_ENUM_MAX_DIM}"
             )
         return bound_alpha2(data, k)
-    if budget < 1:
+    if _as_integer(budget, "budget") < 1:
         raise InvalidInputError("budget must be at least 1")
     if rng is None:
         if data.seed < 0:
@@ -360,19 +369,20 @@ def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
 
 def loss_objective(data: ReluDataset) -> ObjectiveFunction:
     """The training loss as an objective over flat weights in R^{kd}; each call
-    works on flat.reshape(k, d) directly, and its value-only callable returns the fused
-    call's value bit for bit without forming the gradient, also for a stack (m, kd).  The
-    fused call reuses one (k, n) workspace that this objective owns, so one objective must
-    not be called from two threads at once."""
+    works on flat.reshape(k, d) and the data's inputs and targets, read once here, and
+    its value-only callable returns the fused call's value bit for bit without forming the
+    gradient, also for a stack (m, kd).  The fused call reuses one (k, n) workspace that
+    this objective owns, so one objective must not be called from two threads at once."""
     k, d = data.teacher.k, data.teacher.d
+    inputs, targets = data.inputs, data.targets
     work = (np.empty((k, data.n)), np.empty((k, data.n), dtype=bool))
 
     def value_and_gradient(flat):
-        return _loss_and_gradient(np.asarray(flat, dtype=float).reshape(k, d), data, work)
+        return _loss_and_gradient(np.asarray(flat, dtype=float).reshape(k, d), inputs, targets, work)
 
     def value(flat):
         flat = np.asarray(flat, dtype=float)
-        return _loss_value(flat.reshape(*flat.shape[:-1], k, d), data)
+        return _loss_value(flat.reshape(*flat.shape[:-1], k, d), inputs, targets)
 
     return ObjectiveFunction(
         dim=k * d,

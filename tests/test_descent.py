@@ -40,6 +40,12 @@ class TestGdStep:
             with pytest.raises(InvalidInputError):
                 DescentConfig(**{"eta": 0.1, "steps": 1, "x0": [1.0], **field})
 
+    def test_non_integer_steps(self):
+        # steps=10.0 had died in range() inside run_descent (TypeError)
+        with pytest.raises(InvalidInputError, match=r"step budget must be an integer, got 10\.0"):
+            run_descent(quadratic_objective(np.eye(1)), DescentConfig(eta=0.1, steps=10.0, x0=[1.0]))
+        assert DescentConfig(eta=0.1, steps=np.int64(10), x0=[1.0]).steps == 10
+
 
 class TestRunDescent:
     def test_isotropic_quadratic_one_step(self):

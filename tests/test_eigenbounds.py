@@ -289,6 +289,27 @@ class TestMaxTopEigenvalue:
             for floor in (-np.inf, 0.0, float(np.median(tops)), 2.0 * float(tops.max())):
                 assert _max_top_eigenvalue(mats, floor) == _unpruned(mats, floor)
 
+    def test_large_matrices_solved_one_at_a_time(self, monkeypatch):
+        # at d = 30 a block holds one matrix (800 entries < 30^2): Grams, two copies of the
+        # largest (a three-way tie), an indefinite and two negative definite matrices, shuffled;
+        # a batch of at most 8 is solved whole
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((12, 30, 40))
+        grams = x @ x.transpose(0, 2, 1)
+        g = rng.standard_normal((30, 30))
+        top = int(np.argmax(np.linalg.eigvalsh(grams)[:, -1]))
+        mats = rng.permutation(np.concatenate([grams, grams[[top, top]], (g + g.T)[None], -grams[:2]]))
+        tops = np.linalg.eigvalsh(mats)[:, -1]
+        assert np.count_nonzero(tops == tops.max()) == 3
+        floors = (-np.inf, 0.0, float(np.median(tops)), 2.0 * float(tops.max()))
+        expected = [_unpruned(mats, floor) for floor in floors] + [_unpruned(mats[:8])]
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+        assert [_max_top_eigenvalue(mats, floor) for floor in floors] == expected[:-1]
+        assert sizes and set(sizes) == {1}
+        sizes.clear()
+        assert _max_top_eigenvalue(mats[:8]) == expected[-1] and sizes == [8]
+
     def test_ties_keep_the_first_index(self):
         # equal matrices, and a zero matrix tying 8 later ones whose bounds are larger,
         # so it is solved in a later block than they are

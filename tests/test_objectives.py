@@ -131,6 +131,13 @@ class TestPointRule:
         with pytest.raises(InvalidInputError, match=r"expected a point of dimension 2, got shape"):
             self.CALLERS[caller](self.F, np.zeros(shape))
 
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_zero_d_point(self, caller):
+        # a 0-d point is a point of dimension 1
+        self.CALLERS[caller](_square_1d(), np.array(0.5))
+        with pytest.raises(InvalidInputError, match=r"expected a point of dimension 2, got shape \(1,\)"):
+            self.CALLERS[caller](self.F, np.array(0.5))
+
 
 class TestBoxDomain:
     @pytest.mark.parametrize(
@@ -143,6 +150,15 @@ class TestBoxDomain:
         # would fail inside numpy (OverflowError on a width past the float range)
         with pytest.raises(InvalidInputError, match="must be finite"):
             BoxDomain(lower, upper, 4)
+
+    @pytest.mark.parametrize("estimator", [estimate_concavifier_hessian, estimate_concavifier_midpoint])
+    def test_non_integer_budget_rejected(self, estimator):
+        # budget=16.0 had passed the box and died in rng.uniform inside either estimator (TypeError)
+        f, lower, upper = quadratic_objective(np.diag([1.0, 3.0])), [-1.0, -1.0], [1.0, 1.0]
+        with pytest.raises(InvalidInputError, match=r"budget must be an integer, got 16\.0"):
+            estimator(f, BoxDomain(lower, upper, 16.0))
+        numpy_int = estimator(f, BoxDomain(lower, upper, np.int64(16)))
+        assert numpy_int.value == estimator(f, BoxDomain(lower, upper, 16)).value
 
 
 class TestMidpointAcceleration:
@@ -347,6 +363,21 @@ class TestHessianEstimator:
                     best, witness = top, x
             est = estimate_concavifier_hessian(f, box, np.random.default_rng(seed))
             assert est.value == best and np.array_equal(est.witness, witness)
+
+
+class TestHessianEstimatorSolves:
+    def test_certify_loss_solves_few_hessians(self, monkeypatch):
+        # the d10 k5 n200 loss over [-1, 1]^50, budget 16: each 50 x 50 Hessian is solved alone,
+        # in decreasing order of its bound, until the bounds fall below the best so far; a block
+        # of 8 had solved 8 per call
+        solves, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(len(a)) or eigvalsh(a))
+        box = _box([-1.0] * 50, [1.0] * 50, 16)
+        for seed in range(5):
+            f = loss_objective(generate_dataset(NetConfig(10, 5, 200, seed)))
+            for rnd in range(20):
+                estimate_concavifier_hessian(f, box, np.random.default_rng([seed, rnd, 1]))
+        assert sum(solves) / 100 < 3
 
 
 class TestEstimatorConsistency:

@@ -341,6 +341,39 @@ class TestInputRules:
         with pytest.raises(InvalidInputError, match="seed must be at least 0"):
             NetConfig(1, 1, 1, -1)
 
+    @pytest.mark.parametrize("field, value", [("d", 3.0), ("k", 2.0), ("n", 10.5), ("seed", 1.5)])
+    def test_non_integer_config_rejected(self, field, value):
+        # a float size or seed had passed NetConfig and died in numpy's draws (TypeError)
+        fields = {"d": 3, "k": 2, "n": 10, "seed": 0}
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer, got {value!r}"):
+            generate_dataset(NetConfig(**{**fields, field: value}))
+        numpy_ints = generate_dataset(NetConfig(*map(np.int64, fields.values())))
+        assert np.array_equal(numpy_ints.inputs, generate_dataset(NetConfig(**fields)).inputs)
+
+    @pytest.mark.parametrize(
+        "caller",
+        [
+            lambda data: alpha_single_point([1.0, 2.0], 2.5),
+            lambda data: bound_alpha2(data, 2.5),
+            lambda data: alpha_oracle(data, 2.5, "random-search", budget=4),
+        ],
+        ids=["alpha_single_point", "alpha2", "oracle-random-search"],
+    )
+    def test_non_integer_width_rejected(self, caller):
+        # k = 2.5 had scaled the value by 2.5 and returned it
+        data = generate_dataset(NetConfig(d=2, k=1, n=5, seed=0))
+        with pytest.raises(InvalidInputError, match=r"k must be an integer, got 2\.5"):
+            caller(data)
+
+    def test_non_integer_oracle_budget_rejected(self):
+        # budget=1e3 had died in range() inside the search (TypeError)
+        data = generate_dataset(NetConfig(d=3, k=2, n=10, seed=0))
+        with pytest.raises(InvalidInputError, match=r"budget must be an integer, got 1000\.0"):
+            alpha_oracle(data, 2, "random-search", budget=1e3)
+        assert alpha_oracle(data, 2, "random-search", budget=np.int64(10)) == alpha_oracle(
+            data, 2, "random-search", budget=10
+        )
+
     @pytest.mark.parametrize(
         "caller",
         [
