@@ -28,7 +28,7 @@ import numpy as np
 from . import relu
 from .descent import DescentConfig, run_descent, save_trace
 from .eigenbounds import ALPHA4_VARIANTS
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, _as_integer
 from .relu import NetConfig
 from .tableio import read_lines, write_table
 
@@ -75,10 +75,9 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         NetConfig(self.d, self.k, self.n, self.seed)  # raises on a bad d, k, n or seed
-        if self.reps < 1:
-            raise InvalidInputError("reps must be at least 1")
-        if self.steps < 1:
-            raise InvalidInputError("steps must be at least 1")
+        for name in ("reps", "steps", "oracle_budget"):
+            if _as_integer(getattr(self, name), name) < 1:
+                raise InvalidInputError(f"{name.replace('_', ' ')} must be at least 1")
         if not self.scales or not all(0.0 < s < np.inf for s in self.scales):
             raise InvalidInputError("scale factors must be finite and positive")
         if len({f"{s:g}" for s in self.scales}) < len(self.scales):  # traces are sweep_s<scale:g>_seed<s>.csv
@@ -92,8 +91,6 @@ class ExperimentSpec:
             raise InvalidInputError(f"alpha4 variant must be one of {ALPHA4_VARIANTS}")
         if self.oracle_strategy not in ("auto",) + relu.ORACLE_STRATEGIES:
             raise InvalidInputError("oracle strategy must be auto, pattern-enum or random-search")
-        if self.oracle_budget < 1:
-            raise InvalidInputError("oracle budget must be at least 1")
 
     def stamp(self) -> str | None:
         return None if self.no_timestamp else datetime.now(timezone.utc).isoformat()

@@ -84,7 +84,7 @@ class Weights:
 
     def __post_init__(self):
         flat = np.atleast_1d(np.asarray(self.flat, dtype=float))
-        if self.k < 1 or self.d < 1:
+        if _as_integer(self.k, "k") < 1 or _as_integer(self.d, "d") < 1:
             raise InvalidInputError("k and d must be at least 1")
         if flat.shape != (self.k * self.d,):
             raise InvalidInputError(f"expected {self.k * self.d} weights, got shape {flat.shape}")

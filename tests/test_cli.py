@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its file outputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -13,9 +14,11 @@ from stepsafe.cli import (
     EXIT_IO_FAILURE,
     EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
+    ExperimentSpec,
     main,
 )
 from stepsafe.descent import DescentConfig, load_trace, run_descent
+from stepsafe.errors import InvalidInputError
 from stepsafe.relu import (
     NetConfig,
     alpha_oracle,
@@ -281,6 +284,13 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("stepsafe: invalid input: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["reps", "steps", "oracle_budget"])
+    def test_library_counts_must_be_integers(self, field):
+        # reps=2.0 from a library caller had passed validate and died in range() in cmd_bounds
+        with pytest.raises(InvalidInputError, match=rf"^{field} must be an integer, got 2\.0"):
+            ExperimentSpec(**{field: 2.0}).validate()
+        ExperimentSpec(**{field: np.int64(2)}).validate()
+
     def test_parser_error_maps_to_invalid_input(self):
         assert main(["bounds", "--alpha4-variant", "bogus"]) == EXIT_INVALID_INPUT
 
@@ -312,16 +322,16 @@ class TestExitCodes:
         assert not (out / "train_oracle_seed0.csv").exists()
 
 
-class TestBoundTableScript:
-    @staticmethod
-    def _run(*args):
-        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        return subprocess.run([sys.executable, str(ROOT / "scripts" / "run_bound_table.py"), *args],
-                              env=env, capture_output=True, text=True, timeout=300)
+def _run_script(name, *args):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
 
+
+class TestBoundTableScript:
     def test_summary_rows_are_config_means(self, tmp_path):
-        assert self._run("--reps", "1", "--out", str(tmp_path)).returncode == EXIT_OK
+        assert _run_script("run_bound_table.py", "--reps", "1", "--out", str(tmp_path)).returncode == EXIT_OK
         header, summary = read_table(tmp_path / "summary.csv")
         assert header == ["d", "k", "n", "alpha1", "alpha2", "alpha3", "alpha4"]
         assert len(summary) == 6
@@ -331,7 +341,21 @@ class TestBoundTableScript:
 
     @pytest.mark.parametrize("reps", ["0", "x"], ids=["zero", "text"])
     def test_bad_reps_rejected(self, tmp_path, reps):
-        result = self._run("--reps", reps, "--out", str(tmp_path / "res"))
+        result = _run_script("run_bound_table.py", "--reps", reps, "--out", str(tmp_path / "res"))
         assert result.returncode == EXIT_INVALID_INPUT
         assert result.stderr.startswith("stepsafe: invalid input: ")
         assert not (tmp_path / "res").exists()
+
+
+class TestFreshRunProbeScript:
+    def test_one_run_prints_json_summary(self):
+        args = ["bounds", "--d", "2", "--k", "2", "--n", "8", "--no-timestamp"]
+        result = _run_script("fresh_run_probe.py", "--runs", "1", "--", *args)
+        assert result.returncode == EXIT_OK
+        summary = json.loads(result.stdout.splitlines()[-1])
+        assert summary["runs"] == 1 and summary["args"] == args
+
+    def test_failed_cli_run_exits_nonzero(self):
+        result = _run_script("fresh_run_probe.py", "--", "bounds", "--d", "0")
+        assert result.returncode != EXIT_OK
+        assert "cli.main returned 1" in result.stderr

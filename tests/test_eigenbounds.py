@@ -290,9 +290,9 @@ class TestMaxTopEigenvalue:
                 assert _max_top_eigenvalue(mats, floor) == _unpruned(mats, floor)
 
     def test_large_matrices_solved_one_at_a_time(self, monkeypatch):
-        # at d = 30 a block holds one matrix (800 entries < 30^2): Grams, two copies of the
-        # largest (a three-way tie), an indefinite and two negative definite matrices, shuffled;
-        # a batch of at most 8 is solved whole
+        # d = 30 Grams, two copies of the largest (a three-way tie), an indefinite and two
+        # negative definite matrices, shuffled; every eigvalsh call gets one matrix, and a
+        # batch of at most 8 gets no bound, so each of its matrices is solved
         rng = np.random.default_rng(30)
         x = rng.standard_normal((12, 30, 40))
         grams = x @ x.transpose(0, 2, 1)
@@ -308,11 +308,11 @@ class TestMaxTopEigenvalue:
         assert [_max_top_eigenvalue(mats, floor) for floor in floors] == expected[:-1]
         assert sizes and set(sizes) == {1}
         sizes.clear()
-        assert _max_top_eigenvalue(mats[:8]) == expected[-1] and sizes == [8]
+        assert _max_top_eigenvalue(mats[:8]) == expected[-1] and sizes == [1] * 8
 
     def test_ties_keep_the_first_index(self):
         # equal matrices, and a zero matrix tying 8 later ones whose bounds are larger,
-        # so it is solved in a later block than they are
+        # so it is solved after them
         same = np.broadcast_to(np.diag([1.0, 3.0]), (20, 2, 2))
         assert _max_top_eigenvalue(same) == (3.0, 0)
         tied = np.concatenate([np.zeros((1, 2, 2)), np.broadcast_to(np.diag([0.0, -1.0]), (8, 2, 2))])

@@ -351,18 +351,21 @@ class TestInputRules:
         assert np.array_equal(numpy_ints.inputs, generate_dataset(NetConfig(**fields)).inputs)
 
     @pytest.mark.parametrize(
-        "caller",
+        "caller, name",
         [
-            lambda data: alpha_single_point([1.0, 2.0], 2.5),
-            lambda data: bound_alpha2(data, 2.5),
-            lambda data: alpha_oracle(data, 2.5, "random-search", budget=4),
+            (lambda data: alpha_single_point([1.0, 2.0], 2.5), "k"),
+            (lambda data: bound_alpha2(data, 2.5), "k"),
+            (lambda data: alpha_oracle(data, 2.5, "random-search", budget=4), "k"),
+            (lambda data: Weights(np.zeros(5), k=2.5, d=2), "k"),
+            (lambda data: Weights(np.zeros(5), k=2, d=2.5), "d"),
         ],
-        ids=["alpha_single_point", "alpha2", "oracle-random-search"],
+        ids=["alpha_single_point", "alpha2", "oracle-random-search", "Weights-k", "Weights-d"],
     )
-    def test_non_integer_width_rejected(self, caller):
-        # k = 2.5 had scaled the value by 2.5 and returned it
+    def test_non_integer_width_rejected(self, caller, name):
+        # k = 2.5 had scaled the value by 2.5 and returned it; Weights had taken a k or d of
+        # 2.5 whose product matched the weight count, and .matrix then died in reshape
         data = generate_dataset(NetConfig(d=2, k=1, n=5, seed=0))
-        with pytest.raises(InvalidInputError, match=r"k must be an integer, got 2\.5"):
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer, got 2\.5"):
             caller(data)
 
     def test_non_integer_oracle_budget_rejected(self):
@@ -791,13 +794,14 @@ class TestMaxTopEigenvalue:
 
     def test_search_solves_few_grams(self, monkeypatch):
         # the centred trace-power bound rules out almost every Gram of a search, at
-        # d10 n200 and at d10 n1e4, where the Grams' eigenvalues crowd together
+        # d10 n200 and at d10 n1e4, where the Grams' eigenvalues crowd together; each
+        # eigvalsh call gets one Gram
         solved, original = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or original(a))
         for n in (200, 10_000):
             solved.clear()
             alpha_oracle(generate_dataset(NetConfig(10, 5, n, seed=0)), 5, "random-search", budget=2000)
-            assert sum(solved) < 0.05 * 2000
+            assert sum(solved) < 0.05 * 2000 and set(solved) == {1}
 
 
 class TestDatasetIO:
