@@ -3,11 +3,14 @@
 
 Runs `bounds`, `train` (all five bounds), `scale-sweep` and `oracle` with
 --no-timestamp on the six standard configurations at seeds 0-2, plus a
-pattern-enum `oracle` and `train --bounds oracle,alpha2` on d2 k2 n8, each
-into its own directory under a temporary directory, and then
-`run_bound_table.py --reps 3`.  Prints one line `sha256  run/file` per CSV
-and one `sha256  run/<stdout>` per run, with the output directory masked in
-the captured stdout.  The `--help` texts and the usage error are digested
+pattern-enum `oracle` and `train --bounds oracle,alpha2` on d2 k2 n8, and
+two error paths: `bounds --d 0` (invalid input) and a `train` on d1 k1 n1
+whose one-draw random-search oracle is 0 (numerical failure after the
+`alpha2` run).  Each run writes into its own directory under a temporary
+directory; then comes `run_bound_table.py --reps 3`.  Prints one line
+`sha256  run/file` per CSV and one `sha256  run/<stdout>` per run (stdout,
+stderr and the exit code), with the output directory masked in the captured
+stdout.  The `--help` texts and the usage error are digested
 the same way, and so are the inputs and teacher files that `save_dataset`
 writes for `generate_dataset` at seed 0 on each standard configuration.
 
@@ -47,6 +50,9 @@ def _runs():
     small = ["--d", "2", "--k", "2", "--n", "8", "--seed", "0", "--reps", "3"]
     yield "oracle_enum_d2_k2_n8", ["oracle", "--oracle-strategy", "pattern-enum", *small]
     yield "train_oracle_d2_k2_n8", ["train", "--bounds", "oracle,alpha2", *small]
+    yield "invalid_d0", ["bounds", "--d", "0"]
+    yield "zero_oracle_d1_k1_n1", ["train", "--d", "1", "--k", "1", "--n", "1", "--bounds", "alpha2,oracle",
+                                   "--oracle-strategy", "random-search", "--oracle-budget", "1"]
 
 
 def _sha(data: bytes) -> str:

@@ -28,7 +28,7 @@ import numpy as np
 from . import relu
 from .descent import DescentConfig, run_descent, save_trace
 from .eigenbounds import ALPHA4_VARIANTS
-from .errors import InvalidInputError, NumericalFailureError, _as_integer
+from .errors import InvalidInputError, NumericalFailureError, _as_count
 from .relu import NetConfig
 from .tableio import read_lines, write_table
 
@@ -76,8 +76,7 @@ class ExperimentSpec:
     def validate(self) -> None:
         NetConfig(self.d, self.k, self.n, self.seed)  # raises on a bad d, k, n or seed
         for name in ("reps", "steps", "oracle_budget"):
-            if _as_integer(getattr(self, name), name) < 1:
-                raise InvalidInputError(f"{name.replace('_', ' ')} must be at least 1")
+            _as_count(getattr(self, name), name)
         if not self.scales or not all(0.0 < s < np.inf for s in self.scales):
             raise InvalidInputError("scale factors must be finite and positive")
         if len({f"{s:g}" for s in self.scales}) < len(self.scales):  # traces are sweep_s<scale:g>_seed<s>.csv
@@ -178,14 +177,6 @@ def _bound_value(name: str, data: relu.ReluDataset, spec: ExperimentSpec) -> flo
     return getattr(relu, f"bound_{name}")(data, spec.k)
 
 
-def _summary_rows(kind_col_rows: list[list]) -> list[list]:
-    """Append mean and stddev rows over the numeric columns of per-run rows."""
-    body = np.array([[v for v in row[1:]] for row in kind_col_rows], dtype=float)
-    mean = body.mean(axis=0)
-    std = body.std(axis=0)
-    return [["mean"] + [float(v) for v in mean], ["stddev"] + [float(v) for v in std]]
-
-
 def _runs(spec: ExperimentSpec):
     """Create spec.out, then yield (seed, dataset) for each run."""
     spec.out.mkdir(parents=True, exist_ok=True)
@@ -193,63 +184,64 @@ def _runs(spec: ExperimentSpec):
         yield seed, relu.generate_dataset(NetConfig(spec.d, spec.k, spec.n, seed))
 
 
-def _descent_row(
-    spec: ExperimentSpec, data: relu.ReluDataset, seed: int, label, bound: str, scale: float, trace_name: str
-) -> list:
-    """Descend from the run's student init at eta = scale/value, value being the
-    bound's value on data (the one place a bound becomes a step size), save the
-    trace as trace_name and return [label, seed, value, eta, final_loss, monotone, diverged]."""
-    value = _bound_value(bound, data, spec)
-    if not np.isfinite(value) or value <= 0.0:
-        raise NumericalFailureError(f"bound {bound} is {value!r} at seed {seed}, so it gives no step size")
-    eta = scale / value
-    w0 = relu.initial_weights(NetConfig(spec.d, spec.k, spec.n, seed))
-    trace = run_descent(relu.loss_objective(data), DescentConfig(eta=eta, steps=spec.steps, x0=w0.flat))
-    save_trace(trace, spec.out / trace_name, timestamp=spec.stamp())
-    return [label, float(seed), float(value), eta, float(trace.losses[-1]), trace.monotone, trace.diverged]
+def _run_table(spec: ExperimentSpec, name: str, columns, values) -> list[float]:
+    """Write spec.out/name with columns kind, seed, *columns: a row ["run", seed, *values(data)]
+    per run, then mean and stddev rows over the numeric columns.  Returns the column means."""
+    rows = [["run", float(seed), *values(data)] for seed, data in _runs(spec)]
+    body = np.array([row[1:] for row in rows], dtype=float)
+    rows += [["mean", *map(float, body.mean(axis=0))], ["stddev", *map(float, body.std(axis=0))]]
+    write_table(spec.out / name, ["kind", "seed", *columns], rows, timestamp=spec.stamp())
+    return rows[-2][2:]
+
+
+def _descent_table(spec: ExperimentSpec, name: str, head, runs, report=None) -> list[list]:
+    """Write spec.out/name with columns *head, eta, final_loss, monotone, diverged: for each seed
+    and each (label, bound, scale, stem) of runs, descend from the seed's student init at
+    eta = scale/value, value being the bound's value on the data (the one place a bound becomes a
+    step size), save the trace as <stem>_seed<seed>.csv and call report(seed, row) on the row
+    [label, seed, value, eta, final_loss, monotone, diverged] as soon as it is done.  Returns the rows."""
+    rows = []
+    for seed, data in _runs(spec):
+        objective = relu.loss_objective(data)
+        x0 = relu.initial_weights(NetConfig(spec.d, spec.k, spec.n, seed)).flat
+        for label, bound, scale, stem in runs:
+            value = _bound_value(bound, data, spec)
+            if not np.isfinite(value) or value <= 0.0:
+                raise NumericalFailureError(f"bound {bound} is {value!r} at seed {seed}, so it gives no step size")
+            eta = scale / value
+            trace = run_descent(objective, DescentConfig(eta=eta, steps=spec.steps, x0=x0))
+            save_trace(trace, spec.out / f"{stem}_seed{seed}.csv", timestamp=spec.stamp())
+            rows.append([label, float(seed), float(value), eta, float(trace.losses[-1]), trace.monotone,
+                         trace.diverged])
+            if report is not None:
+                report(seed, rows[-1])
+    write_table(spec.out / name, [*head, "eta", "final_loss", "monotone", "diverged"], rows, timestamp=spec.stamp())
+    return rows
 
 
 # --- subcommands ---------------------------------------------------------------
 
 
 def cmd_bounds(spec: ExperimentSpec) -> None:
-    rows = []
-    for seed, data in _runs(spec):
-        rows.append(["run", float(seed)] + [_bound_value(b, data, spec) for b in spec.bounds])
-    rows += _summary_rows(rows)
-    out = spec.out / "bounds.csv"
-    write_table(out, ["kind", "seed", *spec.bounds], rows, timestamp=spec.stamp())
-    summary = ", ".join(f"{b}={v:.6g}" for b, v in zip(spec.bounds, rows[-2][2:]))
+    mean = _run_table(spec, "bounds.csv", spec.bounds,
+                      lambda data: [_bound_value(b, data, spec) for b in spec.bounds])
+    summary = ", ".join(f"{b}={v:.6g}" for b, v in zip(spec.bounds, mean))
     print(f"bounds: d={spec.d} k={spec.k} n={spec.n} reps={spec.reps} mean {summary}")
-    print(f"wrote {out}")
+    print(f"wrote {spec.out / 'bounds.csv'}")
 
 
 def cmd_train(spec: ExperimentSpec) -> None:
-    rows = []
-    for seed, data in _runs(spec):
-        for name in spec.bounds:
-            row = _descent_row(spec, data, seed, name, name, 1.0, f"train_{name}_seed{seed}.csv")
-            rows.append(row)
-            print(f"train: {name}={row[2]:.6g} eta={row[3]:.3e} seed={seed} "
-                  f"final_loss={row[4]:.3e} monotone={row[5]}")
-    out = spec.out / "train_summary.csv"
-    write_table(
-        out, ["bound", "seed", "bound_value", "eta", "final_loss", "monotone", "diverged"],
-        rows, timestamp=spec.stamp(),
-    )
-    print(f"wrote {out}")
+    def report(seed, row):
+        print(f"train: {row[0]}={row[2]:.6g} eta={row[3]:.3e} seed={seed} final_loss={row[4]:.3e} monotone={row[5]}")
+
+    runs = [(b, b, 1.0, f"train_{b}") for b in spec.bounds]
+    _descent_table(spec, "train_summary.csv", ["bound", "seed", "bound_value"], runs, report)
+    print(f"wrote {spec.out / 'train_summary.csv'}")
 
 
 def cmd_scale_sweep(spec: ExperimentSpec) -> None:
-    rows = []
-    for seed, data in _runs(spec):
-        for scale in spec.scales:
-            trace_name = f"sweep_s{scale:g}_seed{seed}.csv"
-            rows.append(_descent_row(spec, data, seed, float(scale), "alpha2", scale, trace_name))
-    write_table(
-        spec.out / "sweep_runs.csv", ["scale", "seed", "alpha2", "eta", "final_loss", "monotone", "diverged"],
-        rows, timestamp=spec.stamp(),
-    )
+    runs = [(float(s), "alpha2", s, f"sweep_s{s:g}") for s in spec.scales]
+    rows = _descent_table(spec, "sweep_runs.csv", ["scale", "seed", "alpha2"], runs)
     summary = [[float(s), float(np.mean([not r[5] for r in rows if r[0] == s]))] for s in spec.scales]
     out = spec.out / "sweep_summary.csv"
     write_table(out, ["scale", "nonmonotone_fraction"], summary, timestamp=spec.stamp())
@@ -259,16 +251,15 @@ def cmd_scale_sweep(spec: ExperimentSpec) -> None:
 
 
 def cmd_oracle(spec: ExperimentSpec) -> None:
-    columns = ("oracle", "alpha1", "alpha2", "alpha3", "alpha4")
-    rows = []
-    for seed, data in _runs(spec):
-        values = [_bound_value(b, data, spec) for b in columns]
-        rows.append(["run", float(seed)] + values + [values[0] / values[2]])
-    rows += _summary_rows(rows)
-    out = spec.out / "oracle.csv"
-    write_table(out, ["kind", "seed", *columns, "oracle_over_alpha2"], rows, timestamp=spec.stamp())
-    print(f"oracle ({_resolve_oracle_strategy(spec)}): mean oracle/alpha2 = {rows[-2][-1]:.4f}")
-    print(f"wrote {out}")
+    columns = ("oracle", "alpha1", "alpha2", "alpha3", "alpha4", "oracle_over_alpha2")
+
+    def values(data):
+        row = [_bound_value(b, data, spec) for b in columns[:-1]]
+        return row + [row[0] / row[2]]
+
+    mean = _run_table(spec, "oracle.csv", columns, values)
+    print(f"oracle ({_resolve_oracle_strategy(spec)}): mean oracle/alpha2 = {mean[-1]:.4f}")
+    print(f"wrote {spec.out / 'oracle.csv'}")
 
 
 _COMMANDS = {

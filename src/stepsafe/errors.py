@@ -19,10 +19,13 @@ class NumericalFailureError(ArithmeticError):
     """A computation produced non-finite or otherwise unusable numbers."""
 
 
-def _as_integer(value, name: str) -> int:
-    """value as an int when it is one (a Python or numpy integer, by operator.index), else
-    InvalidInputError naming it: a count or seed such as 1e3 fails where it enters, not in numpy."""
+def _as_count(value, name: str, least: int = 1) -> int:
+    """value as an int (a Python or numpy integer, by operator.index) of at least ``least``, else
+    InvalidInputError naming it: a count, width or seed such as 1e3 or 0 fails where it enters, not in numpy."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InvalidInputError(f"{name} must be at least {least}")
+    return value

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _max_top_eigenvalue
-from .errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError, _as_integer
+from .errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError, _as_count
 
 QUAD_CHECK_RTOL = 1e-9
 MIDPOINT_SEPARATION_FLOOR = 1e-8
@@ -63,8 +63,7 @@ class ObjectiveFunction:
     value: Optional[Callable[[np.ndarray], float | np.ndarray]] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidInputError("dimension must be at least 1")
+        _as_count(self.dim, "dimension")
 
     def evaluate(self, x) -> float | np.ndarray:
         x = _as_point(self, x, stack=True)
@@ -101,8 +100,7 @@ class BoxDomain:
         with np.errstate(over="ignore", invalid="ignore"):  # a finite width needs finite sides; rng.uniform needs it
             if not np.isfinite(hi - lo).all():
                 raise InvalidInputError("lower, upper and upper - lower must be finite")
-        if _as_integer(self.budget, "budget") < 1:
-            raise InvalidInputError("budget must be at least 1")
+        _as_count(self.budget, "budget")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

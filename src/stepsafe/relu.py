@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _cassini, _gershgorin, _max_top_eigenvalue
-from .errors import InvalidInputError, UnsupportedOperationError, _as_integer
+from .errors import InvalidInputError, UnsupportedOperationError, _as_count
 from .objectives import ObjectiveFunction
 from .tableio import read_floats, write_table
 
@@ -66,12 +66,9 @@ class NetConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("d", "k", "n", "seed"):
-            _as_integer(getattr(self, name), name)
-        if self.d < 1 or self.k < 1 or self.n < 1:
-            raise InvalidInputError("d, k and n must all be at least 1")
-        if self.seed < 0:  # numpy seeds are non-negative
-            raise InvalidInputError("seed must be at least 0")
+        for name in ("d", "k", "n"):
+            _as_count(getattr(self, name), name)
+        _as_count(self.seed, "seed", 0)  # numpy seeds are non-negative
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +81,8 @@ class Weights:
 
     def __post_init__(self):
         flat = np.atleast_1d(np.asarray(self.flat, dtype=float))
-        if _as_integer(self.k, "k") < 1 or _as_integer(self.d, "d") < 1:
-            raise InvalidInputError("k and d must be at least 1")
+        for name in ("k", "d"):
+            _as_count(getattr(self, name), name)
         if flat.shape != (self.k * self.d,):
             raise InvalidInputError(f"expected {self.k * self.d} weights, got shape {flat.shape}")
         object.__setattr__(self, "flat", flat)
@@ -123,6 +120,7 @@ class ReluDataset:
             raise InvalidInputError("input dimension does not match the teacher")
         if not (np.isfinite(inputs).all() and np.isfinite(self.teacher.flat).all()):
             raise InvalidInputError("inputs and teacher weights must be finite")
+        _as_count(self.seed, "seed", -1)  # -1: no seed, as load_dataset gives
         object.__setattr__(self, "inputs", inputs)
 
     @property
@@ -181,11 +179,6 @@ def _checked_matrix(w: Weights, data: ReluDataset) -> np.ndarray:
     return w.matrix
 
 
-def _check_width(k: int) -> None:
-    if _as_integer(k, "k") < 1:
-        raise InvalidInputError("k must be at least 1")
-
-
 def loss(w: Weights, data: ReluDataset) -> float:
     """1/(2n) sum_i (f(x_i, w) - y_i)^2, with f(x, w) = sum_j max(0, x^T w_j)."""
     return _loss_value(_checked_matrix(w, data), data.inputs, data.targets)
@@ -233,7 +226,7 @@ def gradient(w: Weights, data: ReluDataset) -> np.ndarray:
 
 def alpha_single_point(x, k: int) -> float:
     """Exact optimal concavifier of the single-point loss: k * ||x||^2."""
-    _check_width(k)
+    _as_count(k, "k")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1:
         raise InvalidInputError(f"expected one point, got shape {x.shape}")
@@ -242,7 +235,7 @@ def alpha_single_point(x, k: int) -> float:
 
 def bound_alpha1(data: ReluDataset, k: int) -> float:
     """(k/n) sum_i ||x_i||^2."""
-    _check_width(k)
+    _as_count(k, "k")
     return float(k) / data.n * float((data.inputs**2).sum())
 
 
@@ -255,13 +248,13 @@ def allactive_gram_matrix(data: ReluDataset, k: int) -> SymMatrix:
     """Explicit kd x kd matrix M = (1/n) sum_i abar(x_i) abar(x_i)^T: the loss
     Hessian at w = 0, where the >= indicator activates every neuron.  A test
     reference only, since it takes O((kd)^2) memory."""
-    _check_width(k)
+    _as_count(k, "k")
     return loss_hessian_matrix(Weights(np.zeros(k * data.d), k=k, d=data.d), data)
 
 
 def _allactive_rows(data: ReluDataset, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal S_ii and radius k sum_j |S_ij| - S_ii of the rows i of M = J_k (x) S."""
-    _check_width(k)
+    _as_count(k, "k")
     s = second_moment_matrix(data).entries
     diag = np.diag(s)
     return diag, k * np.abs(s).sum(axis=1) - diag
@@ -270,7 +263,7 @@ def _allactive_rows(data: ReluDataset, k: int) -> tuple[np.ndarray, np.ndarray]:
 def bound_alpha2(data: ReluDataset, k: int) -> float:
     """(1/n) lambda_max(sum_i abar(x_i) abar(x_i)^T) = k lambda_max(S): stacking
     k copies of each data vector multiplies every eigenvalue of S by k."""
-    _check_width(k)
+    _as_count(k, "k")
     return float(k) * float(np.linalg.eigvalsh(second_moment_matrix(data).entries)[-1])
 
 
@@ -328,7 +321,7 @@ def alpha_oracle(
     directions and reports a lower bound on alpha2; its default stream is
     (data.seed, ORACLE_STREAM), apart from the data stream.
     """
-    _check_width(k)
+    _as_count(k, "k")
     if strategy not in ORACLE_STRATEGIES:
         raise InvalidInputError(f"unknown strategy {strategy!r}; expected one of {ORACLE_STRATEGIES}")
     if strategy == "pattern-enum":
@@ -337,8 +330,7 @@ def alpha_oracle(
                 f"pattern enumeration needs n <= {PATTERN_ENUM_MAX_POINTS} and d <= {PATTERN_ENUM_MAX_DIM}"
             )
         return bound_alpha2(data, k)
-    if _as_integer(budget, "budget") < 1:
-        raise InvalidInputError("budget must be at least 1")
+    _as_count(budget, "budget")
     if rng is None:
         if data.seed < 0:
             raise InvalidInputError("dataset has no seed; pass rng")

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface and its file outputs."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -51,8 +53,14 @@ def _assert_descent_row(row, trace_path, trace):
     assert np.array_equal(load_trace(trace_path)["loss"], trace.losses)
 
 
+def _train_line(bound, value, seed, trace):
+    """The line train prints when the run of a bound at a seed is done."""
+    return (f"train: {bound}={value:.6g} eta={trace.eta:.3e} seed={seed} "
+            f"final_loss={trace.losses[-1]:.3e} monotone={trace.monotone}")
+
+
 class TestBoundsCommand:
-    def test_writes_table_with_summary(self, tmp_path):
+    def test_writes_table_with_summary(self, tmp_path, capsys):
         out = tmp_path / "res"
         code = main([
             "bounds", "--d", "3", "--k", "2", "--n", "40", "--seed", "5",
@@ -70,6 +78,13 @@ class TestBoundsCommand:
         assert runs[1][3] == bound_alpha2(data, 2)
         mean = _rows_of_kind(rows, "mean")[0]
         assert mean[2] == pytest.approx(np.mean([r[2] for r in runs]))
+        # the printed means are those of the library values
+        datasets = [generate_dataset(NetConfig(3, 2, 40, seed)) for seed in (5, 6, 7)]
+        means = [np.mean([f(data, 2) for data in datasets])
+                 for f in (bound_alpha1, bound_alpha2, bound_alpha3, bound_alpha4)]
+        summary = ", ".join(f"alpha{i}={v:.6g}" for i, v in enumerate(means, start=1))
+        assert capsys.readouterr().out.splitlines() == [
+            f"bounds: d=3 k=2 n=40 reps=3 mean {summary}", f"wrote {out / 'bounds.csv'}"]
 
     def test_idempotent_without_timestamp(self, tmp_path):
         out = tmp_path / "res"
@@ -122,9 +137,9 @@ class TestTrainCommand:
         assert len(rows) == 4
         assert all(r[5] == 1.0 for r in rows)  # safe steps descend monotonically
 
-    def test_summary_row_matches_library(self, tmp_path):
-        # each row, and the loss column of its trace, is run_descent at eta =
-        # 1/bound from the run's student init, bit for bit
+    def test_summary_row_matches_library(self, tmp_path, capsys):
+        # each row, the loss column of its trace and its printed line are run_descent
+        # at eta = 1/bound from the run's student init, bit for bit
         out = tmp_path / "res"
         code = main(["train", "--d", "2", "--k", "2", "--n", "8", "--steps", "15", "--seed", "3", "--reps", "2",
                      "--bounds", "oracle,alpha1,alpha2", "--out", str(out), "--no-timestamp"])
@@ -133,12 +148,15 @@ class TestTrainCommand:
                    "alpha1": lambda data: bound_alpha1(data, 2), "alpha2": lambda data: bound_alpha2(data, 2)}
         _, rows = read_table(out / "train_summary.csv")
         assert [(r[0], r[1]) for r in rows] == [(b, s) for s in (3.0, 4.0) for b in library]
+        lines = []
         for row in rows:
             bound, seed = row[0], int(row[1])
             value = library[bound](generate_dataset(NetConfig(2, 2, 8, seed)))
             trace = _library_descent(2, 2, 8, seed, 1.0 / value, 15)
             assert row[2] == value
             _assert_descent_row(row, out / f"train_{bound}_seed{seed}.csv", trace)
+            lines.append(_train_line(bound, value, seed, trace))
+        assert capsys.readouterr().out.splitlines() == [*lines, f"wrote {out / 'train_summary.csv'}"]
 
 
 class TestScaleSweepCommand:
@@ -154,10 +172,10 @@ class TestScaleSweepCommand:
         _, runs = read_table(out / "sweep_runs.csv")
         assert len(runs) == 4
 
-    def test_runs_match_library(self, tmp_path):
-        # each run row, its trace's loss column and the nonmonotone fractions
-        # come from run_descent at eta = scale/alpha2, bit for bit; scale 40
-        # overshoots, so a fraction other than 0 is checked too
+    def test_runs_match_library(self, tmp_path, capsys):
+        # each run row, its trace's loss column and the nonmonotone fractions, in the
+        # table and as printed, come from run_descent at eta = scale/alpha2, bit for
+        # bit; scale 40 overshoots, so a fraction other than 0 is checked too
         out = tmp_path / "res"
         code = main(["scale-sweep", "--d", "3", "--k", "2", "--n", "50", "--steps", "20",
                      "--scales", "1,4,40", "--reps", "2", "--out", str(out), "--no-timestamp"])
@@ -175,6 +193,8 @@ class TestScaleSweepCommand:
         _, summary = read_table(out / "sweep_summary.csv")
         assert summary == [[s, float(np.mean(flags))] for s, flags in nonmonotone.items()]
         assert summary[-1][1] > 0.0
+        lines = [f"scale-sweep: scale={s:g} nonmonotone_fraction={np.mean(f):.2f}" for s, f in nonmonotone.items()]
+        assert capsys.readouterr().out.splitlines() == [*lines, f"wrote {out / 'sweep_summary.csv'}"]
 
 
 class TestOracleCommand:
@@ -201,9 +221,9 @@ class TestOracleCommand:
             assert r[7] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("strategy, d, k, n", [("pattern-enum", 2, 2, 8), ("random-search", 3, 2, 40)])
-    def test_row_matches_library(self, tmp_path, strategy, d, k, n):
+    def test_row_matches_library(self, tmp_path, capsys, strategy, d, k, n):
         # a run row is alpha_oracle on its default stream, alpha1..alpha4 and
-        # oracle/alpha2, bit for bit
+        # oracle/alpha2, bit for bit, and the printed mean ratio is theirs
         out = tmp_path / "res"
         code = main(["oracle", "--d", str(d), "--k", str(k), "--n", str(n), "--seed", "4", "--reps", "2",
                      "--oracle-strategy", strategy, "--oracle-budget", "500", "--out", str(out), "--no-timestamp"])
@@ -211,11 +231,15 @@ class TestOracleCommand:
         _, rows = read_table(out / "oracle.csv")
         runs = _rows_of_kind(rows, "run")
         assert [r[1] for r in runs] == [4.0, 5.0]
+        ratios = []
         for r in runs:
             data = generate_dataset(NetConfig(d, k, n, int(r[1])))
             oracle = alpha_oracle(data, k, strategy, budget=500)
             bounds = [f(data, k) for f in (bound_alpha1, bound_alpha2, bound_alpha3, bound_alpha4)]
             assert r[2:] == [oracle, *bounds, oracle / bounds[1]]
+            ratios.append(oracle / bounds[1])
+        assert capsys.readouterr().out.splitlines() == [
+            f"oracle ({strategy}): mean oracle/alpha2 = {np.mean(ratios):.4f}", f"wrote {out / 'oracle.csv'}"]
 
 
 class TestSpecFile:
@@ -320,6 +344,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("stepsafe: numerical failure: bound oracle is 0.0 at seed 0")
         assert not (out / "train_oracle_seed0.csv").exists()
+
+    def test_failure_keeps_finished_runs(self, tmp_path):
+        # the alpha2 run finishes before the oracle of 0 stops the command: its line
+        # comes before the failure message and its trace is written, the summary is not
+        out = tmp_path / "res"
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+            code = main(["train", "--d", "1", "--k", "1", "--n", "1", "--bounds", "alpha2,oracle",
+                         "--oracle-strategy", "random-search", "--oracle-budget", "1", "--out", str(out)])
+        assert code == EXIT_NUMERICAL_FAILURE
+        alpha2 = bound_alpha2(generate_dataset(NetConfig(1, 1, 1, 0)), 1)
+        trace = _library_descent(1, 1, 1, 0, 1.0 / alpha2, 100)
+        lines = text.getvalue().splitlines()
+        assert len(lines) == 2 and lines[0] == _train_line("alpha2", alpha2, 0, trace)
+        assert lines[1].startswith("stepsafe: numerical failure: bound oracle is 0.0 at seed 0")
+        assert np.array_equal(load_trace(out / "train_alpha2_seed0.csv")["loss"], trace.losses)
+        assert not (out / "train_summary.csv").exists()
 
 
 def _run_script(name, *args):

@@ -341,6 +341,12 @@ class TestInputRules:
         with pytest.raises(InvalidInputError, match="seed must be at least 0"):
             NetConfig(1, 1, 1, -1)
 
+    def test_dataset_seed_below_no_seed(self):
+        # -1 is load_dataset's "no seed"; -5 had been taken for it silently
+        data = generate_dataset(NetConfig(d=2, k=1, n=5, seed=0))
+        with pytest.raises(InvalidInputError, match="seed must be at least -1"):
+            ReluDataset(data.inputs, data.teacher, seed=-2)
+
     @pytest.mark.parametrize("field, value", [("d", 3.0), ("k", 2.0), ("n", 10.5), ("seed", 1.5)])
     def test_non_integer_config_rejected(self, field, value):
         # a float size or seed had passed NetConfig and died in numpy's draws (TypeError)
@@ -358,12 +364,16 @@ class TestInputRules:
             (lambda data: alpha_oracle(data, 2.5, "random-search", budget=4), "k"),
             (lambda data: Weights(np.zeros(5), k=2.5, d=2), "k"),
             (lambda data: Weights(np.zeros(5), k=2, d=2.5), "d"),
+            (lambda data: ObjectiveFunction(dim=2.5, value_and_gradient=lambda x: (0.0, x)), "dimension"),
+            (lambda data: ReluDataset(data.inputs, data.teacher, seed=2.5), "seed"),
         ],
-        ids=["alpha_single_point", "alpha2", "oracle-random-search", "Weights-k", "Weights-d"],
+        ids=["alpha_single_point", "alpha2", "oracle-random-search", "Weights-k", "Weights-d",
+             "ObjectiveFunction-dim", "ReluDataset-seed"],
     )
     def test_non_integer_width_rejected(self, caller, name):
         # k = 2.5 had scaled the value by 2.5 and returned it; Weights had taken a k or d of
-        # 2.5 whose product matched the weight count, and .matrix then died in reshape
+        # 2.5 whose product matched the weight count, and .matrix then died in reshape; an
+        # objective of dim 2.5 died in np.eye, and a dataset seed of 2.5 in the oracle's stream
         data = generate_dataset(NetConfig(d=2, k=1, n=5, seed=0))
         with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer, got 2\.5"):
             caller(data)
