@@ -1,7 +1,7 @@
 """stepsafe: concavifier estimation and safe fixed step sizes for gradient descent."""
 
 from .descent import DescentConfig, DescentTrace, load_trace, run_descent, save_trace
-from .eigenbounds import EigenResult, SymMatrix, brauer_cassini_upper, gershgorin_upper, power_iteration
+from .eigenbounds import EigenResult, SymMatrix, power_iteration
 from .errors import (
     DegeneratePairError,
     InvalidInputError,
@@ -31,7 +31,6 @@ from .relu import (
     bound_alpha2,
     bound_alpha3,
     bound_alpha4,
-    forward_all,
     generate_dataset,
     gradient,
     initial_weights,

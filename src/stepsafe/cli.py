@@ -27,9 +27,8 @@ import numpy as np
 
 from . import relu
 from .descent import DescentConfig, run_descent, save_trace
-from .eigenbounds import ALPHA4_VARIANTS
 from .errors import InvalidInputError, NumericalFailureError, _as_count
-from .relu import NetConfig
+from .relu import ALPHA4_VARIANTS, NetConfig
 from .tableio import read_lines, write_table
 
 BOUND_CHOICES = ("alpha1", "alpha2", "alpha3", "alpha4", "oracle")
@@ -128,9 +127,9 @@ def _key(name: str) -> str:
 
 
 def read_spec_file(path) -> dict:
-    """Flat key=value UTF-8 file mirroring the flags; '#' starts a comment."""
+    """Flat key=value UTF-8 file mirroring the flags, each key at most once; '#' starts a comment."""
     keys = {_key(name): name for name in FIELDS}
-    values = {}
+    values, seen = {}, {}
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -140,7 +139,9 @@ def read_spec_file(path) -> dict:
         key, text = (part.strip() for part in line.split("=", 1))
         if key not in keys:
             raise InvalidInputError(f"{path}:{lineno}: unknown key {key!r}")
-        values[keys[key]] = text
+        if key in seen:
+            raise InvalidInputError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        values[keys[key]], seen[key] = text, lineno
     return values
 
 

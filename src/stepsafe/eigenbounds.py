@@ -1,16 +1,11 @@
 """Largest-eigenvalue estimation for dense symmetric matrices.
 
-Four estimators with very different cost/tightness trade-offs:
-
-* ``power_iteration``    -- iterative, tight (converges to the dominant eigenvalue)
-* ``gershgorin_upper``   -- closed form, one pass over the rows
-* ``brauer_cassini_upper`` -- closed form over row pairs, never looser than Gershgorin
-  in its standard form
+* ``power_iteration``     -- iterative, converges to the dominant eigenvalue
 * ``_max_top_eigenvalue`` -- exact over a batch of matrices: one eigvalsh per matrix, in decreasing
   order of a certified bound, stopping where the bound falls below the best so far
 
-The Gershgorin and Cassini formulas need only a diagonal and row radii, never
-the matrix itself.
+Nothing here knows the ReLU model: the Gershgorin and Cassini bounds alpha3 and
+alpha4 are in relu, which reads the rows of its all-active matrix off S.
 """
 
 from __future__ import annotations
@@ -28,8 +23,6 @@ MAX_POWER_ITERATIONS = 100_000
 _BATCH_ENTRIES = 2e6  # float64 entries per stacked batch of matrices (16 MB)
 _TOP_SOLVE_BLOCK = 8  # _max_top_eigenvalue solves a batch of at most this many matrices without a bound
 _TOP_BOUND_RTOL = 1e-10  # widening of the centred trace-power bound, on top of 16 d^2 ulps
-
-ALPHA4_VARIANTS = ("standard", "paper")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,29 +107,6 @@ def power_iteration(m: SymMatrix) -> EigenResult:
     return EigenResult(value=lam, vector=v, iterations=iterations, converged=converged)
 
 
-def _diag_radii(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    diag = np.diag(a)
-    return diag, np.abs(a).sum(axis=1) - np.abs(diag)
-
-
-def _gershgorin(diag: np.ndarray, radii: np.ndarray) -> float:
-    return float((diag + radii).max())
-
-
-def _cassini(diag: np.ndarray, radii: np.ndarray, variant: str, twinned: bool = False) -> float:
-    """Cassini value maximized over row pairs i != j, and over (i, i) too when each
-    row has an equal twin (the same coordinate in another block of J_k x S)."""
-    if variant not in ALPHA4_VARIANTS:
-        raise InvalidInputError(f"unknown variant {variant!r}; expected one of {ALPHA4_VARIANTS}")
-    mean = (diag[:, None] + diag[None, :]) / 2.0
-    gap = diag[:, None] - diag[None, :]
-    inside = (gap / 2.0) ** 2 if variant == "standard" else gap**2
-    vals = mean + np.sqrt(inside + radii[:, None] * radii[None, :])
-    if not twinned:
-        np.fill_diagonal(vals, -np.inf)
-    return float(vals.max())
-
-
 def _top_eigenvalue_bound(mats: np.ndarray) -> np.ndarray:
     """A certified bound u >= lambda_max per matrix of a batch (m, d, d) of symmetric matrices: with
     c = tr(G)/d and B = G - cI, every eigenvalue has lambda - c <= tr(B^8)^(1/8) =: r (an even power).  B is
@@ -170,20 +140,3 @@ def _max_top_eigenvalue(mats: np.ndarray, floor: float = -np.inf) -> tuple[float
             best, first = float(top), int(i)
     return best, first
 
-
-def gershgorin_upper(m: SymMatrix) -> float:
-    """max_i (m_ii + R_i) with R_i the off-diagonal absolute row sum."""
-    return _gershgorin(*_diag_radii(m.entries))
-
-
-def brauer_cassini_upper(m: SymMatrix, variant: str = "standard") -> float:
-    """Upper spectral bound from the ovals of Cassini, maximized over row pairs.
-
-    ``standard`` uses ((m_ii - m_jj)/2)^2 inside the square root and is never
-    looser than the Gershgorin bound.  ``paper`` keeps (m_ii - m_jj)^2
-    unhalved, which can exceed Gershgorin when the diagonal is uneven; it is
-    retained only for comparison runs.
-    """
-    if m.size < 2:
-        raise InvalidInputError("the pairwise bound requires a matrix of size >= 2")
-    return _cassini(*_diag_radii(m.entries), variant)

@@ -20,9 +20,11 @@ class NumericalFailureError(ArithmeticError):
 
 
 def _as_count(value, name: str, least: int = 1) -> int:
-    """value as an int (a Python or numpy integer, by operator.index) of at least ``least``, else
-    InvalidInputError naming it: a count, width or seed such as 1e3 or 0 fails where it enters, not in numpy."""
+    """value as an int (a Python or numpy integer, by operator.index, but not a bool) of at least ``least``,
+    else InvalidInputError naming it: a count, width or seed such as 1e3, True or 0 fails where it enters."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None

@@ -23,7 +23,8 @@ the optimal concavifier:
 plus the oracle ``alpha_oracle`` for the exact constant.  The all-active
 matrix M = (1/n) sum_i abar(x_i) abar(x_i)^T is J_k (x) S, with J_k the k x k
 all-ones matrix and S = X^T X / n; every bound comes from the d x d matrix S
-in O(nd^2 + d^3), whatever k is, and M is never built.
+in O(nd^2 + d^3), whatever k is, and M is never built: the Gershgorin and
+Cassini formulas of alpha3 and alpha4 take only its diagonal and row radii.
 
 The oracle's optimum gives every neuron the same activation pattern s, so it
 is (k/n) max_s lambda_max(X_s^T X_s) over the patterns of one direction v.
@@ -38,12 +39,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _cassini, _gershgorin, _max_top_eigenvalue
+from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _max_top_eigenvalue
 from .errors import InvalidInputError, UnsupportedOperationError, _as_count
 from .objectives import ObjectiveFunction
 from .tableio import read_floats, write_table
 
 ORACLE_STRATEGIES = ("pattern-enum", "random-search")
+ALPHA4_VARIANTS = ("standard", "paper")
 PATTERN_ENUM_MAX_POINTS = 12
 PATTERN_ENUM_MAX_DIM = 3
 KINK_MARGIN_RTOL = 1e-6
@@ -93,7 +95,7 @@ class Weights:
         return self.flat.reshape(self.k, self.d)
 
 
-def _forward_all(inputs: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.ndarray:
+def _forward(inputs: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.ndarray:
     """The one forward pass, neuron-major: W X^T summed over neurons (axis -2: a stack (m, k, d) gives
     (m, n)), for targets and residuals alike, so the teacher's loss and gradient are exactly 0.  W X^T
     goes into ``z`` if given (a (k, n) buffer), ``active`` records z >= 0 if given, and the ReLU is taken
@@ -135,7 +137,7 @@ class ReluDataset:
     def targets(self) -> np.ndarray:
         """The teacher's outputs, computed on first read and kept: the bounds and
         the oracle never read them."""
-        return _forward_all(self.inputs, self.teacher.matrix)
+        return _forward(self.inputs, self.teacher.matrix)
 
     @cached_property
     def second_moment(self) -> SymMatrix:
@@ -163,15 +165,6 @@ def initial_weights(config: NetConfig) -> Weights:
     return Weights(rng.standard_normal(config.k * config.d), k=config.k, d=config.d)
 
 
-def forward_all(inputs, w: Weights) -> np.ndarray:
-    """sum_j max(0, x_i^T w_j) for every row x_i of ``inputs``; the computation
-    behind dataset targets, which ReluDataset derives from its teacher."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != w.d:
-        raise InvalidInputError(f"expected an (n, {w.d}) input array, got shape {inputs.shape}")
-    return _forward_all(inputs, w.matrix)
-
-
 def _checked_matrix(w: Weights, data: ReluDataset) -> np.ndarray:
     """The (k, d) weight matrix of w, once its d is the data's input dimension."""
     if w.d != data.d:
@@ -187,10 +180,10 @@ def loss(w: Weights, data: ReluDataset) -> float:
 def _loss_terms(
     wmat: np.ndarray, inputs: np.ndarray, targets: np.ndarray, z=None, active=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The residuals f(x_i, w) - y_i of _forward_all (in its buffers, if given) and the loss, with
+    """The residuals f(x_i, w) - y_i of _forward (in its buffers, if given) and the loss, with
     the bits of 0.5 * np.mean(resid**2): the one residual code of both loss paths.  A stack
     (m, k, d) gives (m,) losses, each with the bits of its own call (one GEMM per matrix)."""
-    resid = _forward_all(inputs, wmat, z, active) - targets
+    resid = _forward(inputs, wmat, z, active) - targets
     return resid, 0.5 * (np.add.reduce(resid * resid, axis=-1) / len(targets))
 
 
@@ -228,8 +221,8 @@ def alpha_single_point(x, k: int) -> float:
     """Exact optimal concavifier of the single-point loss: k * ||x||^2."""
     _as_count(k, "k")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise InvalidInputError(f"expected one point, got shape {x.shape}")
+    if x.ndim != 1 or x.size == 0:
+        raise InvalidInputError(f"expected one point of at least one coordinate, got shape {x.shape}")
     return float(k) * float(x @ x)
 
 
@@ -258,6 +251,25 @@ def _allactive_rows(data: ReluDataset, k: int) -> tuple[np.ndarray, np.ndarray]:
     s = second_moment_matrix(data).entries
     diag = np.diag(s)
     return diag, k * np.abs(s).sum(axis=1) - diag
+
+
+def _gershgorin(diag: np.ndarray, radii: np.ndarray) -> float:
+    return float((diag + radii).max())
+
+
+def _cassini(diag: np.ndarray, radii: np.ndarray, variant: str, twinned: bool = False) -> float:
+    """Cassini value maximized over row pairs i != j, and over (i, i) too when each
+    row has an equal twin (the same coordinate in another block of J_k x S).  ``paper``
+    leaves the diagonal gap unhalved, so unlike ``standard`` it can exceed Gershgorin."""
+    if variant not in ALPHA4_VARIANTS:
+        raise InvalidInputError(f"unknown variant {variant!r}; expected one of {ALPHA4_VARIANTS}")
+    mean = (diag[:, None] + diag[None, :]) / 2.0
+    gap = diag[:, None] - diag[None, :]
+    inside = (gap / 2.0) ** 2 if variant == "standard" else gap**2
+    vals = mean + np.sqrt(inside + radii[:, None] * radii[None, :])
+    if not twinned:
+        np.fill_diagonal(vals, -np.inf)
+    return float(vals.max())
 
 
 def bound_alpha2(data: ReluDataset, k: int) -> float:

@@ -267,7 +267,8 @@ class TestSpecFile:
         [pytest.param(b"d = abc\n", [], "bad d value 'abc'", id="d = abc"),
          pytest.param(b"oracle-budget = 1e4\n", [], "bad oracle-budget value '1e4'", id="oracle-budget = 1e4"),
          pytest.param(b"", ["--d", "abc"], "bad d value 'abc'", id="flag --d abc"),
-         pytest.param(b"d = 4 \xff\n", [], "run.spec is not UTF-8 text", id="not-utf8")],
+         pytest.param(b"d = 4 \xff\n", [], "run.spec is not UTF-8 text", id="not-utf8"),
+         pytest.param(b"d = 3\n# d = 5\nd = 4\n", [], "run.spec:3: key 'd' repeats line 1", id="repeated key")],
     )
     def test_bad_value_rejected(self, tmp_path, capsys, content, flags, named):
         # the message names the key (or the file) and no output directory is made

@@ -1,4 +1,4 @@
-"""Tests for the symmetric-matrix eigenvalue machinery."""
+"""Tests for the symmetric-matrix eigenvalue machinery and the Gershgorin and Cassini kernels of alpha3/alpha4."""
 
 import warnings
 
@@ -8,21 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stepsafe.eigenbounds import (
-    SymMatrix,
-    _max_top_eigenvalue,
-    _top_eigenvalue_bound,
-    brauer_cassini_upper,
-    gershgorin_upper,
-    power_iteration,
-)
+from stepsafe.eigenbounds import SymMatrix, _max_top_eigenvalue, _top_eigenvalue_bound, power_iteration
 from stepsafe.errors import InvalidInputError
-from stepsafe.relu import ReluDataset, Weights, bound_alpha2
+from stepsafe.relu import ReluDataset, Weights, _cassini, _gershgorin, bound_alpha2
 
 
 def _random_sym(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) * scale
     return SymMatrix((a + a.T) / 2.0)
+
+
+def _diag_radii(m):
+    # the diagonal and off-diagonal absolute row sums of an explicit symmetric matrix: what
+    # relu's Gershgorin and Cassini kernels take in place of the matrix
+    return np.diag(m.entries), np.abs(m.entries).sum(axis=1) - np.abs(np.diag(m.entries))
 
 
 class TestSymMatrix:
@@ -95,34 +94,30 @@ class TestPowerIteration:
 
 class TestGershgorin:
     def test_examples(self):
-        assert gershgorin_upper(SymMatrix([[2.0, 1.0], [1.0, 2.0]])) == 3.0
-        assert gershgorin_upper(SymMatrix(np.diag([5.0, 1.0]))) == 5.0
-        assert gershgorin_upper(SymMatrix([[0.0, 1.0], [1.0, 0.0]])) == 1.0
+        assert _gershgorin(*_diag_radii(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))) == 3.0
+        assert _gershgorin(*_diag_radii(SymMatrix(np.diag([5.0, 1.0])))) == 5.0
+        assert _gershgorin(*_diag_radii(SymMatrix([[0.0, 1.0], [1.0, 0.0]]))) == 1.0
 
 
 class TestBrauerCassini:
     def test_equal_diagonal_matches_both_variants(self):
-        m = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-        assert brauer_cassini_upper(m, "standard") == 3.0
-        assert brauer_cassini_upper(m, "paper") == 3.0
+        rows = _diag_radii(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
+        assert _cassini(*rows, "standard") == 3.0
+        assert _cassini(*rows, "paper") == 3.0
 
     def test_diagonal_5_1(self):
-        m = SymMatrix(np.diag([5.0, 1.0]))
-        assert brauer_cassini_upper(m, "standard") == 5.0
-        assert brauer_cassini_upper(m, "paper") == 7.0
+        rows = _diag_radii(SymMatrix(np.diag([5.0, 1.0])))
+        assert _cassini(*rows, "standard") == 5.0
+        assert _cassini(*rows, "paper") == 7.0
 
     def test_paper_variant_can_exceed_gershgorin(self):
-        m = SymMatrix(np.diag([5.0, 1.0]))
-        assert brauer_cassini_upper(m, "paper") > gershgorin_upper(m)
-
-    def test_requires_two_rows(self):
-        with pytest.raises(InvalidInputError):
-            brauer_cassini_upper(SymMatrix([[1.0]]))
+        rows = _diag_radii(SymMatrix(np.diag([5.0, 1.0])))
+        assert _cassini(*rows, "paper") > _gershgorin(*rows)
 
     def test_unknown_variant(self):
         for variant in ("tight", "paper-literal"):
             with pytest.raises(InvalidInputError):
-                brauer_cassini_upper(SymMatrix(np.eye(2)), variant)
+                _cassini(*_diag_radii(SymMatrix(np.eye(2))), variant)
 
 
 class TestBoundOrdering:
@@ -133,8 +128,8 @@ class TestBoundOrdering:
             n = int(rng.integers(2, 31))
             m = _random_sym(rng, n, scale=float(rng.uniform(0.1, 5.0)))
             lam = np.linalg.eigvalsh(m.entries)[-1]
-            brauer = brauer_cassini_upper(m, "standard")
-            gersh = gershgorin_upper(m)
+            brauer = _cassini(*_diag_radii(m), "standard")
+            gersh = _gershgorin(*_diag_radii(m))
             slack = 1e-9 * max(1.0, abs(gersh))
             assert lam <= brauer + slack
             assert brauer <= gersh + slack
@@ -155,8 +150,8 @@ class TestBoundOrdering:
     def test_chain_hypothesis(self, a):
         m = SymMatrix((a + a.T) / 2.0)
         lam = np.linalg.eigvals(m.entries).real.max()
-        brauer = brauer_cassini_upper(m, "standard")
-        gersh = gershgorin_upper(m)
+        brauer = _cassini(*_diag_radii(m), "standard")
+        gersh = _gershgorin(*_diag_radii(m))
         slack = 1e-9 * max(1.0, abs(gersh))
         assert lam <= brauer + slack
         assert brauer <= gersh + slack

@@ -493,6 +493,11 @@ class TestFiniteDifferences:
                 ref[i] = (f(x + e) - f(x - e)) / (2.0 * h)
             assert np.array_equal(central_difference_gradient(f, x), ref)
 
+    def test_rejects_a_stack(self):
+        # a (2, 2) x had given a (2,) array of differences along the rows of h*I
+        with pytest.raises(InvalidInputError, match=r"expected one point, got shape \(2, 2\)"):
+            central_difference_gradient(lambda x: float(np.sum(x)), np.ones((2, 2)))
+
     def test_detects_wrong_gradient(self):
         f = ObjectiveFunction(dim=2, value_and_gradient=lambda x: (float(x @ x), x))  # true grad 2x
         x = np.array([1.0, 2.0])

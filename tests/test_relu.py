@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepsafe.relu as relu_module
+from stepsafe.descent import DescentConfig
 from stepsafe.errors import InvalidInputError, UnsupportedOperationError
 from stepsafe.objectives import (
     BoxDomain,
@@ -29,7 +30,6 @@ from stepsafe.relu import (
     bound_alpha2,
     bound_alpha3,
     bound_alpha4,
-    forward_all,
     generate_dataset,
     gradient,
     initial_weights,
@@ -40,7 +40,7 @@ from stepsafe.relu import (
     near_kink,
     save_dataset,
 )
-from stepsafe.eigenbounds import brauer_cassini_upper, gershgorin_upper, power_iteration
+from stepsafe.eigenbounds import power_iteration
 
 
 def _weights(rows):
@@ -97,17 +97,18 @@ class TestWeights:
 
 
 class TestForwardAndLoss:
+    # a dataset's targets are its teacher's forward pass
     def test_forward_example(self):
         w = _weights([[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(forward_all([[1.0, -1.0], [1.0, 2.0]], w), [1.0, 3.0])
+        assert np.array_equal(_dataset_from_points([[1.0, -1.0], [1.0, 2.0]], w).targets, [1.0, 3.0])
 
     def test_forward_zero_weights(self):
         w = _weights([[0.0, 0.0]])
-        assert np.array_equal(forward_all([[3.0, -2.0]], w), [0.0])
+        assert np.array_equal(_dataset_from_points([[3.0, -2.0]], w).targets, [0.0])
 
     def test_forward_repeated_neurons(self):
         w = _weights([[1.0, 0.0]] * 3)
-        assert np.array_equal(forward_all([[2.0, 0.0]], w), [6.0])
+        assert np.array_equal(_dataset_from_points([[2.0, 0.0]], w).targets, [6.0])
 
     def test_loss_zero_at_teacher(self):
         data = generate_dataset(NetConfig(d=3, k=2, n=25, seed=0))
@@ -144,7 +145,7 @@ class TestNeuronMajorKernel:
             outputs, value, grad = _point_major(w.reshape(k, d), data.inputs, data.targets)
             teacher_outputs = _point_major(data.teacher.matrix, data.inputs, data.targets)[0]
             got_value, got_grad = loss_objective(data).value_and_gradient(w)
-            got_outputs = forward_all(data.inputs, Weights(w, k=k, d=d))
+            got_outputs = _dataset_from_points(data.inputs, Weights(w, k=k, d=d)).targets
             # the value-only path shares the fused call's residuals and sum
             value_only = (loss_objective(data).evaluate(w), loss(Weights(w, k=k, d=d), data))
             assert value_only == (got_value, got_value)
@@ -347,9 +348,9 @@ class TestInputRules:
         with pytest.raises(InvalidInputError, match="seed must be at least -1"):
             ReluDataset(data.inputs, data.teacher, seed=-2)
 
-    @pytest.mark.parametrize("field, value", [("d", 3.0), ("k", 2.0), ("n", 10.5), ("seed", 1.5)])
+    @pytest.mark.parametrize("field, value", [("d", 3.0), ("k", 2.0), ("n", 10.5), ("seed", 1.5), ("d", True)])
     def test_non_integer_config_rejected(self, field, value):
-        # a float size or seed had passed NetConfig and died in numpy's draws (TypeError)
+        # a float size or seed had passed NetConfig and died in numpy's draws (TypeError); a bool had run as 1
         fields = {"d": 3, "k": 2, "n": 10, "seed": 0}
         with pytest.raises(InvalidInputError, match=f"{field} must be an integer, got {value!r}"):
             generate_dataset(NetConfig(**{**fields, field: value}))
@@ -357,25 +358,30 @@ class TestInputRules:
         assert np.array_equal(numpy_ints.inputs, generate_dataset(NetConfig(**fields)).inputs)
 
     @pytest.mark.parametrize(
-        "caller, name",
+        "caller, name, value",
         [
-            (lambda data: alpha_single_point([1.0, 2.0], 2.5), "k"),
-            (lambda data: bound_alpha2(data, 2.5), "k"),
-            (lambda data: alpha_oracle(data, 2.5, "random-search", budget=4), "k"),
-            (lambda data: Weights(np.zeros(5), k=2.5, d=2), "k"),
-            (lambda data: Weights(np.zeros(5), k=2, d=2.5), "d"),
-            (lambda data: ObjectiveFunction(dim=2.5, value_and_gradient=lambda x: (0.0, x)), "dimension"),
-            (lambda data: ReluDataset(data.inputs, data.teacher, seed=2.5), "seed"),
+            (lambda data: alpha_single_point([1.0, 2.0], 2.5), "k", 2.5),
+            (lambda data: bound_alpha2(data, 2.5), "k", 2.5),
+            (lambda data: alpha_oracle(data, 2.5, "random-search", budget=4), "k", 2.5),
+            (lambda data: Weights(np.zeros(5), k=2.5, d=2), "k", 2.5),
+            (lambda data: Weights(np.zeros(5), k=2, d=2.5), "d", 2.5),
+            (lambda data: ObjectiveFunction(dim=2.5, value_and_gradient=lambda x: (0.0, x)), "dimension", 2.5),
+            (lambda data: ReluDataset(data.inputs, data.teacher, seed=2.5), "seed", 2.5),
+            (lambda data: alpha_single_point([1.0, 2.0], True), "k", True),
+            (lambda data: BoxDomain(np.zeros(2), np.ones(2), budget=True), "budget", True),
+            (lambda data: DescentConfig(eta=0.1, steps=True, x0=np.ones(2)), "step budget", True),
         ],
         ids=["alpha_single_point", "alpha2", "oracle-random-search", "Weights-k", "Weights-d",
-             "ObjectiveFunction-dim", "ReluDataset-seed"],
+             "ObjectiveFunction-dim", "ReluDataset-seed", "alpha_single_point-True", "BoxDomain-budget-True",
+             "DescentConfig-steps-True"],
     )
-    def test_non_integer_width_rejected(self, caller, name):
+    def test_non_integer_width_rejected(self, caller, name, value):
         # k = 2.5 had scaled the value by 2.5 and returned it; Weights had taken a k or d of
         # 2.5 whose product matched the weight count, and .matrix then died in reshape; an
-        # objective of dim 2.5 died in np.eye, and a dataset seed of 2.5 in the oracle's stream
+        # objective of dim 2.5 died in np.eye, and a dataset seed of 2.5 in the oracle's stream.
+        # A bool passes operator.index, so True had run as 1.
         data = generate_dataset(NetConfig(d=2, k=1, n=5, seed=0))
-        with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer, got 2\.5"):
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}"):
             caller(data)
 
     def test_non_integer_oracle_budget_rejected(self):
@@ -457,8 +463,8 @@ class TestDatasetGeneration:
         # ReluDataset derives the targets on first read and keeps them; the bounds and the
         # oracle never read them, so a report costs no forward pass
         calls = []
-        original = relu_module._forward_all
-        monkeypatch.setattr(relu_module, "_forward_all", lambda *args: calls.append(args) or original(*args))
+        original = relu_module._forward
+        monkeypatch.setattr(relu_module, "_forward", lambda *args: calls.append(args) or original(*args))
         data = generate_dataset(NetConfig(d=3, k=2, n=10, seed=0))
         bound_alpha1(data, 2)
         bound_alpha4(data, 2)
@@ -495,6 +501,11 @@ class TestAlphaBounds:
         # x @ x on a (2, 2) array is a matrix, which float() cannot take
         with pytest.raises(InvalidInputError, match="expected one point"):
             alpha_single_point([[1.0, 2.0], [3.0, 4.0]], 1)
+
+    def test_alpha_single_point_rejects_an_empty_point(self):
+        # an empty x had given 0.0, a constant for no point at all
+        with pytest.raises(InvalidInputError, match=r"expected one point .*got shape \(0,\)"):
+            alpha_single_point([], 2)
 
     def test_alpha1_by_hand(self):
         teacher = _weights([[0.0, 0.0]] * 3)
@@ -586,7 +597,7 @@ class TestAlphaBounds:
         data = generate_dataset(cfg)
         w = initial_weights(cfg).matrix.copy()
         x, xx = data.inputs[945], float(data.inputs[945] @ data.inputs[945])
-        r = float(forward_all(x[None, :], _weights(w))[0] - data.targets[945])
+        r = float(_dataset_from_points(x[None, :], _weights(w)).targets[0] - data.targets[945])
         assert x @ w[4] < 0.0 and r > 13.0
         w[4] += (-(h / 2) * xx - x @ w[4]) / xx * x
         y = w.copy()
@@ -612,16 +623,17 @@ class TestAlphaBounds:
         "d_range, k_range", [((2, 13), (1, 2)), ((1, 13), (2, 8)), ((1, 2), (2, 8))], ids=["k=1", "k>=2", "d=1"]
     )
     def test_bounds_from_s_match_allactive_matrix(self, d_range, k_range, variant):
-        # alpha2..alpha4 come from the d x d matrix S; the explicit kd x kd
-        # all-active matrix is the reference
+        # alpha2..alpha4 come from the d x d matrix S; the explicit kd x kd all-active
+        # matrix is the reference, its rows paired as in any matrix (no twins)
         rng = np.random.default_rng([*d_range, *k_range])
         for _ in range(25):
             d, k, n = int(rng.integers(*d_range)), int(rng.integers(*k_range)), int(rng.integers(1, 300))
             data = generate_dataset(NetConfig(d, k, n, int(rng.integers(0, 2**31))))
             m = allactive_gram_matrix(data, k)
+            diag, radii = np.diag(m.entries), np.abs(m.entries).sum(axis=1) - np.abs(np.diag(m.entries))
             a3, a4 = bound_alpha3(data, k), bound_alpha4(data, k, variant)
-            assert a3 == pytest.approx(gershgorin_upper(m), rel=1e-12)
-            assert a4 == pytest.approx(brauer_cassini_upper(m, variant), rel=1e-12)
+            assert a3 == pytest.approx(relu_module._gershgorin(diag, radii), rel=1e-12)
+            assert a4 == pytest.approx(relu_module._cassini(diag, radii, variant), rel=1e-12)
             assert bound_alpha2(data, k) == pytest.approx(np.linalg.eigvalsh(m.entries)[-1], rel=1e-12)
             if k >= 2 and variant == "standard":
                 assert a4 == a3
