@@ -34,6 +34,7 @@ from .tableio import read_lines, write_table
 BOUND_CHOICES = ("alpha1", "alpha2", "alpha3", "alpha4", "oracle")
 DEFAULT_BOUNDS = ("alpha1", "alpha2", "alpha3", "alpha4")
 DEFAULT_SCALES = (0.5, 1.0, 2.0, 4.0)
+AUTO_ENUM_MAX_POINTS, AUTO_ENUM_MAX_DIM = 12, 3  # oracle strategy "auto": pattern-enum up to this size
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -41,7 +42,7 @@ EXIT_NUMERICAL_FAILURE = 2
 EXIT_IO_FAILURE = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """Settings of one run.  Each field is a flag (--alpha4-variant) and a
     spec-file key (alpha4-variant):
@@ -72,7 +73,7 @@ class ExperimentSpec:
     oracle_strategy: str = "auto"
     oracle_budget: int = 10_000
 
-    def validate(self) -> None:
+    def __post_init__(self):
         NetConfig(self.d, self.k, self.n, self.seed)  # raises on a bad d, k, n or seed
         for name in ("reps", "steps", "oracle_budget"):
             _as_count(getattr(self, name), name)
@@ -89,6 +90,11 @@ class ExperimentSpec:
             raise InvalidInputError(f"alpha4 variant must be one of {ALPHA4_VARIANTS}")
         if self.oracle_strategy not in ("auto",) + relu.ORACLE_STRATEGIES:
             raise InvalidInputError("oracle strategy must be auto, pattern-enum or random-search")
+        if not isinstance(self.no_timestamp, bool):
+            raise InvalidInputError(f"no_timestamp must be a bool, got {self.no_timestamp!r}")
+        if self.oracle_strategy == "auto":
+            small = self.n <= AUTO_ENUM_MAX_POINTS and self.d <= AUTO_ENUM_MAX_DIM
+            object.__setattr__(self, "oracle_strategy", "pattern-enum" if small else "random-search")
 
     def stamp(self) -> str | None:
         return None if self.no_timestamp else datetime.now(timezone.utc).isoformat()
@@ -154,27 +160,17 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
             values[name] = FIELDS[name](text)
         except ValueError:
             raise InvalidInputError(f"bad {_key(name)} value {text!r}") from None
-    spec = ExperimentSpec(**values)
-    spec.validate()
-    return spec
+    return ExperimentSpec(**values)
 
 
 # --- shared helpers -----------------------------------------------------------
-
-
-def _resolve_oracle_strategy(spec: ExperimentSpec) -> str:
-    if spec.oracle_strategy != "auto":
-        return spec.oracle_strategy
-    if spec.n <= relu.PATTERN_ENUM_MAX_POINTS and spec.d <= relu.PATTERN_ENUM_MAX_DIM:
-        return "pattern-enum"
-    return "random-search"
 
 
 def _bound_value(name: str, data: relu.ReluDataset, spec: ExperimentSpec) -> float:
     if name == "alpha4":
         return relu.bound_alpha4(data, spec.k, spec.alpha4_variant)
     if name == "oracle":
-        return relu.alpha_oracle(data, spec.k, _resolve_oracle_strategy(spec), spec.oracle_budget)
+        return relu.alpha_oracle(data, spec.k, spec.oracle_strategy, spec.oracle_budget)
     return getattr(relu, f"bound_{name}")(data, spec.k)
 
 
@@ -259,7 +255,7 @@ def cmd_oracle(spec: ExperimentSpec) -> None:
         return row + [row[0] / row[2]]
 
     mean = _run_table(spec, "oracle.csv", columns, values)
-    print(f"oracle ({_resolve_oracle_strategy(spec)}): mean oracle/alpha2 = {mean[-1]:.4f}")
+    print(f"oracle ({spec.oracle_strategy}): mean oracle/alpha2 = {mean[-1]:.4f}")
     print(f"wrote {spec.out / 'oracle.csv'}")
 
 

@@ -252,7 +252,7 @@ def estimate_concavifier_hessian(
 def central_difference_gradient(fun: Callable[[np.ndarray], float], x) -> np.ndarray:
     """Central finite-difference gradient with h = 1e-6 * max(1, ||x||)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
+    if x.ndim != 1 or x.size == 0:
         raise InvalidInputError(f"expected one point, got shape {x.shape}")
     h = GRAD_CHECK_STEP_SCALE * max(1.0, float(np.linalg.norm(x)))
     stencil = h * np.eye(x.shape[0])

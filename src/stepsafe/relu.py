@@ -40,14 +40,12 @@ from functools import cached_property
 import numpy as np
 
 from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _max_top_eigenvalue
-from .errors import InvalidInputError, UnsupportedOperationError, _as_count
+from .errors import InvalidInputError, _as_count
 from .objectives import ObjectiveFunction
 from .tableio import read_floats, write_table
 
 ORACLE_STRATEGIES = ("pattern-enum", "random-search")
 ALPHA4_VARIANTS = ("standard", "paper")
-PATTERN_ENUM_MAX_POINTS = 12
-PATTERN_ENUM_MAX_DIM = 3
 KINK_MARGIN_RTOL = 1e-6
 STACK_CHUNK_ENTRIES = 2**13  # (m, k, n) entries per chunk of a stacked loss: 64 KB of float64
 _DIRECTION_CHUNK = 256  # oracle directions per chunk: larger chunks grow peak memory, not speed
@@ -223,6 +221,8 @@ def alpha_single_point(x, k: int) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.size == 0:
         raise InvalidInputError(f"expected one point of at least one coordinate, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise InvalidInputError("point must be finite")
     return float(k) * float(x @ x)
 
 
@@ -327,9 +327,9 @@ def alpha_oracle(
     """The optimal concavifier (1/n) max_w lambda_max of the masked Gram sum.
 
     Its optimum gives every neuron one activation pattern, so the search runs
-    over one shared direction.  ``pattern-enum`` (n <= 12, d <= 3) returns
-    alpha2: w = 0 activates every point, and X_s^T X_s <= X^T X makes that
-    pattern the maximum.  ``random-search`` maximizes over ``budget`` nonzero
+    over one shared direction.  ``pattern-enum`` returns alpha2 at any size:
+    w = 0 activates every point, and X_s^T X_s <= X^T X makes that pattern the
+    maximum.  ``random-search`` maximizes over ``budget`` nonzero
     directions and reports a lower bound on alpha2; its default stream is
     (data.seed, ORACLE_STREAM), apart from the data stream.
     """
@@ -337,10 +337,6 @@ def alpha_oracle(
     if strategy not in ORACLE_STRATEGIES:
         raise InvalidInputError(f"unknown strategy {strategy!r}; expected one of {ORACLE_STRATEGIES}")
     if strategy == "pattern-enum":
-        if data.n > PATTERN_ENUM_MAX_POINTS or data.d > PATTERN_ENUM_MAX_DIM:
-            raise UnsupportedOperationError(
-                f"pattern enumeration needs n <= {PATTERN_ENUM_MAX_POINTS} and d <= {PATTERN_ENUM_MAX_DIM}"
-            )
         return bound_alpha2(data, k)
     _as_count(budget, "budget")
     if rng is None:

@@ -17,7 +17,7 @@ from .errors import InvalidInputError
 FLOAT_FMT = "%.17g"
 
 
-def format_cell(value) -> str:
+def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
@@ -25,7 +25,7 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def parse_cell(text: str):
+def _parse_cell(text: str):
     try:
         return float(text)
     except ValueError:
@@ -41,13 +41,13 @@ def write_table(path, header, rows, timestamp: str | None = None) -> None:
         if header is not None:
             fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_cell(v) for v in row) + "\n")
+            fh.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; one that is not UTF-8 raises InvalidInputError."""
+    """The lines of a UTF-8 text file, minus a leading byte-order mark; non-UTF-8 raises InvalidInputError."""
     try:
-        return Path(path).read_text(encoding="utf-8").split("\n")
+        return Path(path).read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
@@ -66,7 +66,7 @@ def read_table(path, header: bool = True) -> tuple[list[str] | None, list[list]]
     for lineno, cells in enumerate(lines, start=1 + bool(names)):
         if len(cells) != width:
             raise InvalidInputError(f"{path}: table row {lineno} has {len(cells)} cells, expected {width}")
-    return names, [[parse_cell(cell) for cell in cells] for cells in lines]
+    return names, [[_parse_cell(cell) for cell in cells] for cells in lines]
 
 
 def read_floats(path, header: bool = True) -> tuple[list[str] | None, np.ndarray]:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its file outputs."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -257,6 +258,15 @@ class TestSpecFile:
         data = generate_dataset(NetConfig(4, 2, 30, 3))  # n overridden by flag
         assert _rows_of_kind(rows, "run")[0][2] == bound_alpha1(data, 2)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # a BOM had glued itself to the first key: "unknown key '\\ufeffd'"
+        text = "d = 3\nk = 2\nn = 10\nno-timestamp = true\n"
+        (tmp_path / "bom.spec").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        (tmp_path / "plain.spec").write_text(text)
+        for name in ("bom", "plain"):
+            assert main(["bounds", "--spec", str(tmp_path / f"{name}.spec"), "--out", str(tmp_path / name)]) == EXIT_OK
+        assert (tmp_path / "bom" / "bounds.csv").read_bytes() == (tmp_path / "plain" / "bounds.csv").read_bytes()
+
     def test_unknown_key_rejected(self, tmp_path):
         spec = tmp_path / "run.spec"
         spec.write_text("depth = 4\n")
@@ -311,10 +321,27 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field", ["reps", "steps", "oracle_budget"])
     def test_library_counts_must_be_integers(self, field):
-        # reps=2.0 from a library caller had passed validate and died in range() in cmd_bounds
+        # reps=2.0 from a library caller had passed validate and died in range() in cmd_bounds;
+        # building the spec now checks it
         with pytest.raises(InvalidInputError, match=rf"^{field} must be an integer, got 2\.0"):
-            ExperimentSpec(**{field: 2.0}).validate()
-        ExperimentSpec(**{field: np.int64(2)}).validate()
+            ExperimentSpec(**{field: 2.0})
+        ExperimentSpec(**{field: np.int64(2)})
+
+    def test_library_no_timestamp_must_be_a_bool(self):
+        # "no" had been truthy to stamp() and silently dropped the timestamp line
+        with pytest.raises(InvalidInputError, match="no_timestamp must be a bool, got 'no'"):
+            ExperimentSpec(no_timestamp="no")
+
+    def test_built_spec_is_frozen(self):
+        spec = ExperimentSpec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.reps = 2.0
+
+    @pytest.mark.parametrize("d, n, strategy", [(3, 12, "pattern-enum"), (4, 12, "random-search"),
+                                                (3, 13, "random-search")])
+    def test_auto_oracle_strategy_is_settled_when_built(self, d, n, strategy):
+        assert ExperimentSpec(d=d, n=n).oracle_strategy == strategy
+        assert ExperimentSpec(d=d, n=n, oracle_strategy="pattern-enum").oracle_strategy == "pattern-enum"
 
     def test_parser_error_maps_to_invalid_input(self):
         assert main(["bounds", "--alpha4-variant", "bogus"]) == EXIT_INVALID_INPUT

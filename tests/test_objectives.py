@@ -498,6 +498,11 @@ class TestFiniteDifferences:
         with pytest.raises(InvalidInputError, match=r"expected one point, got shape \(2, 2\)"):
             central_difference_gradient(lambda x: float(np.sum(x)), np.ones((2, 2)))
 
+    def test_rejects_an_empty_point(self):
+        # [] had given an empty array: a gradient of no coordinates
+        with pytest.raises(InvalidInputError, match=r"expected one point, got shape \(0,\)"):
+            central_difference_gradient(lambda x: float(np.sum(x)), [])
+
     def test_detects_wrong_gradient(self):
         f = ObjectiveFunction(dim=2, value_and_gradient=lambda x: (float(x @ x), x))  # true grad 2x
         x = np.array([1.0, 2.0])

@@ -38,7 +38,7 @@ MODULE_FUNCTIONS = {
         "bound_alpha3", "bound_alpha4", "generate_dataset", "gradient", "initial_weights", "load_dataset", "loss",
         "loss_hessian_matrix", "loss_objective", "near_kink", "save_dataset", "second_moment_matrix",
     ],
-    "tableio": ["format_cell", "parse_cell", "read_floats", "read_lines", "read_table", "write_table"],
+    "tableio": ["read_floats", "read_lines", "read_table", "write_table"],
 }
 
 

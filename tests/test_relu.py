@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import stepsafe.relu as relu_module
 from stepsafe.descent import DescentConfig
-from stepsafe.errors import InvalidInputError, UnsupportedOperationError
+from stepsafe.errors import InvalidInputError
 from stepsafe.objectives import (
     BoxDomain,
     ObjectiveFunction,
@@ -507,6 +507,12 @@ class TestAlphaBounds:
         with pytest.raises(InvalidInputError, match=r"expected one point .*got shape \(0,\)"):
             alpha_single_point([], 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_alpha_single_point_rejects_a_non_finite_point(self, bad):
+        # [nan, 1] had given nan and [inf, 1] inf, where ReluDataset refuses such inputs
+        with pytest.raises(InvalidInputError, match="point must be finite"):
+            alpha_single_point([bad, 1.0], 1)
+
     def test_alpha1_by_hand(self):
         teacher = _weights([[0.0, 0.0]] * 3)
         data = _dataset_from_points([[1.0, 0.0], [0.0, 2.0]], teacher)
@@ -797,12 +803,10 @@ class TestAlphaOracle:
             assert val <= bound_alpha2(data, 3) + 1e-9 * max(1.0, bound_alpha2(data, 3))
 
     def test_pattern_enum_size_limits(self):
-        data = generate_dataset(NetConfig(d=4, k=1, n=5, seed=0))
-        with pytest.raises(UnsupportedOperationError):
-            alpha_oracle(data, 1, "pattern-enum")
-        data = generate_dataset(NetConfig(d=2, k=1, n=13, seed=0))
-        with pytest.raises(UnsupportedOperationError):
-            alpha_oracle(data, 1, "pattern-enum")
+        # past the old n <= 12, d <= 3 limits of the 2^n enumeration it is still alpha2
+        for d, n in ((4, 5), (2, 13)):
+            data = generate_dataset(NetConfig(d=d, k=1, n=n, seed=0))
+            assert alpha_oracle(data, 1, "pattern-enum") == bound_alpha2(data, 1)
 
     def test_unknown_strategy(self):
         data = generate_dataset(NetConfig(d=2, k=1, n=4, seed=0))
