@@ -4,10 +4,11 @@
 Runs `bounds`, `train` (all five bounds), `scale-sweep` and `oracle` with
 --no-timestamp on the six standard configurations at seeds 0-2, plus a
 pattern-enum `oracle` and `train --bounds oracle,alpha2` on d2 k2 n8, a
-pattern-enum `oracle` on d4 k2 n20 (past the sizes that `auto` enumerates), and
-two error paths: `bounds --d 0` (invalid input) and a `train` on d1 k1 n1
-whose one-draw random-search oracle is 0 (numerical failure after the
-`alpha2` run).  Each run writes into its own directory under a temporary
+pattern-enum `oracle` on d4 k2 n20 (past the sizes that `auto` enumerates), a
+default `train` on d20 k1 n50 (a shape whose forward-pass bits depend on the
+layout of the inputs in the W X^T product), and two error paths: `bounds --d 0`
+(invalid input) and a `train` on d1 k1 n1 whose one-draw random-search oracle
+is 0 (numerical failure after the `alpha2` run).  Each run writes into its own directory under a temporary
 directory; then comes `run_bound_table.py --reps 3`.  Prints one line
 `sha256  run/file` per CSV and one `sha256  run/<stdout>` per run (stdout,
 stderr and the exit code), with the output directory masked in the captured
@@ -53,6 +54,7 @@ def _runs():
     yield "oracle_enum_d4_k2_n20", ["oracle", "--oracle-strategy", "pattern-enum", "--d", "4", "--k", "2", "--n", "20",
                                     "--seed", "0", "--reps", "3"]
     yield "train_oracle_d2_k2_n8", ["train", "--bounds", "oracle,alpha2", *small]
+    yield "train_d20_k1_n50", ["train", "--d", "20", "--k", "1", "--n", "50", "--seed", "0", "--reps", "3"]
     yield "invalid_d0", ["bounds", "--d", "0"]
     yield "zero_oracle_d1_k1_n1", ["train", "--d", "1", "--k", "1", "--n", "1", "--bounds", "alpha2,oracle",
                                    "--oracle-strategy", "random-search", "--oracle-budget", "1"]

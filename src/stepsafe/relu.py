@@ -93,12 +93,12 @@ class Weights:
         return self.flat.reshape(self.k, self.d)
 
 
-def _forward(inputs: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.ndarray:
+def _forward(inputs_t: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.ndarray:
     """The one forward pass, neuron-major: W X^T summed over neurons (axis -2: a stack (m, k, d) gives
-    (m, n)), for targets and residuals alike, so the teacher's loss and gradient are exactly 0.  W X^T
-    goes into ``z`` if given (a (k, n) buffer), ``active`` records z >= 0 if given, and the ReLU is taken
-    in place on the product, which np.add.reduce (what ndarray.sum calls) sums over neurons."""
-    zt = np.matmul(wmat, inputs.T, out=z)
+    (m, n)), for targets and residuals alike, so the teacher's loss and gradient are exactly 0.  X^T is
+    the dataset's C-contiguous (d, n) copy, one BLAS layout for every W X^T.  The product goes into ``z``
+    if given (a (k, n) buffer), ``active`` records z >= 0 if given, and the ReLU is taken in place."""
+    zt = np.matmul(wmat, inputs_t, out=z)
     if active is not None:
         np.greater_equal(zt, 0.0, out=active)
     return np.add.reduce(np.maximum(zt, 0.0, out=zt), axis=-2)
@@ -106,7 +106,8 @@ def _forward(inputs: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.nd
 
 @dataclass(frozen=True, eq=False)
 class ReluDataset:
-    """Teacher-generated inputs; targets are derived here as the teacher output."""
+    """Teacher-generated inputs; targets are derived here as the teacher output.  The forward pass reads a
+    C-contiguous (d, n) copy of the inputs (n d 8 bytes) made on first use: bounds and oracle never make it."""
 
     inputs: np.ndarray
     teacher: Weights
@@ -132,10 +133,14 @@ class ReluDataset:
         return self.inputs.shape[1]
 
     @cached_property
+    def _inputs_t(self) -> np.ndarray:
+        return np.ascontiguousarray(self.inputs.T)
+
+    @cached_property
     def targets(self) -> np.ndarray:
         """The teacher's outputs, computed on first read and kept: the bounds and
         the oracle never read them."""
-        return _forward(self.inputs, self.teacher.matrix)
+        return _forward(self._inputs_t, self.teacher.matrix)
 
     @cached_property
     def second_moment(self) -> SymMatrix:
@@ -172,47 +177,47 @@ def _checked_matrix(w: Weights, data: ReluDataset) -> np.ndarray:
 
 def loss(w: Weights, data: ReluDataset) -> float:
     """1/(2n) sum_i (f(x_i, w) - y_i)^2, with f(x, w) = sum_j max(0, x^T w_j)."""
-    return _loss_value(_checked_matrix(w, data), data.inputs, data.targets)
+    return _loss_value(_checked_matrix(w, data), data._inputs_t, data.targets)
 
 
 def _loss_terms(
-    wmat: np.ndarray, inputs: np.ndarray, targets: np.ndarray, z=None, active=None
+    wmat: np.ndarray, inputs_t: np.ndarray, targets: np.ndarray, z=None, active=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The residuals f(x_i, w) - y_i of _forward (in its buffers, if given) and the loss, with
     the bits of 0.5 * np.mean(resid**2): the one residual code of both loss paths.  A stack
     (m, k, d) gives (m,) losses, each with the bits of its own call (one GEMM per matrix)."""
-    resid = _forward(inputs, wmat, z, active) - targets
+    resid = _forward(inputs_t, wmat, z, active) - targets
     return resid, 0.5 * (np.add.reduce(resid * resid, axis=-1) / len(targets))
 
 
-def _loss_value(wmat: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> float | np.ndarray:
+def _loss_value(wmat: np.ndarray, inputs_t: np.ndarray, targets: np.ndarray) -> float | np.ndarray:
     """The loss at a (k, d) weight matrix, or the (m,) losses at a stack (m, k, d) in chunks of
     STACK_CHUNK_ENTRIES: the values of _loss_and_gradient bit for bit, without the gradient."""
     if wmat.ndim == 2:
-        return float(_loss_terms(wmat, inputs, targets)[1])
+        return float(_loss_terms(wmat, inputs_t, targets)[1])
     out, step = np.empty(len(wmat)), max(1, STACK_CHUNK_ENTRIES // (wmat.shape[1] * len(targets)))
     for i in range(0, len(wmat), step):
-        out[i : i + step] = _loss_terms(wmat[i : i + step], inputs, targets)[1]
+        out[i : i + step] = _loss_terms(wmat[i : i + step], inputs_t, targets)[1]
     return out
 
 
 def _loss_and_gradient(
-    wmat: np.ndarray, inputs: np.ndarray, targets: np.ndarray, work=None
+    wmat: np.ndarray, inputs: np.ndarray, inputs_t: np.ndarray, targets: np.ndarray, work=None
 ) -> tuple[float, np.ndarray]:
     """Loss and flat gradient at the (k, d) weight matrix, in the (k, n) float and bool
-    buffers ``work`` (fresh ones if None).  The masked residuals m overwrite the float
-    buffer in Fortran order, so the gradient product m X is the BLAS call, with the bits,
-    of the point-major form, and needs no (k, n) array of its own."""
+    buffers ``work`` (fresh ones if None).  The masked residuals m overwrite the float buffer
+    in Fortran order, so m X on the (n, d) inputs (not their copy) is the BLAS call, with the
+    bits, of the point-major form, and needs no (k, n) array of its own."""
     n = len(targets)
     z, active = work or (np.empty((len(wmat), n)), np.empty((len(wmat), n), dtype=bool))
-    resid, value = _loss_terms(wmat, inputs, targets, z, active)
+    resid, value = _loss_terms(wmat, inputs_t, targets, z, active)
     m = np.multiply(active, resid, out=z.reshape(n, -1).T)
     return float(value), (m @ inputs / n).reshape(-1)
 
 
 def gradient(w: Weights, data: ReluDataset) -> np.ndarray:
     """(1/n) sum_i (f(x_i, w) - y_i) * a(x_i, w), flat in R^{kd}."""
-    return _loss_and_gradient(_checked_matrix(w, data), data.inputs, data.targets)[1]
+    return _loss_and_gradient(_checked_matrix(w, data), data.inputs, data._inputs_t, data.targets)[1]
 
 
 def alpha_single_point(x, k: int) -> float:
@@ -353,7 +358,7 @@ def near_kink(w: Weights, data: ReluDataset) -> bool:
     Gradient checks are skipped at such points: the loss gradient jumps across
     activation boundaries, so finite differences straddling one are meaningless.
     """
-    z = np.abs(data.inputs @ _checked_matrix(w, data).T)
+    z = np.abs(_checked_matrix(w, data) @ data._inputs_t).T
     xnorm = np.linalg.norm(data.inputs, axis=1)[:, None]
     scale = xnorm * np.linalg.norm(w.matrix, axis=1)[None, :]
     return bool(np.any((z <= KINK_MARGIN_RTOL * scale) & (xnorm > 0.0)))
@@ -361,7 +366,7 @@ def near_kink(w: Weights, data: ReluDataset) -> bool:
 
 def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
     """Almost-everywhere loss Hessian (1/n) sum_i a(x_i, w) a(x_i, w)^T."""
-    mask = (data.inputs @ _checked_matrix(w, data).T) >= 0.0
+    mask = np.greater_equal((_checked_matrix(w, data) @ data._inputs_t).T, 0.0, order="C")  # (n, k) rows
     stacked = (mask[:, :, None] * data.inputs[:, None, :]).reshape(data.n, w.k * w.d)
     h = stacked.T @ stacked / data.n
     return SymMatrix((h + h.T) / 2.0)
@@ -369,20 +374,20 @@ def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
 
 def loss_objective(data: ReluDataset) -> ObjectiveFunction:
     """The training loss as an objective over flat weights in R^{kd}; each call
-    works on flat.reshape(k, d) and the data's inputs and targets, read once here, and
-    its value-only callable returns the fused call's value bit for bit without forming the
-    gradient, also for a stack (m, kd).  The fused call reuses one (k, n) workspace that
-    this objective owns, so one objective must not be called from two threads at once."""
+    works on flat.reshape(k, d) and the data's inputs, their (d, n) copy and targets, read
+    once here, and its value-only callable returns the fused call's value bit for bit without
+    forming the gradient, also for a stack (m, kd).  The fused call reuses one (k, n) workspace
+    that this objective owns, so one objective must not be called from two threads at once."""
     k, d = data.teacher.k, data.teacher.d
-    inputs, targets = data.inputs, data.targets
+    inputs, inputs_t, targets = data.inputs, data._inputs_t, data.targets
     work = (np.empty((k, data.n)), np.empty((k, data.n), dtype=bool))
 
     def value_and_gradient(flat):
-        return _loss_and_gradient(np.asarray(flat, dtype=float).reshape(k, d), inputs, targets, work)
+        return _loss_and_gradient(np.asarray(flat, dtype=float).reshape(k, d), inputs, inputs_t, targets, work)
 
     def value(flat):
         flat = np.asarray(flat, dtype=float)
-        return _loss_value(flat.reshape(*flat.shape[:-1], k, d), inputs, targets)
+        return _loss_value(flat.reshape(*flat.shape[:-1], k, d), inputs_t, targets)
 
     return ObjectiveFunction(
         dim=k * d,

@@ -124,6 +124,20 @@ class TestRunDescent:
         assert np.array_equal(t1.gaps, t2.gaps)
         assert np.array_equal(t1.final_point, t2.final_point)
 
+    @pytest.mark.parametrize("d, k, n", [(3, 2, 20), (10, 5, 1000), (20, 1, 50)])
+    def test_grad_norms_are_linalg_norms(self, d, k, n):
+        # the recorded norm is np.linalg.norm of each iterate's gradient bit for bit,
+        # replayed from x0 with the same update
+        cfg = NetConfig(d, k, n, seed=k)
+        f = loss_objective(generate_dataset(cfg))
+        trace = run_descent(f, DescentConfig(eta=0.05, steps=25, x0=initial_weights(cfg).flat))
+        x = initial_weights(cfg).flat
+        for gn in trace.grad_norms:
+            g = f.gradient(x)
+            assert gn == np.linalg.norm(g)
+            x = x - 0.05 * g
+        assert trace.steps_taken == 25
+
     def test_zero_loss_at_teacher_init(self):
         data = generate_dataset(NetConfig(d=3, k=2, n=20, seed=8))
         f = loss_objective(data)

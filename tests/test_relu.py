@@ -67,9 +67,12 @@ def _kink_free_weights(rng, data, k):
 
 
 def _point_major(wmat, inputs, targets):
-    # the point-major formulas of earlier releases: X W^T, a sum over each
-    # point's k contiguous activations, and the transposed masked residuals
-    z = inputs @ wmat.T
+    # the point-major formulas of earlier releases: an (n, k) array X W^T, a sum
+    # over each point's k contiguous activations, and the transposed masked
+    # residuals; the product is W times the C-contiguous (d, n) copy of X^T, the
+    # layout of every forward pass (X W^T on the (n, d) inputs rounds differently
+    # at k = 1 and at some d >= 16, see test_product_within_rounding_of_point_major)
+    z = np.ascontiguousarray((wmat @ np.ascontiguousarray(inputs.T)).T)
     outputs = np.maximum(z, 0.0).sum(axis=1)
     resid = outputs - targets
     gmat = ((z >= 0) * resid[:, None]).T @ inputs / inputs.shape[0]
@@ -77,9 +80,10 @@ def _point_major(wmat, inputs, targets):
 
 
 def _fortran_buffer_kernel(wmat, data):
-    # the fused kernel without a workspace: fresh (k, n) arrays for W X^T, the
-    # ReLU and the mask, and the masked residuals in a fresh Fortran-ordered buffer
-    zt = wmat @ data.inputs.T
+    # the fused kernel without a workspace: fresh (k, n) arrays for W X^T (on the
+    # C-contiguous (d, n) copy of the inputs), the ReLU and the mask, and the masked
+    # residuals in a fresh Fortran-ordered buffer, multiplied by the (n, d) inputs
+    zt = wmat @ np.ascontiguousarray(data.inputs.T)
     resid = np.maximum(zt, 0.0).sum(axis=0) - data.targets
     m = np.multiply(zt >= 0.0, resid, out=np.empty(zt.shape, order="F"))
     return float(0.5 * (np.add.reduce(resid * resid) / data.n)), (m @ data.inputs / data.n).reshape(-1)
@@ -164,13 +168,32 @@ class TestNeuronMajorKernel:
     @pytest.mark.parametrize("k", [1, 2, 5, 8, 50, 200])
     def test_exactly_zero_at_teacher(self, k):
         # targets and the loss share one forward pass, so the residuals vanish
-        # bit for bit; a loss summed in another order leaves them at round-off
-        for seed in range(3):
-            data = generate_dataset(NetConfig(d=10, k=k, n=500, seed=seed))
+        # bit for bit; a loss summed in another order leaves them at round-off,
+        # and so would a product on another layout (d20 n50 at k = 1 and k = 2)
+        for (d, n), seed in itertools.product([(10, 500), (20, 50)], range(3)):
+            data = generate_dataset(NetConfig(d=d, k=k, n=n, seed=seed))
             value, grad = loss_objective(data).value_and_gradient(data.teacher.flat)
             assert value == 0.0
-            assert np.array_equal(grad, np.zeros(k * 10))
+            assert np.array_equal(grad, np.zeros(k * d))
             assert loss(data.teacher, data) == 0.0
+            assert np.array_equal(gradient(data.teacher, data), np.zeros(k * d))
+
+    def test_product_within_rounding_of_point_major(self):
+        # W times the (d, n) copy and the point-major X W^T are two roundings of
+        # one product: each is within gamma_d |W| |X|^T of the exact product,
+        # gamma_d = d u / (1 - d u), so they differ by at most twice that; on
+        # these shapes they do differ, so the layout is a choice that moves bits
+        u = np.finfo(float).eps / 2
+        rng = np.random.default_rng(24)
+        differs = []
+        for d, k, n in [(10, 1, 100), (20, 1, 50), (20, 2, 50), (50, 5, 1000), (1, 3, 7), (64, 9, 300)]:
+            data = generate_dataset(NetConfig(d, k, n, int(rng.integers(0, 2**31))))
+            w = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3, 3)
+            got, old = w @ data._inputs_t, (data.inputs @ w.T).T
+            gamma = d * u / (1 - d * u)
+            assert np.all(np.abs(got - old) <= 2 * gamma * (np.abs(w) @ np.abs(data.inputs).T))
+            differs.append(not np.array_equal(got, old))
+        assert any(differs)
 
 
 class TestLossWorkspace:
@@ -460,19 +483,23 @@ class TestDatasetGeneration:
         assert np.array_equal(w0.flat, initial_weights(cfg).flat)
 
     def test_one_forward_pass(self, monkeypatch):
-        # ReluDataset derives the targets on first read and keeps them; the bounds and the
-        # oracle never read them, so a report costs no forward pass
+        # ReluDataset derives the targets and the (d, n) copy of the inputs on first
+        # read and keeps them; the bounds and the oracle read neither, so a report
+        # costs no forward pass and no copy
         calls = []
         original = relu_module._forward
         monkeypatch.setattr(relu_module, "_forward", lambda *args: calls.append(args) or original(*args))
         data = generate_dataset(NetConfig(d=3, k=2, n=10, seed=0))
-        bound_alpha1(data, 2)
-        bound_alpha4(data, 2)
+        for bound in (bound_alpha1, bound_alpha2, bound_alpha3, bound_alpha4):
+            bound(data, 2)
         alpha_oracle(data, 2, "random-search", budget=10)
         assert not calls
+        assert "_inputs_t" not in vars(data)
         targets = data.targets
         assert data.targets is targets and len(calls) == 1
-        assert np.array_equal(targets, original(data.inputs, data.teacher.matrix))
+        copy = data._inputs_t
+        assert copy.flags.c_contiguous and np.array_equal(copy, data.inputs.T) and calls[0][0] is copy
+        assert np.array_equal(targets, original(copy, data.teacher.matrix))
 
 
 class TestNearKink:
