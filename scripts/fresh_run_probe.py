@@ -3,12 +3,10 @@
 
     python scripts/fresh_run_probe.py --runs 5 -- train --d 10 --k 50 --n 10000 --steps 100
     python scripts/fresh_run_probe.py --src <other checkout>/src -- train --d 10 --k 5 --n 10000 --steps 100
-    python scripts/fresh_run_probe.py --threads 0 -- train --d 10 --k 5 --n 10000 --steps 100
 
 Each run starts a new Python process with ``--src`` (default: this checkout's
-``src``) on its path and ``--threads`` BLAS threads (OMP, OPENBLAS and MKL
-threads; default 1, and 0 keeps this environment's setting or the library's
-default), working in a fresh temporary directory, so the CLI's default output
+``src``) on its path and one BLAS thread (OMP, OPENBLAS and MKL threads = 1),
+working in a fresh temporary directory, so the CLI's default output
 directory lands there.  The process imports ``stepsafe.cli`` and then
 measures ``cli.main(args)`` alone: its wall time and the minor page faults
 the process itself takes during the call (``ru_minflt`` of
@@ -40,9 +38,8 @@ print(json.dumps({"exit": code, "seconds": seconds, "minor_faults": faults}))
 """
 
 
-def run_once(src: Path, args: list[str], threads: int = 1) -> dict:
-    pins = {var: str(threads) for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS") if threads}
-    env = dict(os.environ, PYTHONPATH=str(src), **pins)
+def run_once(src: Path, args: list[str]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run([sys.executable, "-c", CHILD, *args], env=env, cwd=tmp, capture_output=True, text=True)
     if proc.returncode != 0 or not proc.stdout.strip():
@@ -58,22 +55,19 @@ def main() -> int:
     parser.add_argument("--runs", type=int, default=5, help="fresh interpreters to start (default 5)")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="directory holding the stepsafe package (default: this checkout's src)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="BLAS threads per run (default 1; 0 keeps the environment's setting)")
     parser.add_argument("args", nargs=argparse.REMAINDER, help="CLI arguments after --, e.g. -- train --steps 100")
     opts = parser.parse_args()
     args = opts.args[1:] if opts.args[:1] == ["--"] else opts.args
-    if opts.runs < 1 or opts.threads < 0 or not args:
-        parser.error("give --runs >= 1, --threads >= 0 and the CLI arguments after --")
+    if opts.runs < 1 or not args:
+        parser.error("give --runs >= 1 and the CLI arguments after --")
     runs = []
     for i in range(opts.runs):
-        runs.append(run_once(opts.src.resolve(), args, opts.threads))
+        runs.append(run_once(opts.src.resolve(), args))
         print(f"run {i}: {runs[-1]['seconds']:.4f} s, {runs[-1]['minor_faults']} minor faults")
     summary = {
         "args": args,
         "src": str(opts.src.resolve()),
         "runs": opts.runs,
-        "threads": opts.threads,
         "median_s": statistics.median(r["seconds"] for r in runs),
         "median_minor_faults": statistics.median(r["minor_faults"] for r in runs),
     }

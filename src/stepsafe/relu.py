@@ -96,7 +96,7 @@ class Weights:
 def _forward(inputs_t: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.ndarray:
     """The one forward pass, neuron-major: W X^T summed over neurons (axis -2: a stack (m, k, d) gives
     (m, n)), for targets and residuals alike, so the teacher's loss and gradient are exactly 0.  X^T is
-    the dataset's C-contiguous (d, n) copy, one BLAS layout for every W X^T.  The product goes into ``z``
+    the dataset's C-contiguous (d, n) copy, one BLAS layout for every forward pass.  The product goes into ``z``
     if given (a (k, n) buffer), ``active`` records z >= 0 if given, and the ReLU is taken in place."""
     zt = np.matmul(wmat, inputs_t, out=z)
     if active is not None:
@@ -358,7 +358,7 @@ def near_kink(w: Weights, data: ReluDataset) -> bool:
     Gradient checks are skipped at such points: the loss gradient jumps across
     activation boundaries, so finite differences straddling one are meaningless.
     """
-    z = np.abs(_checked_matrix(w, data) @ data._inputs_t).T
+    z = np.abs(data.inputs @ _checked_matrix(w, data).T)
     xnorm = np.linalg.norm(data.inputs, axis=1)[:, None]
     scale = xnorm * np.linalg.norm(w.matrix, axis=1)[None, :]
     return bool(np.any((z <= KINK_MARGIN_RTOL * scale) & (xnorm > 0.0)))
@@ -366,7 +366,7 @@ def near_kink(w: Weights, data: ReluDataset) -> bool:
 
 def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
     """Almost-everywhere loss Hessian (1/n) sum_i a(x_i, w) a(x_i, w)^T."""
-    mask = np.greater_equal((_checked_matrix(w, data) @ data._inputs_t).T, 0.0, order="C")  # (n, k) rows
+    mask = (data.inputs @ _checked_matrix(w, data).T) >= 0.0
     stacked = (mask[:, :, None] * data.inputs[:, None, :]).reshape(data.n, w.k * w.d)
     h = stacked.T @ stacked / data.n
     return SymMatrix((h + h.T) / 2.0)
