@@ -14,7 +14,9 @@ directory; then comes `run_bound_table.py --reps 3`.  Prints one line
 stderr and the exit code), with the output directory masked in the captured
 stdout.  The `--help` texts and the usage error are digested
 the same way, and so are the inputs and teacher files that `save_dataset`
-writes for `generate_dataset` at seed 0 on each standard configuration.
+writes for `generate_dataset` at seed 0 on each standard configuration, and
+the pair it writes again after `load_dataset` has read those files back
+(`reloaded_*`: each line repeats the digest of the file it re-saves).
 
 To check that a change keeps every output byte-identical, run it on both
 checkouts with the same environment and diff the two listings:
@@ -38,7 +40,7 @@ from run_bound_table import CONFIGS  # noqa: E402
 from run_bound_table import main as bound_table  # noqa: E402
 
 from stepsafe.cli import main  # noqa: E402
-from stepsafe.relu import NetConfig, generate_dataset, save_dataset  # noqa: E402
+from stepsafe.relu import NetConfig, generate_dataset, load_dataset, save_dataset  # noqa: E402
 
 
 def _runs():
@@ -88,7 +90,9 @@ def run() -> None:
             name = f"dataset_d{d}_k{k}_n{n}"
             paths = [Path(tmp) / f"{name}_{part}.csv" for part in ("inputs", "teacher")]
             save_dataset(generate_dataset(NetConfig(d, k, n, 0)), *paths)
-            for path in paths:
+            reloaded = [path.with_name(f"reloaded_{path.name}") for path in paths]
+            save_dataset(load_dataset(*paths), *reloaded)
+            for path in paths + reloaded:
                 print(f"{_sha(path.read_bytes())}  {path.name}")
     for argv in ([], ["bounds"], ["train"], ["scale-sweep"], ["oracle"]):
         print(f"{_sha(_captured([*argv, '--help']).encode())}  help {' '.join(argv)}".rstrip())

@@ -71,9 +71,20 @@ class NetConfig:
         _as_count(self.seed, "seed", 0)  # numpy seeds are non-negative
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` when it owns its memory and is read-only already, else a read-only copy: an array that no
+    caller holds a writable reference to, so what is derived from it and cached stays true."""
+    return a if a.flags.owndata and not a.flags.writeable else _frozen(a.copy())
+
+
 @dataclass(frozen=True, eq=False)
 class Weights:
-    """Flat weight vector in R^{k*d}; block j holds the weights of neuron j."""
+    """Flat weight vector in R^{k*d}, read-only (see _read_only); block j holds the weights of neuron j."""
 
     flat: np.ndarray
     k: int
@@ -85,7 +96,7 @@ class Weights:
             _as_count(getattr(self, name), name)
         if flat.shape != (self.k * self.d,):
             raise InvalidInputError(f"expected {self.k * self.d} weights, got shape {flat.shape}")
-        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "flat", _read_only(flat))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -107,7 +118,8 @@ def _forward(inputs_t: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.
 @dataclass(frozen=True, eq=False)
 class ReluDataset:
     """Teacher-generated inputs; targets are derived here as the teacher output.  The forward pass reads a
-    C-contiguous (d, n) copy of the inputs (n d 8 bytes) made on first use: bounds and oracle never make it."""
+    C-contiguous (d, n) copy of the inputs (n d 8 bytes) made on first use: bounds and oracle never make it.
+    Inputs, targets and copy are read-only (see _read_only), so no caller's write can split them or S."""
 
     inputs: np.ndarray
     teacher: Weights
@@ -122,7 +134,7 @@ class ReluDataset:
         if not (np.isfinite(inputs).all() and np.isfinite(self.teacher.flat).all()):
             raise InvalidInputError("inputs and teacher weights must be finite")
         _as_count(self.seed, "seed", -1)  # -1: no seed, as load_dataset gives
-        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "inputs", _read_only(inputs))
 
     @property
     def n(self) -> int:
@@ -134,13 +146,13 @@ class ReluDataset:
 
     @cached_property
     def _inputs_t(self) -> np.ndarray:
-        return np.ascontiguousarray(self.inputs.T)
+        return _frozen(np.ascontiguousarray(self.inputs.T))
 
     @cached_property
     def targets(self) -> np.ndarray:
         """The teacher's outputs, computed on first read and kept: the bounds and
         the oracle never read them."""
-        return _forward(self._inputs_t, self.teacher.matrix)
+        return _frozen(_forward(self._inputs_t, self.teacher.matrix))
 
     @cached_property
     def second_moment(self) -> SymMatrix:
@@ -153,71 +165,68 @@ class ReluDataset:
 def generate_dataset(config: NetConfig) -> ReluDataset:
     """Standard-Gaussian inputs and teacher weights, fully determined by the seed.
 
-    Draw order is pinned: inputs first, then the teacher.
+    Draw order is pinned: inputs first, then the teacher; both are handed over read-only (no copy).
     """
     rng = np.random.default_rng(config.seed)
-    inputs = rng.standard_normal((config.n, config.d))
-    teacher = Weights(rng.standard_normal(config.k * config.d), k=config.k, d=config.d)
+    inputs = _frozen(rng.standard_normal((config.n, config.d)))
+    teacher = Weights(_frozen(rng.standard_normal(config.k * config.d)), k=config.k, d=config.d)
     return ReluDataset(inputs=inputs, teacher=teacher, seed=config.seed)
 
 
 def initial_weights(config: NetConfig) -> Weights:
     """Student initialization, standard Gaussian from the seed stream
-    (config.seed, INIT_STREAM), separate from the data stream."""
+    (config.seed, INIT_STREAM), separate from the data stream, handed over read-only (no copy)."""
     rng = np.random.default_rng([config.seed, INIT_STREAM])
-    return Weights(rng.standard_normal(config.k * config.d), k=config.k, d=config.d)
+    return Weights(_frozen(rng.standard_normal(config.k * config.d)), k=config.k, d=config.d)
 
 
-def _checked_matrix(w: Weights, data: ReluDataset) -> np.ndarray:
-    """The (k, d) weight matrix of w, once its d is the data's input dimension."""
+def _checked(w: Weights, data: ReluDataset) -> Weights:
+    """w, once its d is the data's input dimension."""
     if w.d != data.d:
         raise InvalidInputError("weight dimension does not match the data")
-    return w.matrix
+    return w
+
+
+def _loss_callables(data: ReluDataset, k: int):
+    """The loss at width-k weights on ``data`` as raw callables over flat weights: ``value`` (a point (kd,), or
+    a stack (m, kd) in chunks of STACK_CHUNK_ENTRIES) and the fused ``value_and_gradient``, on the data's
+    inputs, (d, n) copy and targets, read once here.  Both take the residuals of _forward and the loss with the
+    bits of 0.5 * np.mean(resid**2), so each value is its fused call's bit for bit.  The fused call reuses one
+    (k, n) float and bool workspace made here (so no two threads may call it at once): the masked residuals m
+    overwrite the float buffer in Fortran order, so m X on the (n, d) inputs is the point-major BLAS call."""
+    inputs, inputs_t, targets = data.inputs, data._inputs_t, data.targets
+    n, d = inputs.shape
+    z, active = np.empty((k, n)), np.empty((k, n), dtype=bool)
+
+    def residuals(wmat, z=None, active=None):
+        resid = _forward(inputs_t, wmat, z, active) - targets
+        return resid, 0.5 * (np.add.reduce(resid * resid, axis=-1) / n)
+
+    def value(flat):
+        flat = np.asarray(flat, dtype=float)
+        if flat.ndim == 1:
+            return float(residuals(flat.reshape(k, d))[1])
+        wmat, out, step = flat.reshape(-1, k, d), np.empty(len(flat)), max(1, STACK_CHUNK_ENTRIES // (k * n))
+        for i in range(0, len(wmat), step):
+            out[i : i + step] = residuals(wmat[i : i + step])[1]
+        return out
+
+    def value_and_gradient(flat):
+        resid, loss_value = residuals(np.asarray(flat, dtype=float).reshape(k, d), z, active)
+        m = np.multiply(active, resid, out=z.reshape(n, k).T)
+        return float(loss_value), (m @ inputs / n).reshape(-1)
+
+    return value, value_and_gradient
 
 
 def loss(w: Weights, data: ReluDataset) -> float:
     """1/(2n) sum_i (f(x_i, w) - y_i)^2, with f(x, w) = sum_j max(0, x^T w_j)."""
-    return _loss_value(_checked_matrix(w, data), data._inputs_t, data.targets)
-
-
-def _loss_terms(
-    wmat: np.ndarray, inputs_t: np.ndarray, targets: np.ndarray, z=None, active=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The residuals f(x_i, w) - y_i of _forward (in its buffers, if given) and the loss, with
-    the bits of 0.5 * np.mean(resid**2): the one residual code of both loss paths.  A stack
-    (m, k, d) gives (m,) losses, each with the bits of its own call (one GEMM per matrix)."""
-    resid = _forward(inputs_t, wmat, z, active) - targets
-    return resid, 0.5 * (np.add.reduce(resid * resid, axis=-1) / len(targets))
-
-
-def _loss_value(wmat: np.ndarray, inputs_t: np.ndarray, targets: np.ndarray) -> float | np.ndarray:
-    """The loss at a (k, d) weight matrix, or the (m,) losses at a stack (m, k, d) in chunks of
-    STACK_CHUNK_ENTRIES: the values of _loss_and_gradient bit for bit, without the gradient."""
-    if wmat.ndim == 2:
-        return float(_loss_terms(wmat, inputs_t, targets)[1])
-    out, step = np.empty(len(wmat)), max(1, STACK_CHUNK_ENTRIES // (wmat.shape[1] * len(targets)))
-    for i in range(0, len(wmat), step):
-        out[i : i + step] = _loss_terms(wmat[i : i + step], inputs_t, targets)[1]
-    return out
-
-
-def _loss_and_gradient(
-    wmat: np.ndarray, inputs: np.ndarray, inputs_t: np.ndarray, targets: np.ndarray, work=None
-) -> tuple[float, np.ndarray]:
-    """Loss and flat gradient at the (k, d) weight matrix, in the (k, n) float and bool
-    buffers ``work`` (fresh ones if None).  The masked residuals m overwrite the float buffer
-    in Fortran order, so m X on the (n, d) inputs (not their copy) is the BLAS call, with the
-    bits, of the point-major form, and needs no (k, n) array of its own."""
-    n = len(targets)
-    z, active = work or (np.empty((len(wmat), n)), np.empty((len(wmat), n), dtype=bool))
-    resid, value = _loss_terms(wmat, inputs_t, targets, z, active)
-    m = np.multiply(active, resid, out=z.reshape(n, -1).T)
-    return float(value), (m @ inputs / n).reshape(-1)
+    return _loss_callables(data, _checked(w, data).k)[0](w.flat)
 
 
 def gradient(w: Weights, data: ReluDataset) -> np.ndarray:
     """(1/n) sum_i (f(x_i, w) - y_i) * a(x_i, w), flat in R^{kd}."""
-    return _loss_and_gradient(_checked_matrix(w, data), data.inputs, data._inputs_t, data.targets)[1]
+    return _loss_callables(data, _checked(w, data).k)[1](w.flat)[1]
 
 
 def alpha_single_point(x, k: int) -> float:
@@ -358,7 +367,7 @@ def near_kink(w: Weights, data: ReluDataset) -> bool:
     Gradient checks are skipped at such points: the loss gradient jumps across
     activation boundaries, so finite differences straddling one are meaningless.
     """
-    z = np.abs(data.inputs @ _checked_matrix(w, data).T)
+    z = np.abs(data.inputs @ _checked(w, data).matrix.T)
     xnorm = np.linalg.norm(data.inputs, axis=1)[:, None]
     scale = xnorm * np.linalg.norm(w.matrix, axis=1)[None, :]
     return bool(np.any((z <= KINK_MARGIN_RTOL * scale) & (xnorm > 0.0)))
@@ -366,29 +375,17 @@ def near_kink(w: Weights, data: ReluDataset) -> bool:
 
 def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
     """Almost-everywhere loss Hessian (1/n) sum_i a(x_i, w) a(x_i, w)^T."""
-    mask = (data.inputs @ _checked_matrix(w, data).T) >= 0.0
+    mask = (data.inputs @ _checked(w, data).matrix.T) >= 0.0
     stacked = (mask[:, :, None] * data.inputs[:, None, :]).reshape(data.n, w.k * w.d)
     h = stacked.T @ stacked / data.n
     return SymMatrix((h + h.T) / 2.0)
 
 
 def loss_objective(data: ReluDataset) -> ObjectiveFunction:
-    """The training loss as an objective over flat weights in R^{kd}; each call
-    works on flat.reshape(k, d) and the data's inputs, their (d, n) copy and targets, read
-    once here, and its value-only callable returns the fused call's value bit for bit without
-    forming the gradient, also for a stack (m, kd).  The fused call reuses one (k, n) workspace
-    that this objective owns, so one objective must not be called from two threads at once."""
+    """The training loss as an objective over flat weights in R^{kd}: the callables of _loss_callables at
+    the teacher's width, so one objective must not be called from two threads at once."""
     k, d = data.teacher.k, data.teacher.d
-    inputs, inputs_t, targets = data.inputs, data._inputs_t, data.targets
-    work = (np.empty((k, data.n)), np.empty((k, data.n), dtype=bool))
-
-    def value_and_gradient(flat):
-        return _loss_and_gradient(np.asarray(flat, dtype=float).reshape(k, d), inputs, inputs_t, targets, work)
-
-    def value(flat):
-        flat = np.asarray(flat, dtype=float)
-        return _loss_value(flat.reshape(*flat.shape[:-1], k, d), inputs_t, targets)
-
+    value, value_and_gradient = _loss_callables(data, k)
     return ObjectiveFunction(
         dim=k * d,
         value_and_gradient=value_and_gradient,
@@ -410,14 +407,14 @@ def save_dataset(data: ReluDataset, inputs_path, teacher_path) -> None:
     write_table(teacher_path, None, [[v] for v in data.teacher.flat.tolist()])
 
 
-def load_dataset(inputs_path, teacher_path, seed: int = -1) -> ReluDataset:
-    """Load a dataset pair written by save_dataset.
+def load_dataset(inputs_path, teacher_path) -> ReluDataset:
+    """Load a dataset pair written by save_dataset, with seed -1 (no seed).
 
-    The teacher width k is recovered from the weight-file length.  Datasets
-    loaded from disk carry seed -1 unless told otherwise.  A malformed file (not
-    UTF-8, no rows, a ragged row, a text cell, a wrong header or weight count,
-    or a y column that differs from the teacher's targets) raises InvalidInputError.
-    """
+    The teacher width k comes from the weight-file length, and the targets are recomputed.  Each y_i of
+    the file must lie within 2 (gamma_d + gamma_k) sum_j |w_j|^T |x_i| of them (gamma_m = m u / (1 - m u)),
+    what two summation orders of the forward pass can differ by, so earlier releases' files load.  A
+    malformed file (not UTF-8, no rows, a ragged row, a text cell, a wrong header or weight count, or a y
+    outside that bound) raises InvalidInputError."""
     header, table = read_floats(inputs_path)
     if len(header) < 2 or header[-1] != "y":
         raise InvalidInputError(f"{inputs_path} has an unexpected header {header!r}")
@@ -426,7 +423,9 @@ def load_dataset(inputs_path, teacher_path, seed: int = -1) -> ReluDataset:
     if weights.shape[1] != 1 or weights.shape[0] % d != 0:
         raise InvalidInputError(f"{teacher_path} does not hold one weight per line, a multiple of {d} lines")
     teacher = Weights(weights[:, 0], k=weights.shape[0] // d, d=d)
-    data = ReluDataset(inputs=table[:, :d], teacher=teacher, seed=seed)
-    if not np.array_equal(table[:, d], data.targets):
-        raise InvalidInputError(f"{inputs_path}: targets do not equal the teacher forward pass")
+    data = ReluDataset(inputs=table[:, :d], teacher=teacher, seed=-1)
+    u = np.finfo(float).eps / 2
+    tol = sum(2 * m * u / (1 - m * u) for m in (d, teacher.k)) * (np.abs(data.inputs) @ np.abs(teacher.matrix).sum(0))
+    if not np.all(np.abs(table[:, d] - data.targets) <= tol):
+        raise InvalidInputError(f"{inputs_path}: targets differ from the teacher forward pass by more than rounding")
     return data

@@ -3,6 +3,7 @@
 import itertools
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,6 +99,44 @@ class TestWeights:
     def test_length_validation(self):
         with pytest.raises(InvalidInputError):
             Weights(np.zeros(5), k=2, d=3)
+
+
+class TestOwnedArrays:
+    """A dataset and a weight vector keep read-only arrays of their own."""
+
+    def test_caller_writes_reach_nothing(self):
+        # the dataset had kept the caller's inputs and cached its targets, (d, n) copy and S on first
+        # read, so a later write split them: the objective's value read the old copy, its gradient the
+        # new inputs, and bound_alpha2 kept the old S
+        rng = np.random.default_rng(3)
+        inputs, flat = rng.standard_normal((50, 3)), rng.standard_normal(6)
+        data = ReluDataset(inputs, Weights(flat, k=2, d=3), seed=-1)
+        f, w = loss_objective(data), _kink_free_weights(rng, data, 2)
+        value, alpha2 = f.evaluate(w.flat), bound_alpha2(data, 2)
+        fresh = ReluDataset(inputs.copy(), Weights(flat.copy(), k=2, d=3), seed=-1)
+        inputs *= 2.0
+        flat *= 2.0
+        assert np.array_equal(data.inputs, fresh.inputs) and np.array_equal(data.teacher.flat, fresh.teacher.flat)
+        assert np.array_equal(data.targets, fresh.targets) and bound_alpha2(data, 2) == alpha2
+        assert f.evaluate(w.flat) == value == loss(w, data) == loss(w, fresh)
+        g = f.value_and_gradient(w.flat)[1]
+        assert np.linalg.norm(central_difference_gradient(f.evaluate, w.flat) - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
+        for array in (data.inputs, data.targets, data._inputs_t, w.flat, data.teacher.flat):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_read_only_arrays_are_kept(self):
+        # an array that owns its memory and is read-only is kept, so generate_dataset and
+        # initial_weights, which hand over their draws that way, copy nothing; a view is copied
+        rng = np.random.default_rng(0)
+        a, flat = rng.standard_normal((4, 3)), rng.standard_normal(3)
+        a.flags.writeable = flat.flags.writeable = False
+        teacher = Weights(flat, k=1, d=3)
+        assert teacher.flat is flat and ReluDataset(a, teacher, seed=-1).inputs is a
+        assert not np.shares_memory(Weights(a[0], k=1, d=3).flat, a)
+        data, w0 = generate_dataset(NetConfig(3, 2, 4, 0)), initial_weights(NetConfig(3, 2, 4, 0))
+        for array in (data.inputs, data.teacher.flat, w0.flat):
+            assert array.flags.owndata and not array.flags.writeable
 
 
 class TestForwardAndLoss:
@@ -334,6 +373,19 @@ class TestGradient:
             fd = central_difference_gradient(objective.evaluate, w.flat)
             g = gradient(w, data)
             assert np.linalg.norm(fd - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_student_of_another_width(self, k):
+        # loss and gradient take the width of the student, narrower or wider than the teacher's 3
+        data = generate_dataset(NetConfig(d=4, k=3, n=30, seed=6))
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            w = _kink_free_weights(rng, data, k)
+            dense = 0.5 * np.mean((np.maximum(data.inputs @ w.matrix.T, 0.0).sum(axis=1) - data.targets) ** 2)
+            assert loss(w, data) == pytest.approx(dense, rel=1e-13)
+            fd = central_difference_gradient(lambda flat: loss(Weights(flat, k=k, d=4), data), w.flat)
+            g = gradient(w, data)
+            assert g.shape == (4 * k,) and np.linalg.norm(fd - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
 
     def test_hessian_matches_gradient_differences(self):
         data = generate_dataset(NetConfig(d=2, k=2, n=8, seed=3))
@@ -866,6 +918,22 @@ class TestDatasetIO:
         assert np.array_equal(loaded.targets, data.targets)
         assert np.array_equal(loaded.teacher.flat, data.teacher.flat)
         assert loaded.teacher.k == 3 and loaded.teacher.d == 4
+
+    @pytest.mark.parametrize("d, k, n", [(20, 1, 50), (10, 50, 200)])
+    def test_earlier_release_file_loads(self, tmp_path, d, k, n):
+        # earlier releases wrote y as the point-major X W^T summed over each point's neurons, which
+        # differs from the forward pass in last bits on these shapes; such a file loads and gets the
+        # recomputed targets, while a y moved by 1e-12 relative, far beyond rounding, is refused
+        data = generate_dataset(NetConfig(d, k, n, seed=0))
+        paths = tmp_path / "data.csv", tmp_path / "teacher.csv"
+        y = np.maximum(data.inputs @ data.teacher.matrix.T, 0.0).sum(axis=1)
+        assert not np.array_equal(y, data.targets)
+        save_dataset(SimpleNamespace(d=d, inputs=data.inputs, targets=y, teacher=data.teacher), *paths)
+        assert np.array_equal(load_dataset(*paths).targets, data.targets)
+        y[np.argmax(y)] *= 1.0 + 1e-12
+        save_dataset(SimpleNamespace(d=d, inputs=data.inputs, targets=y, teacher=data.teacher), *paths)
+        with pytest.raises(InvalidInputError, match="more than rounding"):
+            load_dataset(*paths)
 
     def test_tampered_targets_rejected(self, tmp_path):
         data = generate_dataset(NetConfig(d=2, k=2, n=5, seed=0))
