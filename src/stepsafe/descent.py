@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _as_count
+from .errors import InvalidInputError, _as_count, _owned
 from .objectives import ObjectiveFunction, _as_point
 from .tableio import read_floats, write_table
 
@@ -26,8 +26,8 @@ TRACE_COLUMNS = ("step", "loss", "grad_norm", "descent_gap", "monotone_so_far")
 
 @dataclass(frozen=True, eq=False)
 class DescentConfig:
-    """Step size, step budget and initial point.  Every run takes the full
-    step budget unless the objective or its gradient turns non-finite."""
+    """Step size, step budget and initial point (a read-only copy).  Every run takes
+    the full step budget unless the objective or its gradient turns non-finite."""
 
     eta: float
     steps: int
@@ -37,7 +37,7 @@ class DescentConfig:
         if not 0.0 < self.eta < np.inf:  # False for NaN
             raise InvalidInputError("step size must be positive and finite")
         _as_count(self.steps, "step budget")
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
+        object.__setattr__(self, "x0", _owned(self.x0, ndmin=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +75,7 @@ def run_descent(f: ObjectiveFunction, config: DescentConfig) -> DescentTrace:
     If the objective or gradient becomes non-finite the trace is truncated
     and flagged diverged.
     """
-    x = _as_point(f, config.x0).copy()
+    x = _as_point(f, config.x0)
     fx, g = f.value_and_gradient(x)
     fx, g = float(fx), np.asarray(g, dtype=float)
     if not np.isfinite(fx):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _owned
 
 SYMMETRY_RTOL = 1e-10
 RQ_CHANGE_TOL = 1e-10
@@ -27,12 +27,12 @@ _TOP_BOUND_RTOL = 1e-10  # widening of the centred trace-power bound, on top of 
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Dense symmetric matrix, symmetry verified at construction."""
+    """Dense symmetric matrix, symmetry verified at construction; entries are a read-only copy (see errors._owned)."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
+        a = _owned(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one rule for integer inputs."""
+"""Exception types shared across the package, and its two input rules: integer counts and owned arrays."""
 
 import operator
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -31,3 +33,14 @@ def _as_count(value, name: str, least: int = 1) -> int:
     if value < least:
         raise InvalidInputError(f"{name} must be at least {least}")
     return value
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _owned(value, ndmin: int = 0) -> np.ndarray:
+    """A read-only float copy of value, of at least ``ndmin`` dimensions: what a value object holds, so no
+    caller's write, through the array it handed in or a view of it, can change it or what is derived from it."""
+    return _frozen(np.array(value, dtype=float, ndmin=ndmin))

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _max_top_eigenvalue
-from .errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError, _as_count
+from .errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError, _as_count, _owned
 
 QUAD_CHECK_RTOL = 1e-9
 MIDPOINT_SEPARATION_FLOOR = 1e-8
@@ -46,7 +46,7 @@ def _as_point(f: ObjectiveFunction, x, stack: bool = False) -> np.ndarray:
     return x
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ObjectiveFunction:
     """Scalar field over R^dim given by one callable x -> (f(x), grad f(x)),
     so a value and its gradient always come from the same point, plus an
@@ -84,15 +84,14 @@ class ObjectiveFunction:
 
 @dataclass(frozen=True, eq=False)
 class BoxDomain:
-    """Axis-aligned box with a sample-count budget for the estimators."""
+    """Axis-aligned box with a sample-count budget for the estimators; its sides are read-only copies."""
 
     lower: np.ndarray
     upper: np.ndarray
     budget: int
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lo, hi = _owned(self.lower, ndmin=1), _owned(self.upper, ndmin=1)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise InvalidInputError("lower and upper must be vectors of equal length")
         if not np.all(lo <= hi):
@@ -137,7 +136,7 @@ class ConcavifierEstimate:
     def __post_init__(self):
         if self.method not in ESTIMATE_METHODS:
             raise InvalidInputError(f"unknown method {self.method!r}")
-        if self.value < 0.0:
+        if not self.value >= 0.0:  # True for NaN
             raise InvalidInputError("estimate value must be non-negative")
 
 
@@ -261,7 +260,7 @@ def central_difference_gradient(fun: Callable[[np.ndarray], float], x) -> np.nda
 
 def quadratic_objective(a) -> ObjectiveFunction:
     """f(x) = 0.5 x^T A x for a symmetric matrix A."""
-    mat = SymMatrix(np.array(a, dtype=float))
+    mat = SymMatrix(a)
     entries = mat.entries
 
     def value_and_gradient(x):

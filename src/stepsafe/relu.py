@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _max_top_eigenvalue
-from .errors import InvalidInputError, _as_count
+from .errors import InvalidInputError, _as_count, _frozen, _owned
 from .objectives import ObjectiveFunction
 from .tableio import read_floats, write_table
 
@@ -71,32 +71,20 @@ class NetConfig:
         _as_count(self.seed, "seed", 0)  # numpy seeds are non-negative
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a`` when it owns its memory and is read-only already, else a read-only copy: an array that no
-    caller holds a writable reference to, so what is derived from it and cached stays true."""
-    return a if a.flags.owndata and not a.flags.writeable else _frozen(a.copy())
-
-
 @dataclass(frozen=True, eq=False)
 class Weights:
-    """Flat weight vector in R^{k*d}, read-only (see _read_only); block j holds the weights of neuron j."""
+    """Flat weight vector in R^{k*d}, a read-only copy (see errors._owned); block j holds the weights of neuron j."""
 
     flat: np.ndarray
     k: int
     d: int
 
     def __post_init__(self):
-        flat = np.atleast_1d(np.asarray(self.flat, dtype=float))
+        object.__setattr__(self, "flat", _owned(self.flat, ndmin=1))
         for name in ("k", "d"):
             _as_count(getattr(self, name), name)
-        if flat.shape != (self.k * self.d,):
-            raise InvalidInputError(f"expected {self.k * self.d} weights, got shape {flat.shape}")
-        object.__setattr__(self, "flat", _read_only(flat))
+        if self.flat.shape != (self.k * self.d,):
+            raise InvalidInputError(f"expected {self.k * self.d} weights, got shape {self.flat.shape}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -119,22 +107,21 @@ def _forward(inputs_t: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.
 class ReluDataset:
     """Teacher-generated inputs; targets are derived here as the teacher output.  The forward pass reads a
     C-contiguous (d, n) copy of the inputs (n d 8 bytes) made on first use: bounds and oracle never make it.
-    Inputs, targets and copy are read-only (see _read_only), so no caller's write can split them or S."""
+    Inputs (a copy, see errors._owned), targets, (d, n) copy and S are read-only: no caller's write can split them."""
 
     inputs: np.ndarray
     teacher: Weights
     seed: int
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=float)
-        if inputs.ndim != 2 or inputs.shape[0] < 1:
+        object.__setattr__(self, "inputs", _owned(self.inputs))
+        if self.inputs.ndim != 2 or self.n < 1:
             raise InvalidInputError("inputs must be a nonempty (n, d) array")
-        if inputs.shape[1] != self.teacher.d:
+        if self.d != self.teacher.d:
             raise InvalidInputError("input dimension does not match the teacher")
-        if not (np.isfinite(inputs).all() and np.isfinite(self.teacher.flat).all()):
+        if not (np.isfinite(self.inputs).all() and np.isfinite(self.teacher.flat).all()):
             raise InvalidInputError("inputs and teacher weights must be finite")
         _as_count(self.seed, "seed", -1)  # -1: no seed, as load_dataset gives
-        object.__setattr__(self, "inputs", _read_only(inputs))
 
     @property
     def n(self) -> int:
@@ -165,19 +152,19 @@ class ReluDataset:
 def generate_dataset(config: NetConfig) -> ReluDataset:
     """Standard-Gaussian inputs and teacher weights, fully determined by the seed.
 
-    Draw order is pinned: inputs first, then the teacher; both are handed over read-only (no copy).
+    Draw order is pinned: inputs first, then the teacher.
     """
     rng = np.random.default_rng(config.seed)
-    inputs = _frozen(rng.standard_normal((config.n, config.d)))
-    teacher = Weights(_frozen(rng.standard_normal(config.k * config.d)), k=config.k, d=config.d)
+    inputs = rng.standard_normal((config.n, config.d))
+    teacher = Weights(rng.standard_normal(config.k * config.d), k=config.k, d=config.d)
     return ReluDataset(inputs=inputs, teacher=teacher, seed=config.seed)
 
 
 def initial_weights(config: NetConfig) -> Weights:
     """Student initialization, standard Gaussian from the seed stream
-    (config.seed, INIT_STREAM), separate from the data stream, handed over read-only (no copy)."""
+    (config.seed, INIT_STREAM), separate from the data stream."""
     rng = np.random.default_rng([config.seed, INIT_STREAM])
-    return Weights(_frozen(rng.standard_normal(config.k * config.d)), k=config.k, d=config.d)
+    return Weights(rng.standard_normal(config.k * config.d), k=config.k, d=config.d)
 
 
 def _checked(w: Weights, data: ReluDataset) -> Weights:

@@ -1,5 +1,7 @@
 """Tests for the quadratic upper model, midpoint quotient and estimators."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -411,6 +413,11 @@ class TestEstimatorConsistency:
         with pytest.raises(InvalidInputError, match="unknown method"):
             ConcavifierEstimate(1.0, "analytic", 1, None)
 
+    def test_nan_value_rejected(self):
+        # value < 0 is False for NaN, so the check must reject every value that is not >= 0
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            ConcavifierEstimate(float("nan"), "midpoint-sup", 1, None)
+
 
 class TestValueCallable:
     @staticmethod
@@ -443,6 +450,13 @@ class TestValueCallable:
         x = np.array([0.3, -1.7])
         assert g.evaluate(x) == f.evaluate(x)
         assert calls == {"value_and_gradient": 1, "value": 0}
+
+    def test_objective_is_frozen(self):
+        # an assignment would skip the dimension check that construction makes
+        f = quadratic_objective(np.eye(2))
+        with pytest.raises(FrozenInstanceError):
+            f.dim = 0
+        assert f.dim == 2
 
     def test_stack_value_of_wrong_shape_rejected(self):
         # a value written for one point may reduce a whole stack to one number,

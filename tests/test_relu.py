@@ -11,13 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepsafe.relu as relu_module
-from stepsafe.descent import DescentConfig
+from stepsafe.descent import DescentConfig, run_descent
+from stepsafe.eigenbounds import SymMatrix, power_iteration
 from stepsafe.errors import InvalidInputError
 from stepsafe.objectives import (
     BoxDomain,
     ObjectiveFunction,
     central_difference_gradient,
     estimate_concavifier_midpoint,
+    quadratic_objective,
     upper_quadratic_check,
 )
 from stepsafe.relu import (
@@ -40,8 +42,8 @@ from stepsafe.relu import (
     loss_objective,
     near_kink,
     save_dataset,
+    second_moment_matrix,
 )
-from stepsafe.eigenbounds import power_iteration
 
 
 def _weights(rows):
@@ -101,8 +103,65 @@ class TestWeights:
             Weights(np.zeros(5), k=2, d=3)
 
 
+_TEACHER = Weights([1.0, -0.5, 0.3, 0.2, 0.8, -1.0], k=2, d=3)
+_STUDENT = Weights([0.4, 0.9, -0.2, -0.7, 0.1, 0.5], k=2, d=3)
+_CONFIG = NetConfig(d=3, k=2, n=20, seed=0)
+
+
+def _example_inputs():
+    return np.random.default_rng(3).standard_normal((20, 3))
+
+
+# class: (a fresh caller's array, the object built from it, the array that object holds,
+# what is derived from that array, arrays the package makes and hands to the class itself)
+OWNER_CASES = {
+    "Weights": (
+        lambda: np.array(_STUDENT.flat),
+        lambda a: Weights(a, k=2, d=3),
+        lambda w: w.flat,
+        lambda w: (w.matrix, loss(w, ReluDataset(_example_inputs(), _TEACHER, -1))),
+        lambda: (initial_weights(_CONFIG).flat,),
+    ),
+    "ReluDataset": (
+        _example_inputs,
+        lambda a: ReluDataset(a, _TEACHER, -1),
+        lambda data: data.inputs,
+        lambda data: (data.targets, data._inputs_t, loss(_STUDENT, data), gradient(_STUDENT, data)),
+        lambda: (generate_dataset(_CONFIG).inputs, generate_dataset(_CONFIG).teacher.flat),
+    ),
+    "second_moment_matrix": (
+        _example_inputs,
+        lambda a: ReluDataset(a, _TEACHER, -1),
+        lambda data: second_moment_matrix(data).entries,
+        lambda data: (bound_alpha2(data, 2), bound_alpha3(data, 2), bound_alpha4(data, 2)),
+        lambda: (second_moment_matrix(generate_dataset(_CONFIG)).entries,),
+    ),
+    "SymMatrix": (
+        lambda: np.array([[2.0, 1.0], [1.0, 3.0]]),
+        SymMatrix,
+        lambda m: m.entries,
+        lambda m: (power_iteration(m).value,),
+        tuple,
+    ),
+    "BoxDomain": (
+        lambda: np.array([-1.0, 0.0, 2.0]),
+        lambda lo: BoxDomain(lo, [0.0, 1.0, 3.0], budget=4),
+        lambda box: box.lower,
+        lambda box: (box.center, box.diameter, box.sample(np.random.default_rng(0), 3)),
+        tuple,
+    ),
+    "DescentConfig": (
+        lambda: np.array([1.0, -2.0]),
+        lambda x0: DescentConfig(eta=0.1, steps=3, x0=x0),
+        lambda config: config.x0,
+        lambda config: (run_descent(quadratic_objective(np.eye(2)), config).losses,),
+        tuple,
+    ),
+}
+
+
 class TestOwnedArrays:
-    """A dataset and a weight vector keep read-only arrays of their own."""
+    """Every value object keeps a read-only copy of the arrays it is given."""
 
     def test_caller_writes_reach_nothing(self):
         # the dataset had kept the caller's inputs and cached its targets, (d, n) copy and S on first
@@ -125,18 +184,24 @@ class TestOwnedArrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
-    def test_read_only_arrays_are_kept(self):
-        # an array that owns its memory and is read-only is kept, so generate_dataset and
-        # initial_weights, which hand over their draws that way, copy nothing; a view is copied
-        rng = np.random.default_rng(0)
-        a, flat = rng.standard_normal((4, 3)), rng.standard_normal(3)
-        a.flags.writeable = flat.flags.writeable = False
-        teacher = Weights(flat, k=1, d=3)
-        assert teacher.flat is flat and ReluDataset(a, teacher, seed=-1).inputs is a
-        assert not np.shares_memory(Weights(a[0], k=1, d=3).flat, a)
-        data, w0 = generate_dataset(NetConfig(3, 2, 4, 0)), initial_weights(NetConfig(3, 2, 4, 0))
-        for array in (data.inputs, data.teacher.flat, w0.flat):
-            assert array.flags.owndata and not array.flags.writeable
+    @pytest.mark.parametrize("case", OWNER_CASES.values(), ids=OWNER_CASES.keys())
+    def test_holds_a_read_only_copy(self, case):
+        # every value object copies the array it is given, so neither a caller's later write to that
+        # array nor one through a view taken before the caller froze it can reach what the object holds
+        # or derives; the held array owns its memory and refuses writes, as do those the package makes
+        array, build, held, derived, made = case
+        a, b = array(), array()
+        view = b[...]
+        b.flags.writeable = False
+        for obj, caller in ((build(a), a), (build(b), view)):
+            kept, before = held(obj).copy(), derived(obj)
+            caller += 5.0
+            assert np.array_equal(held(obj), kept) and not np.shares_memory(held(obj), caller)
+            assert all(np.array_equal(now, then) for now, then in zip(derived(obj), before))
+        for owned in (held(obj), *made()):
+            assert owned.flags.owndata
+            with pytest.raises(ValueError, match="read-only"):
+                owned[...] = 0.0
 
 
 class TestForwardAndLoss:
