@@ -16,12 +16,20 @@ stdout.  The `--help` texts and the usage error are digested
 the same way, and so are the inputs and teacher files that `save_dataset`
 writes for `generate_dataset` at seed 0 on each standard configuration, and
 the pair it writes again after `load_dataset` has read those files back
-(`reloaded_*`: each line repeats the digest of the file it re-saves).
+(`reloaded_*`: each line repeats the digest of the file it re-saves).  Last
+come library calls that no CLI run reaches, one line each for the bytes of the
+value and the witness: `estimate_concavifier_hessian` (budget 16) and
+`estimate_concavifier_midpoint` (budget 128) on the `loss_objective` of
+d10 k5 n200 over [-1, 1]^50, at seeds 0-4 (the dataset's and the sampler's),
+and the value of a random-search `alpha_oracle` at budgets 1, 8, 9 and 300 on
+d3 k2 n50 and d10 k5 n200 at seed 0.
 
 To check that a change keeps every output byte-identical, run it on both
 checkouts with the same environment and diff the two listings:
 
     PYTHONPATH=<checkout>/src python scripts/output_digests.py > digests.txt
+
+Run bare, it imports `stepsafe` from its own checkout's `src`.
 """
 
 import os
@@ -36,11 +44,22 @@ import io  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
+# run_bound_table puts this checkout's src on sys.path when stepsafe does not import
 from run_bound_table import CONFIGS  # noqa: E402
 from run_bound_table import main as bound_table  # noqa: E402
 
 from stepsafe.cli import main  # noqa: E402
-from stepsafe.relu import NetConfig, generate_dataset, load_dataset, save_dataset  # noqa: E402
+from stepsafe.objectives import BoxDomain, estimate_concavifier_hessian, estimate_concavifier_midpoint  # noqa: E402
+from stepsafe.relu import (  # noqa: E402
+    NetConfig,
+    alpha_oracle,
+    generate_dataset,
+    load_dataset,
+    loss_objective,
+    save_dataset,
+)
 
 
 def _runs():
@@ -60,6 +79,20 @@ def _runs():
     yield "invalid_d0", ["bounds", "--d", "0"]
     yield "zero_oracle_d1_k1_n1", ["train", "--d", "1", "--k", "1", "--n", "1", "--bounds", "alpha2,oracle",
                                    "--oracle-strategy", "random-search", "--oracle-budget", "1"]
+
+
+def _library_calls():
+    for seed in range(5):
+        f = loss_objective(generate_dataset(NetConfig(10, 5, 200, seed)))
+        for name, estimate, budget in (("hessian", estimate_concavifier_hessian, 16),
+                                       ("midpoint", estimate_concavifier_midpoint, 128)):
+            box = BoxDomain(-np.ones(f.dim), np.ones(f.dim), budget)
+            result = estimate(f, box, np.random.default_rng(seed))
+            yield f"estimate_{name}_d10_k5_n200_seed{seed}", result.value, result.witness
+    for d, k, n in ((3, 2, 50), (10, 5, 200)):
+        data = generate_dataset(NetConfig(d, k, n, 0))
+        for budget in (1, 8, 9, 300):
+            yield f"random_search_d{d}_k{k}_n{n}_budget{budget}", alpha_oracle(data, k, "random-search", budget), ()
 
 
 def _sha(data: bytes) -> str:
@@ -97,6 +130,8 @@ def run() -> None:
     for argv in ([], ["bounds"], ["train"], ["scale-sweep"], ["oracle"]):
         print(f"{_sha(_captured([*argv, '--help']).encode())}  help {' '.join(argv)}".rstrip())
     print(f"{_sha(_captured(['bounds', '--bogus']).encode())}  usage error")
+    for name, value, witness in _library_calls():
+        print(f"{_sha(np.float64(value).tobytes() + np.asarray(witness, dtype=float).tobytes())}  {name}")
 
 
 if __name__ == "__main__":

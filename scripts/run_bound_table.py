@@ -4,13 +4,19 @@
 Runs `stepsafe bounds` once per configuration into DIR/d<d>_k<k>_n<n>/bounds.csv
 and combines the mean rows into DIR/summary.csv.  Exit codes are those of
 `stepsafe`: a bad --reps or --seed exits 1 before any file is written.
+Run bare, it imports `stepsafe` from its own checkout's `src`.
 """
 
 import sys
 from pathlib import Path
 
-from stepsafe import cli
-from stepsafe.tableio import read_table, write_table
+try:
+    import stepsafe  # noqa: F401
+except ModuleNotFoundError:  # not installed and not on PYTHONPATH: this checkout's copy
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from stepsafe import cli  # noqa: E402
+from stepsafe.tableio import read_table, write_table  # noqa: E402
 
 CONFIGS = [
     (10, 5, 1000),

@@ -143,10 +143,9 @@ class ReluDataset:
 
     @cached_property
     def second_moment(self) -> SymMatrix:
-        """S = (1/n) sum_i x_i x_i^T, symmetrized against round-off; computed
-        on first use and kept, since every bound but alpha1 needs it."""
-        g = self.inputs.T @ self.inputs / self.n
-        return SymMatrix((g + g.T) / 2.0)
+        """S = (1/n) sum_i x_i x_i^T, exactly symmetric as numpy forms X^T X by syrk; computed on first use
+        and kept, since every bound but alpha1 needs it."""
+        return SymMatrix(self.inputs.T @ self.inputs / self.n)
 
 
 def generate_dataset(config: NetConfig) -> ReluDataset:
@@ -234,7 +233,7 @@ def bound_alpha1(data: ReluDataset, k: int) -> float:
 
 
 def second_moment_matrix(data: ReluDataset) -> SymMatrix:
-    """S = (1/n) sum_i x_i x_i^T, symmetrized against round-off (cached on the dataset)."""
+    """S = (1/n) sum_i x_i x_i^T (cached on the dataset)."""
     return data.second_moment
 
 
@@ -364,8 +363,7 @@ def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
     """Almost-everywhere loss Hessian (1/n) sum_i a(x_i, w) a(x_i, w)^T."""
     mask = (data.inputs @ _checked(w, data).matrix.T) >= 0.0
     stacked = (mask[:, :, None] * data.inputs[:, None, :]).reshape(data.n, w.k * w.d)
-    h = stacked.T @ stacked / data.n
-    return SymMatrix((h + h.T) / 2.0)
+    return SymMatrix(stacked.T @ stacked / data.n)
 
 
 def loss_objective(data: ReluDataset) -> ObjectiveFunction:

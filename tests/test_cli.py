@@ -408,6 +408,24 @@ class TestBoundTableScript:
             _, rows = read_table(tmp_path / "d{:g}_k{:g}_n{:g}".format(*row[:3]) / "bounds.csv")
             assert row[3:] == _rows_of_kind(rows, "mean")[0][2:]
 
+    def test_runs_bare_from_a_checkout(self, tmp_path):
+        # no install and no PYTHONPATH: the script finds this checkout's src itself
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        result = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_bound_table.py"), "--reps", "1",
+                                 "--out", str(tmp_path)], env=env, cwd=tmp_path, capture_output=True, text=True,
+                                timeout=300)
+        assert result.returncode == EXIT_OK, result.stderr
+        assert len(read_table(tmp_path / "summary.csv")[1]) == 6
+
+    def test_pythonpath_package_wins(self, tmp_path):
+        # a stepsafe on PYTHONPATH is the one imported, not this checkout's
+        (tmp_path / "stepsafe").mkdir()
+        (tmp_path / "stepsafe" / "__init__.py").write_text("raise SystemExit(42)\n")
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        result = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_bound_table.py"), "--reps", "1",
+                                 "--out", str(tmp_path / "res")], env=env, capture_output=True, timeout=300)
+        assert result.returncode == 42
+
     @pytest.mark.parametrize("reps", ["0", "x"], ids=["zero", "text"])
     def test_bad_reps_rejected(self, tmp_path, reps):
         result = _run_script("run_bound_table.py", "--reps", reps, "--out", str(tmp_path / "res"))

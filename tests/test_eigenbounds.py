@@ -279,10 +279,12 @@ class TestMaxTopEigenvalue:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_matches_unpruned_loop(self, d):
-        for mats in (_gram_batch(d), _symmetric_batch(d)):
-            tops = np.linalg.eigvalsh(mats)[:, -1]
-            for floor in (-np.inf, 0.0, float(np.median(tops)), 2.0 * float(tops.max())):
-                assert _max_top_eigenvalue(mats, floor) == _unpruned(mats, floor)
+        # whole batches, and their first 1-10 matrices: both sides of the no-bound shortcut for at most 8
+        for batch in (_gram_batch(d), _symmetric_batch(d)):
+            for mats in [batch[:m] for m in range(1, 11)] + [batch]:
+                tops = np.linalg.eigvalsh(mats)[:, -1]
+                for floor in (-np.inf, 0.0, float(np.median(tops)), 2.0 * float(tops.max())):
+                    assert _max_top_eigenvalue(mats, floor) == _unpruned(mats, floor)
 
     def test_large_matrices_solved_one_at_a_time(self, monkeypatch):
         # d = 30 Grams, two copies of the largest (a three-way tie), an indefinite and two

@@ -401,6 +401,17 @@ class TestActivationVectors:
             assert np.array_equal(loss_hessian_matrix(Weights(np.zeros(k * d), k=k, d=d), data).entries, tiled)
             assert np.array_equal(allactive_gram_matrix(data, k).entries, tiled)
 
+    def test_gram_products_exactly_symmetric(self):
+        # S and the Hessian are A^T A / n, which numpy forms by syrk and mirrors from one triangle: symmetric
+        # bit for bit with no averaging, at random weights and at zero weights (allactive_gram_matrix)
+        rng = np.random.default_rng(27)
+        shapes = [(int(rng.integers(1, 31)), int(rng.integers(1, 10)), int(rng.integers(1, 601))) for _ in range(40)]
+        for seed, (d, k, n) in enumerate(shapes + [(3, 8, 50), (10, 12, 600), (30, 16, 200), (1, 20, 1)]):
+            data = generate_dataset(NetConfig(d=d, k=k, n=n, seed=seed))
+            w = Weights(rng.standard_normal(k * d), k=k, d=d)
+            for m in (second_moment_matrix(data), loss_hessian_matrix(w, data), allactive_gram_matrix(data, k)):
+                assert np.array_equal(m.entries, m.entries.T), (d, k, n)
+
     @given(
         coords=st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=5),
         k=st.integers(1, 4),
