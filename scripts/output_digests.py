@@ -29,7 +29,10 @@ checkouts with the same environment and diff the two listings:
 
     PYTHONPATH=<checkout>/src python scripts/output_digests.py > digests.txt
 
-Run bare, it imports `stepsafe` from its own checkout's `src`.
+With `--keep DIR` (a new or empty directory) the listing is the same, but the
+run tree is written to DIR and left there, so `scripts/compare_outputs.py` can
+report how far the values of two checkouts' files drift apart.  Run bare, it
+imports `stepsafe` from its own checkout's `src`.
 """
 
 import os
@@ -38,6 +41,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads BLAS: one summation order
 os.environ["COLUMNS"] = "80"  # argparse wraps --help at the terminal width
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
@@ -106,8 +110,12 @@ def _captured(argv, entry=main) -> str:
     return f"{text.getvalue()}exit {code}\n"
 
 
-def run() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
+def run(keep: Path | None = None) -> None:
+    if keep is not None:
+        keep.mkdir(parents=True, exist_ok=True)
+        if any(keep.iterdir()):
+            raise SystemExit(f"output_digests: --keep {keep} is not empty")
+    with contextlib.nullcontext(str(keep)) if keep is not None else tempfile.TemporaryDirectory() as tmp:
         for name, argv in _runs():
             out = Path(tmp) / name
             text = _captured([*argv, "--out", str(out), "--no-timestamp"])
@@ -135,4 +143,6 @@ def run() -> None:
 
 
 if __name__ == "__main__":
-    run()
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--keep", type=Path, metavar="DIR", help="write the run tree to DIR and leave it there")
+    run(parser.parse_args().keep)

@@ -175,13 +175,13 @@ def _checked(w: Weights, data: ReluDataset) -> Weights:
 
 def _loss_callables(data: ReluDataset, k: int):
     """The loss at width-k weights on ``data`` as raw callables over flat weights: ``value`` (a point (kd,), or
-    a stack (m, kd) in chunks of STACK_CHUNK_ENTRIES) and the fused ``value_and_gradient``, on the data's
-    inputs, (d, n) copy and targets, read once here.  Both take the residuals of _forward and the loss with the
-    bits of 0.5 * np.mean(resid**2), so each value is its fused call's bit for bit.  The fused call reuses one
-    (k, n) float and bool workspace made here (so no two threads may call it at once): the masked residuals m
-    overwrite the float buffer in Fortran order, so m X on the (n, d) inputs is the point-major BLAS call."""
-    inputs, inputs_t, targets = data.inputs, data._inputs_t, data.targets
-    n, d = inputs.shape
+    a stack (m, kd) in chunks of STACK_CHUNK_ENTRIES) and the fused ``value_and_gradient``, on the data's (d, n)
+    input copy and targets, read once here.  Both take the residuals of _forward and the loss with the bits of
+    0.5 * np.mean(resid**2), so each value is its fused call's bit for bit.  The fused call reuses one (k, n)
+    float and bool workspace made here (so no two threads may call it at once): the masked residuals m overwrite
+    W X^T in C order, and the gradient (X^T m^T)^T reads the (d, n) copy that the forward product reads."""
+    inputs_t, targets = data._inputs_t, data.targets
+    d, n = inputs_t.shape
     z, active = np.empty((k, n)), np.empty((k, n), dtype=bool)
 
     def residuals(wmat, z=None, active=None):
@@ -199,8 +199,8 @@ def _loss_callables(data: ReluDataset, k: int):
 
     def value_and_gradient(flat):
         resid, loss_value = residuals(np.asarray(flat, dtype=float).reshape(k, d), z, active)
-        m = np.multiply(active, resid, out=z.reshape(n, k).T)
-        return float(loss_value), (m @ inputs / n).reshape(-1)
+        m = np.multiply(active, resid, out=z)
+        return float(loss_value), (inputs_t @ m.T).T.reshape(-1) / n
 
     return value, value_and_gradient
 

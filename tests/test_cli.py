@@ -33,7 +33,7 @@ from stepsafe.relu import (
     initial_weights,
     loss_objective,
 )
-from stepsafe.tableio import read_table
+from stepsafe.tableio import read_table, write_table
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -432,6 +432,40 @@ class TestBoundTableScript:
         assert result.returncode == EXIT_INVALID_INPUT
         assert result.stderr.startswith("stepsafe: invalid input: ")
         assert not (tmp_path / "res").exists()
+
+
+class TestOutputDriftScripts:
+    def test_keep_refuses_a_directory_in_use(self, tmp_path):
+        (tmp_path / "old.csv").write_text("x\n1\n")
+        result = _run_script("output_digests.py", "--keep", str(tmp_path))
+        assert result.returncode != EXIT_OK and "is not empty" in result.stderr
+        assert result.stdout == ""
+
+    def test_compare_reports_drift_per_column_and_flags_mismatches(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        argv = ["train", "--d", "2", "--k", "2", "--n", "8", "--steps", "3", "--reps", "1",
+                "--bounds", "alpha1,alpha2", "--no-timestamp"]
+        for out in (a, b):
+            assert main([*argv, "--out", str(out / "run")]) == EXIT_OK
+        result = _run_script("compare_outputs.py", str(a), str(b))
+        assert result.returncode == EXIT_OK
+        assert result.stdout.splitlines() == ["3 of 3 shared files byte-identical; largest drift over the rest: none"]
+
+        trace = b / "run" / "train_alpha1_seed0.csv"
+        header, rows = read_table(trace)
+        rows[1][1] *= 1 + 1e-12
+        write_table(trace, header, rows)
+        summary = b / "run" / "train_summary.csv"
+        summary.write_text(summary.read_text().replace("final_loss", "loss_at_end"))
+        (b / "run" / "train_alpha2_seed0.csv").unlink()
+        result = _run_script("compare_outputs.py", str(a), str(b))
+        assert result.returncode == 1
+        lines = result.stdout.splitlines()
+        assert lines[0] == f"run/train_alpha2_seed0.csv: only in {a}"
+        assert lines[1] == "run/train_alpha1_seed0.csv: step 0  loss 1e-12  grad_norm 0  descent_gap 0  monotone_so_far 0"
+        assert lines[2].startswith("run/train_summary.csv: header [") and "'loss_at_end'" in lines[2]
+        assert lines[3] == "0 of 2 shared files byte-identical; largest drift over the rest: step 0  loss 1e-12  " \
+                           "grad_norm 0  descent_gap 0  monotone_so_far 0"
 
 
 class TestFreshRunProbeScript:

@@ -71,25 +71,30 @@ def _kink_free_weights(rng, data, k):
 
 def _point_major(wmat, inputs, targets):
     # the point-major formulas of earlier releases: an (n, k) array X W^T, a sum
-    # over each point's k contiguous activations, and the transposed masked
-    # residuals; the product is W times the C-contiguous (d, n) copy of X^T, the
-    # layout of every forward pass (X W^T on the (n, d) inputs rounds differently
-    # at k = 1 and at some d >= 16, see test_product_within_rounding_of_point_major)
-    z = np.ascontiguousarray((wmat @ np.ascontiguousarray(inputs.T)).T)
+    # over each point's k contiguous activations, and the masked residuals; both
+    # products read the C-contiguous (d, n) copy of X^T, the layout of the fused
+    # call: W X^T (X W^T on the (n, d) inputs rounds differently at k = 1 and at
+    # some d >= 16, see test_product_within_rounding_of_point_major) and the
+    # gradient (X^T m^T)^T with m in C order (m X on the (n, d) inputs rounds
+    # differently, see test_gradient_within_rounding_of_fortran_buffer)
+    inputs_t = np.ascontiguousarray(inputs.T)
+    z = np.ascontiguousarray((wmat @ inputs_t).T)
     outputs = np.maximum(z, 0.0).sum(axis=1)
     resid = outputs - targets
-    gmat = ((z >= 0) * resid[:, None]).T @ inputs / inputs.shape[0]
+    m = np.ascontiguousarray(((z >= 0) * resid[:, None]).T)
+    gmat = (inputs_t @ m.T).T / inputs.shape[0]
     return outputs, float(0.5 * np.mean(resid**2)), gmat.reshape(-1)
 
 
-def _fortran_buffer_kernel(wmat, data):
+def _fresh_buffer_kernel(wmat, data):
     # the fused kernel without a workspace: fresh (k, n) arrays for W X^T (on the
     # C-contiguous (d, n) copy of the inputs), the ReLU and the mask, and the masked
-    # residuals in a fresh Fortran-ordered buffer, multiplied by the (n, d) inputs
-    zt = wmat @ np.ascontiguousarray(data.inputs.T)
+    # residuals m in a fresh C-ordered buffer; the gradient is (X^T m^T)^T on that copy
+    inputs_t = np.ascontiguousarray(data.inputs.T)
+    zt = wmat @ inputs_t
     resid = np.maximum(zt, 0.0).sum(axis=0) - data.targets
-    m = np.multiply(zt >= 0.0, resid, out=np.empty(zt.shape, order="F"))
-    return float(0.5 * (np.add.reduce(resid * resid) / data.n)), (m @ data.inputs / data.n).reshape(-1)
+    m = np.multiply(zt >= 0.0, resid, out=np.empty(zt.shape))
+    return float(0.5 * (np.add.reduce(resid * resid) / data.n)), ((inputs_t @ m.T).T / data.n).reshape(-1)
 
 
 class TestWeights:
@@ -299,13 +304,34 @@ class TestNeuronMajorKernel:
             differs.append(not np.array_equal(got, old))
         assert any(differs)
 
+    def test_gradient_within_rounding_of_fortran_buffer(self):
+        # (X^T m^T)^T on the (d, n) copy and the Fortran-ordered m times the (n, d)
+        # inputs are two roundings of one product: each is within gamma_n |m| |X| of
+        # the exact product, gamma_n = n u / (1 - n u), so they differ by at most
+        # twice that; on these shapes they do differ, so the layout moves bits
+        u = np.finfo(float).eps / 2
+        rng = np.random.default_rng(28)
+        differs = []
+        for d, k, n in [(1, 3, 500), (10, 1, 1000), (4, 193, 300), (7, 200, 50), (10, 5, 10_000)]:
+            data = generate_dataset(NetConfig(d, k, n, int(rng.integers(0, 2**31))))
+            w = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3, 3)
+            zt = w @ data._inputs_t
+            m = (zt >= 0.0) * (np.maximum(zt, 0.0).sum(axis=0) - data.targets)
+            got, old = (data._inputs_t @ m.T).T, np.asfortranarray(m) @ data.inputs
+            gamma = n * u / (1 - n * u)
+            assert np.all(np.abs(got - old) <= 2 * gamma * (np.abs(m) @ np.abs(data.inputs)))
+            differs.append(not np.array_equal(got, old))
+        assert any(differs)
+
 
 class TestLossWorkspace:
     """The loss objective's fused call reuses one (k, n) float and one bool buffer."""
 
     def test_matches_fortran_buffer_formula(self):
-        # bit for bit on every width from 1 to 200, at d = 1 and n = 1 too, on
-        # repeated calls of one objective (a warm workspace) and on relu.gradient
+        # bit for bit with fresh buffers on every width from 1 to 200, at d = 1 and
+        # n = 1 too, on repeated calls of one objective (a warm workspace) and on
+        # relu.gradient; the name is kept from the Fortran-ordered buffer that the
+        # masked residuals had before they went to C order
         rng = np.random.default_rng(15)
         shapes = [(1, 1, 1), (1, 200, 1), (1, 7, 500), (1, 120, 300), (5, 200, 1), (50, 200, 300), (10, 50, 10_000)]
         shapes += [(int(rng.integers(1, 60)), k, int(rng.integers(1, 400))) for k in range(1, 201, 3)]
@@ -313,7 +339,7 @@ class TestLossWorkspace:
             data = generate_dataset(NetConfig(d, k, n, int(rng.integers(0, 2**31))))
             f = loss_objective(data)
             for w in rng.standard_normal((3, k * d)) * 10.0 ** rng.uniform(-3, 3, (3, 1)):
-                value, grad = _fortran_buffer_kernel(w.reshape(k, d), data)
+                value, grad = _fresh_buffer_kernel(w.reshape(k, d), data)
                 got_value, got_grad = f.value_and_gradient(w)
                 assert got_value == value and np.array_equal(got_grad, grad)
                 assert np.array_equal(gradient(Weights(w, k=k, d=d), data), grad)
