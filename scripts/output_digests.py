@@ -30,9 +30,11 @@ checkouts with the same environment and diff the two listings:
     PYTHONPATH=<checkout>/src python scripts/output_digests.py > digests.txt
 
 With `--keep DIR` (a new or empty directory) the listing is the same, but the
-run tree is written to DIR and left there, so `scripts/compare_outputs.py` can
-report how far the values of two checkouts' files drift apart.  Run bare, it
-imports `stepsafe` from its own checkout's `src`.
+run tree is written to DIR and left there, with each library call's value and
+witness in `DIR/library/<name>.csv` (a `value` column, repeated, beside a
+`witness` column of its coordinates in order), so `scripts/compare_outputs.py`
+can report how far the values of two checkouts' files drift apart.  Run bare,
+it imports `stepsafe` from its own checkout's `src`.
 """
 
 import os
@@ -64,6 +66,7 @@ from stepsafe.relu import (  # noqa: E402
     loss_objective,
     save_dataset,
 )
+from stepsafe.tableio import write_table  # noqa: E402
 
 
 def _runs():
@@ -139,7 +142,12 @@ def run(keep: Path | None = None) -> None:
         print(f"{_sha(_captured([*argv, '--help']).encode())}  help {' '.join(argv)}".rstrip())
     print(f"{_sha(_captured(['bounds', '--bogus']).encode())}  usage error")
     for name, value, witness in _library_calls():
-        print(f"{_sha(np.float64(value).tobytes() + np.asarray(witness, dtype=float).tobytes())}  {name}")
+        witness = np.asarray(witness, dtype=float)
+        print(f"{_sha(np.float64(value).tobytes() + witness.tobytes())}  {name}")
+        if keep is not None:  # the value on every row, beside the witness coordinates in order
+            (keep / "library").mkdir(exist_ok=True)
+            rows = [[float(value), float(w)] for w in witness.ravel()] or [[float(value)]]
+            write_table(keep / "library" / f"{name}.csv", ["value", "witness"][: len(rows[0])], rows)
 
 
 if __name__ == "__main__":

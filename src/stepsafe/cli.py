@@ -74,6 +74,11 @@ class ExperimentSpec:
     oracle_budget: int = 10_000
 
     def __post_init__(self):
+        for name, kind in (("out", Path), ("scales", tuple), ("bounds", tuple)):  # a library caller's str or list
+            try:
+                object.__setattr__(self, name, kind(getattr(self, name)))
+            except TypeError:
+                raise InvalidInputError(f"bad {name} value {getattr(self, name)!r}") from None
         NetConfig(self.d, self.k, self.n, self.seed)  # raises on a bad d, k, n or seed
         for name in ("reps", "steps", "oracle_budget"):
             _as_count(getattr(self, name), name)

@@ -1,8 +1,8 @@
 """Largest-eigenvalue estimation for dense symmetric matrices.
 
 * ``power_iteration``     -- iterative, converges to the dominant eigenvalue
-* ``_max_top_eigenvalue`` -- exact over a batch of matrices: one eigvalsh per matrix, in decreasing
-  order of a certified bound, stopping where the bound falls below the best so far
+* ``_max_top_eigenvalue`` -- exact over a stream of batches of matrices: one eigvalsh per matrix, in
+  decreasing order of a certified bound, stopping where the bound falls below the best so far
 
 Nothing here knows the ReLU model: the Gershgorin and Cassini bounds alpha3 and
 alpha4 are in relu, which reads the rows of its all-active matrix off S.
@@ -21,6 +21,7 @@ RQ_CHANGE_TOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 MAX_POWER_ITERATIONS = 100_000
 _BATCH_ENTRIES = 2e6  # float64 entries per stacked batch of matrices (16 MB)
+_BATCH_MATRICES = 256  # matrices per stacked batch, within _BATCH_ENTRIES: more grow peak memory, not speed
 _TOP_SOLVE_BLOCK = 8  # _max_top_eigenvalue solves a batch of at most this many matrices without a bound
 _TOP_BOUND_RTOL = 1e-10  # widening of the centred trace-power bound, on top of 16 d^2 ulps
 
@@ -125,18 +126,19 @@ def _top_eigenvalue_bound(mats: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(u), np.inf, u)
 
 
-def _max_top_eigenvalue(mats: np.ndarray, floor: float = -np.inf) -> tuple[float, int]:
-    """(max(floor, eigvalsh(mats)[:, -1].max()), the first index attaining it) for a batch (m, d, d) of
-    symmetric matrices, bit for bit; the index is -1 if none beats floor, and NaN never wins.  Each matrix is
-    solved alone, in decreasing order of its bound u, until u falls below the best so far (a skipped one has
-    lambda_max <= u < best).  A batch of at most _TOP_SOLVE_BLOCK gets u = inf, so no bound is spent on it."""
-    bound = np.full(len(mats), np.inf) if len(mats) <= _TOP_SOLVE_BLOCK else _top_eigenvalue_bound(mats)
-    best, first = floor, -1
-    for i in np.argsort(-bound, kind="stable"):
-        if bound[i] < best:
-            break
-        top = np.linalg.eigvalsh(mats[i : i + 1])[0, -1]
-        if (top, -i) > (best, -first):  # a larger value, or a tie at a lower index
-            best, first = float(top), int(i)
+def _max_top_eigenvalue(batches, floor: float = -np.inf) -> tuple[float, int]:
+    """(max(floor, eigvalsh(mats)[:, -1].max()), the first index attaining it) over an iterable of (m, d, d)
+    stacks of symmetric matrices, indices running on across stacks, bit for bit; the index is -1 if none beats
+    floor, and NaN never wins.  Each matrix is solved alone, its stack in decreasing order of the bound u, until
+    u falls below the best so far (lambda_max <= u < best).  A stack of at most _TOP_SOLVE_BLOCK gets u = inf."""
+    best, first, offset = floor, -1, 0
+    for mats in batches:
+        bound = np.full(len(mats), np.inf) if len(mats) <= _TOP_SOLVE_BLOCK else _top_eigenvalue_bound(mats)
+        for i in np.argsort(-bound, kind="stable"):
+            if bound[i] < best:
+                break
+            top = np.linalg.eigvalsh(mats[i : i + 1])[0, -1]
+            if (top, -offset - i) > (best, -first):  # a larger value, or a tie at a lower index
+                best, first = float(top), int(offset + i)
+        offset += len(mats)
     return best, first
-

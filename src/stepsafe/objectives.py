@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _max_top_eigenvalue
+from .eigenbounds import _BATCH_ENTRIES, _BATCH_MATRICES, SymMatrix, _max_top_eigenvalue
 from .errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError, _as_count, _owned
 
 QUAD_CHECK_RTOL = 1e-9
@@ -229,23 +229,19 @@ def estimate_concavifier_midpoint(
 def estimate_concavifier_hessian(
     f: ObjectiveFunction, domain: BoxDomain, rng: np.random.Generator | None = None
 ) -> ConcavifierEstimate:
-    """Maximize the largest Hessian eigenvalue (dense eigvalsh, so no iteration has to converge) over
-    sampled points in the box, their Hessians stacked in chunks of at most _BATCH_ENTRIES entries.
-    The witness is the first sample with the largest value; a NaN value never wins."""
+    """Maximize the largest Hessian eigenvalue (dense eigvalsh, so no iteration has to converge) over sampled
+    points in the box, their Hessians streamed to _max_top_eigenvalue, formed a stack of min(_BATCH_MATRICES,
+    2e6 / dim^2) at a time.  The witness is the first sample with the largest value; a NaN value never wins."""
     if f.hessian is None:
         raise UnsupportedOperationError("objective does not provide a Hessian")
     _as_point(f, domain.lower)
     rng = rng if rng is not None else np.random.default_rng(0)
 
     xs = domain.sample(rng, domain.budget)
-    step = int(max(1, _BATCH_ENTRIES // f.dim**2))
-    best, witness = -np.inf, None
-    for start in range(0, len(xs), step):
-        best, first = _max_top_eigenvalue(np.stack([f.hessian(x).entries for x in xs[start : start + step]]), best)
-        witness = xs[start + first] if first >= 0 else witness  # first = -1: no better sample here
-    return ConcavifierEstimate(
-        value=max(0.0, best), method="hessian-sampling", samples_used=domain.budget, witness=witness
-    )
+    step = int(max(1, min(_BATCH_MATRICES, _BATCH_ENTRIES // f.dim**2)))
+    stacks = (np.stack([f.hessian(x).entries for x in xs[i : i + step]]) for i in range(0, len(xs), step))
+    best, first = _max_top_eigenvalue(stacks)
+    return ConcavifierEstimate(max(0.0, best), "hessian-sampling", len(xs), witness=xs[first] if first >= 0 else None)
 
 
 def central_difference_gradient(fun: Callable[[np.ndarray], float], x) -> np.ndarray:

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _max_top_eigenvalue
+from .eigenbounds import _BATCH_ENTRIES, _BATCH_MATRICES, SymMatrix, _max_top_eigenvalue
 from .errors import InvalidInputError, _as_count, _frozen, _owned
 from .objectives import ObjectiveFunction
 from .tableio import read_floats, write_table
@@ -48,7 +48,6 @@ ORACLE_STRATEGIES = ("pattern-enum", "random-search")
 ALPHA4_VARIANTS = ("standard", "paper")
 KINK_MARGIN_RTOL = 1e-6
 STACK_CHUNK_ENTRIES = 2**13  # (m, k, n) entries per chunk of a stacked loss: 64 KB of float64
-_DIRECTION_CHUNK = 256  # oracle directions per chunk: larger chunks grow peak memory, not speed
 
 # seed stream tags for student initializations and the oracle search, kept
 # distinct from data streams
@@ -294,27 +293,25 @@ def bound_alpha4(data: ReluDataset, k: int, variant: str = "standard") -> float:
 
 
 def _shared_direction_search(data: ReluDataset, k: int, budget: int, rng: np.random.Generator) -> float:
-    """(k/n) max lambda_max(sum_{x_i^T v >= 0} x_i x_i^T) over ``budget`` Gaussian directions v in R^d:
-    a GEMM of the masks against the flattened outer products x_i x_i^T gives a chunk of d x d Grams for
-    _max_top_eigenvalue.  Directions come in chunks of at most _DIRECTION_CHUNK (fewer once n or d^2
-    passes 2e6 / _DIRECTION_CHUNK) and points in blocks (one unless n d^2 > 2e6), so masks, Grams and
-    products stay small; one block's products are formed once per search, several blocks' per chunk."""
+    """(k/n) max lambda_max(sum_{x_i^T v >= 0} x_i x_i^T) over ``budget`` Gaussian directions v in R^d: a chunk
+    of min(_BATCH_MATRICES, 2e6 / max(n, d^2)) directions gets its d x d Grams from a GEMM of its masks against
+    the flattened x_i x_i^T of each point block (one, formed once, unless n d^2 > 2e6), streamed chunk by chunk."""
     n, d = data.inputs.shape
 
     def outer(x):  # the flattened x_i x_i^T of a point block, (rows, d^2)
         return (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
 
-    chunk = int(max(1, min(_DIRECTION_CHUNK, _BATCH_ENTRIES // max(n, d * d))))
+    chunk = int(max(1, min(_BATCH_MATRICES, _BATCH_ENTRIES // max(n, d * d))))
     rows = int(max(1, _BATCH_ENTRIES // (d * d)))
     blocks = [data.inputs[i : i + rows] for i in range(0, n, rows)]
     held = [outer(blocks[0])] if n <= rows else None
-    best = 0.0
-    for start in range(0, budget, chunk):
-        v = rng.standard_normal((min(chunk, budget - start), d))
+
+    def grams(v):  # the (m, d, d) Grams of m directions
         products = held or map(outer, blocks)
-        grams = sum(((x @ v.T) >= 0.0).T.astype(float) @ p for x, p in zip(blocks, products))
-        best = _max_top_eigenvalue(grams.reshape(-1, d, d), best)[0]
-    return float(k) * best / n
+        return sum(((x @ v.T) >= 0.0).T.astype(float) @ p for x, p in zip(blocks, products)).reshape(-1, d, d)
+
+    vs = (rng.standard_normal((min(chunk, budget - start), d)) for start in range(0, budget, chunk))
+    return float(k) * _max_top_eigenvalue(map(grams, vs), 0.0)[0] / n
 
 
 def alpha_oracle(

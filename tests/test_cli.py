@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from stepsafe.cli import (
     EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
     ExperimentSpec,
+    cmd_bounds,
     main,
 )
 from stepsafe.descent import DescentConfig, load_trace, run_descent
@@ -327,6 +329,24 @@ class TestExitCodes:
             ExperimentSpec(**{field: 2.0})
         ExperimentSpec(**{field: np.int64(2)})
 
+    def test_library_spec_with_str_out_writes_the_run(self, tmp_path):
+        # a str out had died in cmd_bounds at spec.out.mkdir; building the spec makes it a Path
+        spec = ExperimentSpec(d=2, k=1, n=5, out=str(tmp_path / "res"))
+        assert spec.out == tmp_path / "res"
+        cmd_bounds(spec)
+        assert (tmp_path / "res" / "bounds.csv").is_file()
+
+    def test_library_list_spec_equals_and_hashes_like_its_tuples(self):
+        # a list had made the frozen spec unhashable
+        listed = ExperimentSpec(scales=[1.0, 2.0], bounds=["alpha1", "alpha2"])
+        tupled = ExperimentSpec(scales=(1.0, 2.0), bounds=("alpha1", "alpha2"))
+        assert listed == tupled and hash(listed) == hash(tupled)
+
+    @pytest.mark.parametrize("field, value", [("out", 5), ("out", None), ("scales", 2.0), ("bounds", None)])
+    def test_library_value_neither_path_nor_sequence_named(self, field, value):
+        with pytest.raises(InvalidInputError, match=rf"^bad {field} value {value!r}$"):
+            ExperimentSpec(**{field: value})
+
     def test_library_no_timestamp_must_be_a_bool(self):
         # "no" had been truthy to stamp() and silently dropped the timestamp line
         with pytest.raises(InvalidInputError, match="no_timestamp must be a bool, got 'no'"):
@@ -440,6 +460,28 @@ class TestOutputDriftScripts:
         result = _run_script("output_digests.py", "--keep", str(tmp_path))
         assert result.returncode != EXIT_OK and "is not empty" in result.stderr
         assert result.stdout == ""
+
+    def test_keep_writes_library_values_outside_the_listing(self, tmp_path):
+        # the script with its CLI runs, bound table and datasets left out: each library call's value and
+        # witness go to library/<name>.csv, whose cells give back the bytes of its digest line
+        stub = (f"import sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); import output_digests as o; "
+                "o._runs, o.CONFIGS, o.bound_table = (lambda: ()), (), (lambda argv: 0); o.run(o.Path(sys.argv[1]))")
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        result = subprocess.run([sys.executable, "-c", stub, str(tmp_path)], env=env, capture_output=True, text=True,
+                                timeout=300)
+        assert result.returncode == EXIT_OK, result.stderr
+        lines = result.stdout.splitlines()  # bound table stdout, 5 help texts, usage error, 18 library calls
+        assert len(lines) == 25
+        listed = {name: digest for digest, name in (line.split("  ") for line in lines[7:])}
+        assert {p.stem for p in (tmp_path / "library").iterdir()} == set(listed)
+        for name, digest in listed.items():
+            header, rows = read_table(tmp_path / "library" / f"{name}.csv")
+            values = np.array(rows, dtype=float)
+            assert header == ["value", "witness"][: values.shape[1]] and len(set(values[:, 0])) == 1
+            data = values[0, 0].tobytes() + values[:, 1:].tobytes()
+            assert hashlib.sha256(data).hexdigest() == digest
+        assert [p.name for p in tmp_path.iterdir()] == ["library"]
 
     def test_compare_reports_drift_per_column_and_flags_mismatches(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -249,15 +249,15 @@ class TestMaxTopEigenvalue:
         tops = np.linalg.eigvalsh(grams)[:, -1]
         # no floor, a floor some Grams beat, a floor none beats, and an all-zero batch
         for floor in (0.0, float(np.median(tops)), 2.0 * float(tops.max())):
-            assert _max_top_eigenvalue(grams, floor)[0] == max(floor, float(tops.max()))
+            assert _max_top_eigenvalue([grams], floor)[0] == max(floor, float(tops.max()))
         zeros = np.zeros((5, d, d))
-        assert _max_top_eigenvalue(zeros, 0.0)[0] == float(np.linalg.eigvalsh(zeros)[:, -1].max())
+        assert _max_top_eigenvalue([zeros], 0.0)[0] == float(np.linalg.eigvalsh(zeros)[:, -1].max())
         # rank-one Grams, where the bound is tightest: u is lambda_max up to d^(1/8) of
         # the spread about the mean eigenvalue, and the widening
         for scale in (1e-150, 1.0, 1e150):
             x = scale * np.random.default_rng(d).standard_normal((30, d, 1))
             ranked = x @ x.transpose(0, 2, 1)
-            assert _max_top_eigenvalue(ranked, 0.0)[0] == float(np.linalg.eigvalsh(ranked)[:, -1].max())
+            assert _max_top_eigenvalue([ranked], 0.0)[0] == float(np.linalg.eigvalsh(ranked)[:, -1].max())
 
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_symmetric_bound_above_top_eigenvalue(self, d):
@@ -284,7 +284,38 @@ class TestMaxTopEigenvalue:
             for mats in [batch[:m] for m in range(1, 11)] + [batch]:
                 tops = np.linalg.eigvalsh(mats)[:, -1]
                 for floor in (-np.inf, 0.0, float(np.median(tops)), 2.0 * float(tops.max())):
-                    assert _max_top_eigenvalue(mats, floor) == _unpruned(mats, floor)
+                    assert _max_top_eigenvalue([mats], floor) == _unpruned(mats, floor)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_stream_matches_one_batch(self, d):
+        # each batch cut into 1-4 consecutive stacks, one of them empty, and handed over one at a time:
+        # indices run on across the cuts; the cut at 3, 11 gives two stacks on the no-bound shortcut
+        rng = np.random.default_rng(d + 200)
+        for batch in (_gram_batch(d), _symmetric_batch(d)):
+            tops = np.linalg.eigvalsh(batch)[:, -1]
+            cuts = [[3, 11]] + [sorted(rng.choice(np.arange(1, len(batch)), m, replace=False)) for m in (0, 1, 2)]
+            for cut in cuts:
+                stacks = np.split(batch, cut)
+                stacks.insert(int(rng.integers(len(stacks) + 1)), batch[:0])
+                assert 1 <= len(stacks) <= 4 and sum(map(len, stacks)) == len(batch)
+                for floor in (-np.inf, 0.0, float(np.median(tops)), 2.0 * float(tops.max())):
+                    assert _max_top_eigenvalue(iter(stacks), floor) == _unpruned(batch, floor)
+
+    def test_stream_tie_across_a_cut_keeps_the_earlier_index(self):
+        # the maximum 5 at the last matrix of a stack of 9 and the first of the next 9, whose bound 5 (1 + 1e-10)
+        # does not fall below the best, so it is solved and loses the tie; the cut at 3 puts both in one stack
+        scalars = [1.0, 2.0, 3.0, 4.0, 1.0, 2.0, 3.0, 4.0, 5.0] + [5.0, 2.0, 5.0] + [1.0] * 6
+        mats = np.array(scalars)[:, None, None] * np.eye(2)
+        for cut in (9, 3):
+            assert _max_top_eigenvalue([mats[:cut], mats[cut:]]) == _unpruned(mats) == (5.0, 8)
+        assert _max_top_eigenvalue([mats[:9], mats[9:]], 5.0) == (5.0, -1)
+
+    def test_stream_nan_only_first_stack(self):
+        # 9 NaN matrices (bounds read inf, so all are solved), then a stack whose maximum is at its index 9
+        nan = np.full((9, 2, 2), np.nan)
+        mats = np.arange(1.0, 11.0)[:, None, None] * np.eye(2)
+        assert _max_top_eigenvalue([nan, mats]) == _unpruned(np.concatenate([nan, mats])) == (10.0, 18)
+        assert _max_top_eigenvalue([nan, mats[:0]]) == (-np.inf, -1)
 
     def test_large_matrices_solved_one_at_a_time(self, monkeypatch):
         # d = 30 Grams, two copies of the largest (a three-way tie), an indefinite and two
@@ -302,26 +333,26 @@ class TestMaxTopEigenvalue:
         expected = [_unpruned(mats, floor) for floor in floors] + [_unpruned(mats[:8])]
         sizes, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
-        assert [_max_top_eigenvalue(mats, floor) for floor in floors] == expected[:-1]
+        assert [_max_top_eigenvalue([mats], floor) for floor in floors] == expected[:-1]
         assert sizes and set(sizes) == {1}
         sizes.clear()
-        assert _max_top_eigenvalue(mats[:8]) == expected[-1] and sizes == [1] * 8
+        assert _max_top_eigenvalue([mats[:8]]) == expected[-1] and sizes == [1] * 8
 
     def test_ties_keep_the_first_index(self):
         # equal matrices, and a zero matrix tying 8 later ones whose bounds are larger,
         # so it is solved after them
         same = np.broadcast_to(np.diag([1.0, 3.0]), (20, 2, 2))
-        assert _max_top_eigenvalue(same) == (3.0, 0)
+        assert _max_top_eigenvalue([same]) == (3.0, 0)
         tied = np.concatenate([np.zeros((1, 2, 2)), np.broadcast_to(np.diag([0.0, -1.0]), (8, 2, 2))])
         assert _top_eigenvalue_bound(tied)[0] < _top_eigenvalue_bound(tied)[1]
-        assert _max_top_eigenvalue(tied) == _unpruned(tied) == (0.0, 0)
-        assert _max_top_eigenvalue(tied, 0.0) == (0.0, -1)
+        assert _max_top_eigenvalue([tied]) == _unpruned(tied) == (0.0, 0)
+        assert _max_top_eigenvalue([tied], 0.0) == (0.0, -1)
 
     def test_nan_never_wins(self):
         # a NaN matrix's bound reads inf, so it is solved, and its NaN top eigenvalue loses
         mats = np.concatenate([np.full((1, 2, 2), np.nan), np.arange(1.0, 11.0)[:, None, None] * np.eye(2)])
-        assert _max_top_eigenvalue(mats) == _unpruned(mats) == (10.0, 10)
-        assert _max_top_eigenvalue(mats[:1]) == (-np.inf, -1)
+        assert _max_top_eigenvalue([mats]) == _unpruned(mats) == (10.0, 10)
+        assert _max_top_eigenvalue([mats[:1]]) == (-np.inf, -1)
 
     def test_non_finite_bound_reads_inf_without_warning(self):
         huge = np.full((1, 3, 3), 1e308)

@@ -1,5 +1,6 @@
 """Tests for the quadratic upper model, midpoint quotient and estimators."""
 
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -365,6 +366,35 @@ class TestHessianEstimator:
                     best, witness = top, x
             est = estimate_concavifier_hessian(f, box, np.random.default_rng(seed))
             assert est.value == best and np.array_equal(est.witness, witness)
+
+    def test_matches_eigvalsh_loop_past_one_stack(self):
+        # budget 600 on the d2 k2 n20 loss (dim 4): stacks of 256, 256 and 88 Hessians; the loss Hessian is
+        # constant on each activation pattern, so at seed 1 the maximum ties across the first cut (168 and 288)
+        for seed in range(4):
+            f = loss_objective(generate_dataset(NetConfig(2, 2, 20, seed)))
+            box = _box([-1.0] * 4, [1.0] * 4, 600)
+            best, witness = -np.inf, None
+            for x in box.sample(np.random.default_rng(seed), 600):
+                top = float(np.linalg.eigvalsh(f.hessian(x).entries)[-1])
+                if top > best:
+                    best, witness = top, x
+            est = estimate_concavifier_hessian(f, box, np.random.default_rng(seed))
+            assert est.value == best and np.array_equal(est.witness, witness)
+
+    def test_warm_peak_memory_within_one_batch_rule(self):
+        # budget 1000 on the d10 k5 n200 loss over [-1, 1]^50: stacks of at most 256 Hessians, each formed
+        # when the screen asks for it, keep the warm tracemalloc peak under 16 MB (48 MB with 800-Hessian stacks)
+        f = loss_objective(generate_dataset(NetConfig(10, 5, 200, 0)))
+        box = _box([-1.0] * 50, [1.0] * 50, 1000)
+        first = estimate_concavifier_hessian(f, box, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            again = estimate_concavifier_hessian(f, box, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+        assert again.value == first.value and np.array_equal(again.witness, first.witness)
 
 
 class TestHessianEstimatorSolves:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import stepsafe.relu as relu_module
 from stepsafe.descent import DescentConfig, run_descent
-from stepsafe.eigenbounds import SymMatrix, power_iteration
+from stepsafe.eigenbounds import _BATCH_MATRICES, SymMatrix, power_iteration
 from stepsafe.errors import InvalidInputError
 from stepsafe.objectives import (
     BoxDomain,
@@ -950,7 +950,7 @@ class TestAlphaOracle:
         # products formed per chunk and per point block of 2e6 / d^2 rows,
         # give the same bits as products formed once per search
         data = generate_dataset(NetConfig(d, 2, n, seed=5))
-        chunk, rng, best = relu_module._DIRECTION_CHUNK, np.random.default_rng(3), 0.0
+        chunk, rng, best = _BATCH_MATRICES, np.random.default_rng(3), 0.0
         blocks = [data.inputs[i : i + int(2e6 // (d * d))] for i in range(0, n, int(2e6 // (d * d)))]
         assert len(blocks) == (2 if d == 50 else 1)
         for start in range(0, budget, chunk):
