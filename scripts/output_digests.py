@@ -21,8 +21,11 @@ come library calls that no CLI run reaches, one line each for the bytes of the
 value and the witness: `estimate_concavifier_hessian` (budget 16) and
 `estimate_concavifier_midpoint` (budget 128) on the `loss_objective` of
 d10 k5 n200 over [-1, 1]^50, at seeds 0-4 (the dataset's and the sampler's),
-and the value of a random-search `alpha_oracle` at budgets 1, 8, 9 and 300 on
-d3 k2 n50 and d10 k5 n200 at seed 0.
+the value of a random-search `alpha_oracle` at budgets 1, 8, 9 and 300 on
+d3 k2 n50 and d10 k5 n200 at seed 0, then two calls whose stacks are smaller
+than 256: `estimate_concavifier_hessian` at budget 64 on the d50 k5 n200 loss
+over [-1, 1]^250 at seeds 0-2, and a random-search `alpha_oracle` at budget 600
+on d60 k2 n200 at seed 0.
 
 To check that a change keeps every output byte-identical, run it on both
 checkouts with the same environment and diff the two listings:
@@ -100,6 +103,13 @@ def _library_calls():
         data = generate_dataset(NetConfig(d, k, n, 0))
         for budget in (1, 8, 9, 300):
             yield f"random_search_d{d}_k{k}_n{n}_budget{budget}", alpha_oracle(data, k, "random-search", budget), ()
+    for seed in range(3):  # stacks of 10 Hessians of dim 250
+        f = loss_objective(generate_dataset(NetConfig(50, 5, 200, seed)))
+        box = BoxDomain(-np.ones(f.dim), np.ones(f.dim), 64)
+        result = estimate_concavifier_hessian(f, box, np.random.default_rng(seed))
+        yield f"estimate_hessian_d50_k5_n200_seed{seed}", result.value, result.witness
+    data = generate_dataset(NetConfig(60, 2, 200, 0))  # chunks of 185 directions
+    yield "random_search_d60_k2_n200_budget600", alpha_oracle(data, 2, "random-search", 600), ()
 
 
 def _sha(data: bytes) -> str:

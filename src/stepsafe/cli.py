@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
+import numbers
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -79,6 +80,8 @@ class ExperimentSpec:
                 object.__setattr__(self, name, kind(getattr(self, name)))
             except TypeError:
                 raise InvalidInputError(f"bad {name} value {getattr(self, name)!r}") from None
+        if not all(isinstance(s, numbers.Real) for s in self.scales):  # tuple("12") is ('1', '2')
+            raise InvalidInputError(f"bad scales value {self.scales!r}")
         NetConfig(self.d, self.k, self.n, self.seed)  # raises on a bad d, k, n or seed
         for name in ("reps", "steps", "oracle_budget"):
             _as_count(getattr(self, name), name)

@@ -20,10 +20,15 @@ SYMMETRY_RTOL = 1e-10
 RQ_CHANGE_TOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 MAX_POWER_ITERATIONS = 100_000
-_BATCH_ENTRIES = 2e6  # float64 entries per stacked batch of matrices (16 MB)
+_BATCH_ENTRIES = 2e6  # float64 entries a stack of matrices may take, with the screen's two working arrays (16 MB)
 _BATCH_MATRICES = 256  # matrices per stacked batch, within _BATCH_ENTRIES: more grow peak memory, not speed
 _TOP_SOLVE_BLOCK = 8  # _max_top_eigenvalue solves a batch of at most this many matrices without a bound
 _TOP_BOUND_RTOL = 1e-10  # widening of the centred trace-power bound, on top of 16 d^2 ulps
+
+
+def _stack_size(d: int, held: int = 0) -> int:
+    """Matrices per (m, d, d) stack in _BATCH_ENTRIES: 3 d^2 entries each (the screen's), or ``held`` (a caller's)."""
+    return int(max(1, min(_BATCH_MATRICES, _BATCH_ENTRIES // max(3 * d * d, held))))
 
 
 @dataclass(frozen=True, eq=False)

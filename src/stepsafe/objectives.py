@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .eigenbounds import _BATCH_ENTRIES, _BATCH_MATRICES, SymMatrix, _max_top_eigenvalue
+from .eigenbounds import SymMatrix, _max_top_eigenvalue, _stack_size
 from .errors import DegeneratePairError, InvalidInputError, UnsupportedOperationError, _as_count, _owned
 
 QUAD_CHECK_RTOL = 1e-9
@@ -230,15 +230,15 @@ def estimate_concavifier_hessian(
     f: ObjectiveFunction, domain: BoxDomain, rng: np.random.Generator | None = None
 ) -> ConcavifierEstimate:
     """Maximize the largest Hessian eigenvalue (dense eigvalsh, so no iteration has to converge) over sampled
-    points in the box, their Hessians streamed to _max_top_eigenvalue, formed a stack of min(_BATCH_MATRICES,
-    2e6 / dim^2) at a time.  The witness is the first sample with the largest value; a NaN value never wins."""
+    points in the box, their Hessians streamed to _max_top_eigenvalue, formed a stack of _stack_size(dim) at a
+    time.  The witness is the first sample with the largest value; a NaN value never wins."""
     if f.hessian is None:
         raise UnsupportedOperationError("objective does not provide a Hessian")
     _as_point(f, domain.lower)
     rng = rng if rng is not None else np.random.default_rng(0)
 
     xs = domain.sample(rng, domain.budget)
-    step = int(max(1, min(_BATCH_MATRICES, _BATCH_ENTRIES // f.dim**2)))
+    step = _stack_size(f.dim)
     stacks = (np.stack([f.hessian(x).entries for x in xs[i : i + step]]) for i in range(0, len(xs), step))
     best, first = _max_top_eigenvalue(stacks)
     return ConcavifierEstimate(max(0.0, best), "hessian-sampling", len(xs), witness=xs[first] if first >= 0 else None)

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .eigenbounds import _BATCH_ENTRIES, _BATCH_MATRICES, SymMatrix, _max_top_eigenvalue
+from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _max_top_eigenvalue, _stack_size
 from .errors import InvalidInputError, _as_count, _frozen, _owned
 from .objectives import ObjectiveFunction
 from .tableio import read_floats, write_table
@@ -294,14 +294,14 @@ def bound_alpha4(data: ReluDataset, k: int, variant: str = "standard") -> float:
 
 def _shared_direction_search(data: ReluDataset, k: int, budget: int, rng: np.random.Generator) -> float:
     """(k/n) max lambda_max(sum_{x_i^T v >= 0} x_i x_i^T) over ``budget`` Gaussian directions v in R^d: a chunk
-    of min(_BATCH_MATRICES, 2e6 / max(n, d^2)) directions gets its d x d Grams from a GEMM of its masks against
-    the flattened x_i x_i^T of each point block (one, formed once, unless n d^2 > 2e6), streamed chunk by chunk."""
+    of _stack_size(d, n) directions gets its d x d Grams from a GEMM of its (m, n) masks against the flattened
+    x_i x_i^T of each point block (one, formed once, unless n d^2 > 2e6), streamed chunk by chunk."""
     n, d = data.inputs.shape
 
     def outer(x):  # the flattened x_i x_i^T of a point block, (rows, d^2)
         return (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
 
-    chunk = int(max(1, min(_BATCH_MATRICES, _BATCH_ENTRIES // max(n, d * d))))
+    chunk = _stack_size(d, n)
     rows = int(max(1, _BATCH_ENTRIES // (d * d)))
     blocks = [data.inputs[i : i + rows] for i in range(0, n, rows)]
     held = [outer(blocks[0])] if n <= rows else None

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -347,6 +348,13 @@ class TestExitCodes:
         with pytest.raises(InvalidInputError, match=rf"^bad {field} value {value!r}$"):
             ExperimentSpec(**{field: value})
 
+    @pytest.mark.parametrize("scales", ["12", ("a",), (None,)], ids=["str", "str-scale", "None-scale"])
+    def test_library_scale_not_a_number_named(self, scales):
+        # each had died comparing a str or None with 0.0; tuple("12") is ('1', '2')
+        with pytest.raises(InvalidInputError, match=rf"^bad scales value {re.escape(repr(tuple(scales)))}$"):
+            ExperimentSpec(scales=scales)
+        assert ExperimentSpec(scales=[0.5, np.float64(1.0)]).scales == (0.5, 1.0)
+
     def test_library_no_timestamp_must_be_a_bool(self):
         # "no" had been truthy to stamp() and silently dropped the timestamp line
         with pytest.raises(InvalidInputError, match="no_timestamp must be a bool, got 'no'"):
@@ -471,8 +479,8 @@ class TestOutputDriftScripts:
         result = subprocess.run([sys.executable, "-c", stub, str(tmp_path)], env=env, capture_output=True, text=True,
                                 timeout=300)
         assert result.returncode == EXIT_OK, result.stderr
-        lines = result.stdout.splitlines()  # bound table stdout, 5 help texts, usage error, 18 library calls
-        assert len(lines) == 25
+        lines = result.stdout.splitlines()  # bound table stdout, 5 help texts, usage error, 22 library calls
+        assert len(lines) == 29
         listed = {name: digest for digest, name in (line.split("  ") for line in lines[7:])}
         assert {p.stem for p in (tmp_path / "library").iterdir()} == set(listed)
         for name, digest in listed.items():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stepsafe.eigenbounds import SymMatrix, _max_top_eigenvalue, _top_eigenvalue_bound, power_iteration
+from stepsafe.eigenbounds import SymMatrix, _max_top_eigenvalue, _stack_size, _top_eigenvalue_bound, power_iteration
 from stepsafe.errors import InvalidInputError
 from stepsafe.relu import ReluDataset, Weights, _cassini, _gershgorin, bound_alpha2
 
@@ -233,6 +233,28 @@ def _unpruned(mats, floor=-np.inf):
         if top > best:
             best, first = float(top), i
     return best, first
+
+
+class TestStackSize:
+    @pytest.mark.parametrize("d", [1, 10, 50, 88, 89, 250, 500, 2500])
+    @pytest.mark.parametrize("held", [0, 200, 10_000, 10**7])
+    def test_largest_stack_within_the_batch_rule(self, d, held):
+        # a stack and the screen's two working arrays take 3 d^2 entries a matrix, the caller's arrays held;
+        # both fit 2e6 entries unless one matrix alone does not, and one more matrix would not fit
+        m = _stack_size(d, held)
+        assert 1 <= m <= 256
+        if m > 1:
+            assert 3 * m * d * d <= 2e6 and m * held <= 2e6
+        if m < 256:
+            assert 3 * (m + 1) * d * d > 2e6 or (m + 1) * held > 2e6
+
+    def test_benchmark_and_digest_shapes_keep_their_sizes(self):
+        # the d10 k5 loss Hessians (dim 50) and random search on d <= 50 with n <= 1e4: 256, or 200 on
+        # d10 n1e4, whose masks take more entries than its Grams; Hessians of dim 273 and up take at most 8
+        assert _stack_size(50) == 256
+        shapes = [(1, 1), (3, 50), (5, 1000), (10, 200), (10, 1000), (50, 1000), (10, 10_000)]
+        assert [_stack_size(d, n) for d, n in shapes] == [256] * 6 + [200]
+        assert (_stack_size(250), _stack_size(60, 200), _stack_size(272), _stack_size(273)) == (10, 185, 9, 8)
 
 
 class TestMaxTopEigenvalue:

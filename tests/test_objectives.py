@@ -28,6 +28,16 @@ from stepsafe.objectives import (
 from stepsafe.relu import NetConfig, generate_dataset, loss_objective
 
 
+def _eigvalsh_loop(f, box, rng):
+    # the largest top eigenvalue of the sampled Hessians and its first sample, by a plain eigvalsh loop
+    best, witness = -np.inf, None
+    for x in box.sample(rng, box.budget):
+        top = float(np.linalg.eigvalsh(f.hessian(x).entries)[-1])
+        if top > best:
+            best, witness = top, x
+    return best, witness
+
+
 def _square_1d():
     return quadratic_objective([[2.0]])  # f(x) = x^2
 
@@ -359,11 +369,7 @@ class TestHessianEstimator:
         for seed in range(5):
             f = loss_objective(generate_dataset(NetConfig(10, 5, 200, seed)))
             box = _box([-1.0] * 50, [1.0] * 50, 16)
-            best, witness = -np.inf, None
-            for x in box.sample(np.random.default_rng(seed), 16):
-                top = float(np.linalg.eigvalsh(f.hessian(x).entries)[-1])
-                if top > best:
-                    best, witness = top, x
+            best, witness = _eigvalsh_loop(f, box, np.random.default_rng(seed))
             est = estimate_concavifier_hessian(f, box, np.random.default_rng(seed))
             assert est.value == best and np.array_equal(est.witness, witness)
 
@@ -373,11 +379,7 @@ class TestHessianEstimator:
         for seed in range(4):
             f = loss_objective(generate_dataset(NetConfig(2, 2, 20, seed)))
             box = _box([-1.0] * 4, [1.0] * 4, 600)
-            best, witness = -np.inf, None
-            for x in box.sample(np.random.default_rng(seed), 600):
-                top = float(np.linalg.eigvalsh(f.hessian(x).entries)[-1])
-                if top > best:
-                    best, witness = top, x
+            best, witness = _eigvalsh_loop(f, box, np.random.default_rng(seed))
             est = estimate_concavifier_hessian(f, box, np.random.default_rng(seed))
             assert est.value == best and np.array_equal(est.witness, witness)
 
@@ -395,6 +397,23 @@ class TestHessianEstimator:
             tracemalloc.stop()
         assert peak <= 16e6
         assert again.value == first.value and np.array_equal(again.witness, first.witness)
+
+    def test_warm_peak_memory_counts_the_screens_arrays(self):
+        # budget 64 on the d50 k5 n200 loss over [-1, 1]^250: the screen holds two more arrays the size of its
+        # stack, so stacks of 10 Hessians keep the warm tracemalloc peak under 16 MB (48 MB with stacks of 32,
+        # sized by 2e6 / dim^2 alone)
+        f = loss_objective(generate_dataset(NetConfig(50, 5, 200, 0)))
+        box = _box([-1.0] * 250, [1.0] * 250, 64)
+        estimate_concavifier_hessian(f, box, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            est = estimate_concavifier_hessian(f, box, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+        best, witness = _eigvalsh_loop(f, box, np.random.default_rng(0))
+        assert est.value == best and np.array_equal(est.witness, witness)
 
 
 class TestHessianEstimatorSolves:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import stepsafe.relu as relu_module
 from stepsafe.descent import DescentConfig, run_descent
-from stepsafe.eigenbounds import _BATCH_MATRICES, SymMatrix, power_iteration
+from stepsafe.eigenbounds import SymMatrix, _stack_size, power_iteration
 from stepsafe.errors import InvalidInputError
 from stepsafe.objectives import (
     BoxDomain,
@@ -943,14 +943,16 @@ class TestAlphaOracle:
         found = alpha_oracle(data, 2, "random-search", budget=budget, rng=np.random.default_rng(9))
         assert found == pytest.approx(2 * best / n, rel=1e-12)
 
-    @pytest.mark.parametrize("d, n, budget", [(10, 200, 1000), (3, 1, 300), (1, 30, 600), (50, 900, 300)],
-                             ids=["partial-chunk", "n1", "d1", "two-blocks"])
+    @pytest.mark.parametrize("d, n, budget", [(10, 200, 1000), (3, 1, 300), (1, 30, 600), (50, 900, 300),
+                                              (60, 200, 600)],
+                             ids=["partial-chunk", "n1", "d1", "two-blocks", "short-chunks"])
     def test_random_search_matches_unpruned(self, d, n, budget):
         # the same chunks and GEMMs with eigvalsh on every Gram, and outer
         # products formed per chunk and per point block of 2e6 / d^2 rows,
-        # give the same bits as products formed once per search
+        # give the same bits as products formed once per search; on d60
+        # a chunk is 185 directions
         data = generate_dataset(NetConfig(d, 2, n, seed=5))
-        chunk, rng, best = _BATCH_MATRICES, np.random.default_rng(3), 0.0
+        chunk, rng, best = _stack_size(d, n), np.random.default_rng(3), 0.0
         blocks = [data.inputs[i : i + int(2e6 // (d * d))] for i in range(0, n, int(2e6 // (d * d)))]
         assert len(blocks) == (2 if d == 50 else 1)
         for start in range(0, budget, chunk):
