@@ -80,7 +80,7 @@ class ExperimentSpec:
                 object.__setattr__(self, name, kind(getattr(self, name)))
             except TypeError:
                 raise InvalidInputError(f"bad {name} value {getattr(self, name)!r}") from None
-        if not all(isinstance(s, numbers.Real) for s in self.scales):  # tuple("12") is ('1', '2')
+        if any(type(s) is bool or not isinstance(s, numbers.Real) for s in self.scales):  # tuple("12") is ('1', '2')
             raise InvalidInputError(f"bad scales value {self.scales!r}")
         NetConfig(self.d, self.k, self.n, self.seed)  # raises on a bad d, k, n or seed
         for name in ("reps", "steps", "oracle_budget"):
@@ -201,22 +201,22 @@ def _run_table(spec: ExperimentSpec, name: str, columns, values) -> list[float]:
 
 def _descent_table(spec: ExperimentSpec, name: str, head, runs, report=None) -> list[list]:
     """Write spec.out/name with columns *head, eta, final_loss, monotone, diverged: for each seed
-    and each (label, bound, scale, stem) of runs, descend from the seed's student init at
-    eta = scale/value, value being the bound's value on the data (the one place a bound becomes a
-    step size), save the trace as <stem>_seed<seed>.csv and call report(seed, row) on the row
+    and each (label, bound, scale, stem) of runs, descend from the seed's student init at eta = scale/value,
+    value being the bound's value on the data (the one place a bound becomes a step size; each distinct eta
+    descends once per seed), save the trace as <stem>_seed<seed>.csv and call report(seed, row) on the row
     [label, seed, value, eta, final_loss, monotone, diverged] as soon as it is done.  Returns the rows."""
     rows = []
     for seed, data in _runs(spec):
         objective = relu.loss_objective(data)
         x0 = relu.initial_weights(NetConfig(spec.d, spec.k, spec.n, seed)).flat
+        descend = functools.cache(lambda eta: run_descent(objective, DescentConfig(eta=eta, steps=spec.steps, x0=x0)))
         for label, bound, scale, stem in runs:
             value = _bound_value(bound, data, spec)
             if not np.isfinite(value) or value <= 0.0:
                 raise NumericalFailureError(f"bound {bound} is {value!r} at seed {seed}, so it gives no step size")
-            eta = scale / value
-            trace = run_descent(objective, DescentConfig(eta=eta, steps=spec.steps, x0=x0))
+            trace = descend(scale / value)
             save_trace(trace, spec.out / f"{stem}_seed{seed}.csv", timestamp=spec.stamp())
-            rows.append([label, float(seed), float(value), eta, float(trace.losses[-1]), trace.monotone,
+            rows.append([label, float(seed), float(value), trace.eta, float(trace.losses[-1]), trace.monotone,
                          trace.diverged])
             if report is not None:
                 report(seed, rows[-1])

@@ -63,6 +63,22 @@ def _train_line(bound, value, seed, trace):
             f"final_loss={trace.losses[-1]:.3e} monotone={trace.monotone}")
 
 
+def _train_descents(monkeypatch, *args):
+    """Run `train` with args and return the number of run_descent calls it makes."""
+    import stepsafe.cli as cli_mod
+
+    calls = 0
+
+    def counted(objective, config):
+        nonlocal calls
+        calls += 1
+        return run_descent(objective, config)
+
+    monkeypatch.setattr(cli_mod, "run_descent", counted)
+    assert main(["train", *args, "--no-timestamp"]) == EXIT_OK
+    return calls
+
+
 class TestBoundsCommand:
     def test_writes_table_with_summary(self, tmp_path, capsys):
         out = tmp_path / "res"
@@ -161,6 +177,30 @@ class TestTrainCommand:
             _assert_descent_row(row, out / f"train_{bound}_seed{seed}.csv", trace)
             lines.append(_train_line(bound, value, seed, trace))
         assert capsys.readouterr().out.splitlines() == [*lines, f"wrote {out / 'train_summary.csv'}"]
+
+    @pytest.mark.parametrize("k, calls", [(5, 6), (1, 8)])
+    def test_one_descent_per_distinct_step(self, tmp_path, monkeypatch, k, calls):
+        # for k >= 2 the standard alpha4 equals alpha3, so the default four bounds make three
+        # steps; at k = 1 (seeds 0-2) all four differ; a shared step still writes both traces
+        out = tmp_path / "res"
+        descents = _train_descents(monkeypatch, "--d", "10", "--k", str(k), "--n", "200", "--steps", "10",
+                                   "--reps", "2", "--out", str(out))
+        _, rows = read_table(out / "train_summary.csv")
+        assert len(rows) == 8 and descents == calls == len({(r[1], r[3]) for r in rows})
+        for seed in (0, 1):
+            alpha3, alpha4 = (out / f"train_{b}_seed{seed}.csv" for b in ("alpha3", "alpha4"))
+            assert (alpha3.read_bytes() == alpha4.read_bytes()) == (k > 1)
+
+    def test_pattern_enum_oracle_shares_the_alpha2_descent(self, tmp_path, monkeypatch):
+        # pattern-enum returns bound_alpha2
+        out = tmp_path / "res"
+        descents = _train_descents(monkeypatch, "--d", "10", "--k", "5", "--n", "200", "--steps", "10",
+                                   "--reps", "2", "--bounds", "oracle,alpha2", "--oracle-strategy", "pattern-enum",
+                                   "--out", str(out))
+        assert descents == 2
+        for seed in (0, 1):
+            oracle, alpha2 = (out / f"train_{b}_seed{seed}.csv" for b in ("oracle", "alpha2"))
+            assert oracle.read_bytes() == alpha2.read_bytes()
 
 
 class TestScaleSweepCommand:
@@ -348,9 +388,11 @@ class TestExitCodes:
         with pytest.raises(InvalidInputError, match=rf"^bad {field} value {value!r}$"):
             ExperimentSpec(**{field: value})
 
-    @pytest.mark.parametrize("scales", ["12", ("a",), (None,)], ids=["str", "str-scale", "None-scale"])
+    @pytest.mark.parametrize("scales", ["12", ("a",), (None,), (True, 2.0)],
+                             ids=["str", "str-scale", "None-scale", "bool-scale"])
     def test_library_scale_not_a_number_named(self, scales):
-        # each had died comparing a str or None with 0.0; tuple("12") is ('1', '2')
+        # each had died comparing a str or None with 0.0, or built with True as a scale of 1;
+        # tuple("12") is ('1', '2')
         with pytest.raises(InvalidInputError, match=rf"^bad scales value {re.escape(repr(tuple(scales)))}$"):
             ExperimentSpec(scales=scales)
         assert ExperimentSpec(scales=[0.5, np.float64(1.0)]).scales == (0.5, 1.0)
