@@ -3,8 +3,8 @@
 
 Runs `bounds`, `train` (all five bounds), `scale-sweep` and `oracle` with
 --no-timestamp on the six standard configurations at seeds 0-2, plus a
-pattern-enum `oracle` and `train --bounds oracle,alpha2` on d2 k2 n8, a
-pattern-enum `oracle` on d4 k2 n20 (past the sizes that `auto` enumerates), a
+pattern-enum `oracle` and a `train --bounds oracle,alpha2` with the default
+(random-search) oracle on d2 k2 n8, a pattern-enum `oracle` on d4 k2 n20, a
 default `train` on d20 k1 n50 (a shape whose forward-pass bits depend on the
 layout of the inputs in the W X^T product), and two error paths: `bounds --d 0`
 (invalid input) and a `train` on d1 k1 n1 whose one-draw random-search oracle

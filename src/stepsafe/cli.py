@@ -35,7 +35,6 @@ from .tableio import read_lines, write_table
 BOUND_CHOICES = ("alpha1", "alpha2", "alpha3", "alpha4", "oracle")
 DEFAULT_BOUNDS = ("alpha1", "alpha2", "alpha3", "alpha4")
 DEFAULT_SCALES = (0.5, 1.0, 2.0, 4.0)
-AUTO_ENUM_MAX_POINTS, AUTO_ENUM_MAX_DIM = 12, 3  # oracle strategy "auto": pattern-enum up to this size
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -56,7 +55,7 @@ class ExperimentSpec:
       alpha4_variant   standard or paper
       out              output directory
       no_timestamp     leave out the '# generated:' comment line
-      oracle_strategy  auto, pattern-enum or random-search
+      oracle_strategy  random-search or pattern-enum (alpha2 exactly)
       oracle_budget    random-search draws
     """
 
@@ -71,7 +70,7 @@ class ExperimentSpec:
     alpha4_variant: str = "standard"
     out: Path = Path("results")
     no_timestamp: bool = False
-    oracle_strategy: str = "auto"
+    oracle_strategy: str = "random-search"
     oracle_budget: int = 10_000
 
     def __post_init__(self):
@@ -82,6 +81,7 @@ class ExperimentSpec:
                 raise InvalidInputError(f"bad {name} value {getattr(self, name)!r}") from None
         if any(type(s) is bool or not isinstance(s, numbers.Real) for s in self.scales):  # tuple("12") is ('1', '2')
             raise InvalidInputError(f"bad scales value {self.scales!r}")
+        object.__setattr__(self, "scales", tuple(map(float, self.scales)))  # a float32 scale would give a float32 step
         NetConfig(self.d, self.k, self.n, self.seed)  # raises on a bad d, k, n or seed
         for name in ("reps", "steps", "oracle_budget"):
             _as_count(getattr(self, name), name)
@@ -96,13 +96,10 @@ class ExperimentSpec:
             raise InvalidInputError(f"bound selection {self.bounds} repeats a bound")
         if self.alpha4_variant not in ALPHA4_VARIANTS:
             raise InvalidInputError(f"alpha4 variant must be one of {ALPHA4_VARIANTS}")
-        if self.oracle_strategy not in ("auto",) + relu.ORACLE_STRATEGIES:
-            raise InvalidInputError("oracle strategy must be auto, pattern-enum or random-search")
+        if self.oracle_strategy not in relu.ORACLE_STRATEGIES:
+            raise InvalidInputError(f"oracle strategy must be one of {relu.ORACLE_STRATEGIES}")
         if not isinstance(self.no_timestamp, bool):
             raise InvalidInputError(f"no_timestamp must be a bool, got {self.no_timestamp!r}")
-        if self.oracle_strategy == "auto":
-            small = self.n <= AUTO_ENUM_MAX_POINTS and self.d <= AUTO_ENUM_MAX_DIM
-            object.__setattr__(self, "oracle_strategy", "pattern-enum" if small else "random-search")
 
     def stamp(self) -> str | None:
         return None if self.no_timestamp else datetime.now(timezone.utc).isoformat()
@@ -245,9 +242,9 @@ def cmd_train(spec: ExperimentSpec) -> None:
 
 
 def cmd_scale_sweep(spec: ExperimentSpec) -> None:
-    runs = [(float(s), "alpha2", s, f"sweep_s{s:g}") for s in spec.scales]
+    runs = [(s, "alpha2", s, f"sweep_s{s:g}") for s in spec.scales]
     rows = _descent_table(spec, "sweep_runs.csv", ["scale", "seed", "alpha2"], runs)
-    summary = [[float(s), float(np.mean([not r[5] for r in rows if r[0] == s]))] for s in spec.scales]
+    summary = [[s, float(np.mean([not r[5] for r in rows if r[0] == s]))] for s in spec.scales]
     out = spec.out / "sweep_summary.csv"
     write_table(out, ["scale", "nonmonotone_fraction"], summary, timestamp=spec.stamp())
     for s, frac in summary:

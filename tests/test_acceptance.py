@@ -255,6 +255,21 @@ def test_population_oracle_is_half_alpha2_on_centred_inputs():
         assert np.linalg.eigvalsh(moment)[-1] == pytest.approx(0.5, rel=1e-14)
 
 
+@pytest.mark.parametrize("c, gap", [(1.0, 0.02), (3.0, 1e-3)])
+def test_sample_oracle_tracks_the_population_oracle_on_shifted_inputs(c, gap):
+    # inputs N(c e_1, I): the best v lies in span(e_1, e_2) by symmetry, so the population
+    # oracle/alpha2 is the largest top eigenvalue over 2001 angles, over 1 + c^2 (0.96233 at c = 1,
+    # 0.99998 at c = 3); the sample ratio (d10 k1 n1000, 4000 draws) is within gap of it at seeds 0-2
+    e1, e2 = np.eye(10)[:2]
+    population = max(np.linalg.eigvalsh(_half_space_moment(math.cos(t) * e1 + math.sin(t) * e2, c * e1))[-1]
+                     for t in np.linspace(0.0, math.pi, 2001)) / (1 + c * c)
+    for seed in range(3):
+        base = generate_dataset(NetConfig(10, 1, 1000, seed))
+        data = ReluDataset(base.inputs + c * e1, base.teacher, seed=seed)
+        sample = alpha_oracle(data, 1, "random-search", 4000) / bound_alpha2(data, 1)
+        assert abs(sample - population) <= gap, (seed, sample, population)
+
+
 def test_criterion_6_eigen_identities():
     """Fast-path top eigenvalue equals explicit power iteration; residual bound holds."""
     rng = np.random.default_rng(66)

@@ -21,6 +21,7 @@ from stepsafe.cli import (
     EXIT_OK,
     ExperimentSpec,
     cmd_bounds,
+    cmd_scale_sweep,
     main,
 )
 from stepsafe.descent import DescentConfig, load_trace, run_descent
@@ -164,7 +165,7 @@ class TestTrainCommand:
         code = main(["train", "--d", "2", "--k", "2", "--n", "8", "--steps", "15", "--seed", "3", "--reps", "2",
                      "--bounds", "oracle,alpha1,alpha2", "--out", str(out), "--no-timestamp"])
         assert code == EXIT_OK
-        library = {"oracle": lambda data: alpha_oracle(data, 2, "pattern-enum"),
+        library = {"oracle": lambda data: alpha_oracle(data, 2, "random-search"),
                    "alpha1": lambda data: bound_alpha1(data, 2), "alpha2": lambda data: bound_alpha2(data, 2)}
         _, rows = read_table(out / "train_summary.csv")
         assert [(r[0], r[1]) for r in rows] == [(b, s) for s in (3.0, 4.0) for b in library]
@@ -240,19 +241,29 @@ class TestScaleSweepCommand:
         lines = [f"scale-sweep: scale={s:g} nonmonotone_fraction={np.mean(f):.2f}" for s, f in nonmonotone.items()]
         assert capsys.readouterr().out.splitlines() == [*lines, f"wrote {out / 'sweep_summary.csv'}"]
 
+    def test_float32_library_scale_writes_the_float_scale_bytes(self, tmp_path):
+        # a float32 scale had given a float32 step, written as a short eta cell
+        # (0.18636404 for 0.18636404772703422), and a float32 descent
+        written = []
+        for name, scales in (("f32", (np.float32(0.5), 1.0)), ("f64", (0.5, 1.0))):
+            spec = ExperimentSpec(d=3, k=2, n=20, steps=5, scales=scales, out=tmp_path / name, no_timestamp=True)
+            cmd_scale_sweep(spec)
+            written.append((tmp_path / name / "sweep_runs.csv").read_bytes())
+        assert written[0] == written[1]
+
 
 class TestOracleCommand:
     def test_pattern_enum_small_instance(self, tmp_path):
         out = tmp_path / "res"
         code = main(["oracle", "--d", "2", "--k", "2", "--n", "8", "--reps", "3",
-                     "--out", str(out), "--no-timestamp"])
+                     "--oracle-strategy", "pattern-enum", "--out", str(out), "--no-timestamp"])
         assert code == EXIT_OK
         header, rows = read_table(out / "oracle.csv")
         assert header[:3] == ["kind", "seed", "oracle"]
         runs = _rows_of_kind(rows, "run")
         for r in runs:
             oracle, alpha2, ratio = r[2], r[4], r[7]
-            assert oracle <= alpha2 + 1e-9 * max(1.0, alpha2)
+            assert oracle == alpha2  # pattern-enum returns bound_alpha2
             assert ratio == oracle / alpha2
 
     def test_single_point_ratio_is_one(self, tmp_path):
@@ -407,11 +418,21 @@ class TestExitCodes:
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.reps = 2.0
 
-    @pytest.mark.parametrize("d, n, strategy", [(3, 12, "pattern-enum"), (4, 12, "random-search"),
-                                                (3, 13, "random-search")])
-    def test_auto_oracle_strategy_is_settled_when_built(self, d, n, strategy):
-        assert ExperimentSpec(d=d, n=n).oracle_strategy == strategy
-        assert ExperimentSpec(d=d, n=n, oracle_strategy="pattern-enum").oracle_strategy == "pattern-enum"
+    @pytest.mark.parametrize("d, n", [(3, 12), (4, 12), (3, 13)])
+    def test_oracle_strategy_defaults_to_random_search_and_rejects_auto(self, tmp_path, capsys, d, n):
+        # the default is one strategy at every size; "auto", which once picked pattern-enum
+        # up to n = 12 and d = 3, is refused from a library spec, a flag and a spec-file key
+        assert ExperimentSpec(d=d, n=n).oracle_strategy == "random-search"
+        message = "oracle strategy must be one of ('pattern-enum', 'random-search')"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            ExperimentSpec(d=d, n=n, oracle_strategy="auto")
+        spec, out = tmp_path / "spec.txt", tmp_path / "res"
+        spec.write_text("oracle-strategy = auto\n")
+        for flags in (["--oracle-strategy", "auto"], ["--spec", str(spec)]):
+            code = main(["oracle", "--d", str(d), "--k", "2", "--n", str(n), *flags, "--out", str(out)])
+            assert code == EXIT_INVALID_INPUT
+            assert capsys.readouterr().err == f"stepsafe: invalid input: {message}\n"
+        assert not out.exists()
 
     def test_parser_error_maps_to_invalid_input(self):
         assert main(["bounds", "--alpha4-variant", "bogus"]) == EXIT_INVALID_INPUT
