@@ -79,9 +79,12 @@ class ExperimentSpec:
                 object.__setattr__(self, name, kind(getattr(self, name)))
             except TypeError:
                 raise InvalidInputError(f"bad {name} value {getattr(self, name)!r}") from None
-        if any(type(s) is bool or not isinstance(s, numbers.Real) for s in self.scales):  # tuple("12") is ('1', '2')
-            raise InvalidInputError(f"bad scales value {self.scales!r}")
-        object.__setattr__(self, "scales", tuple(map(float, self.scales)))  # a float32 scale would give a float32 step
+        try:  # tuple("12") is ('1', '2'), and 10**400 overflows a float
+            if any(type(s) is bool or not isinstance(s, numbers.Real) for s in self.scales):
+                raise TypeError
+            object.__setattr__(self, "scales", tuple(map(float, self.scales)))  # a float32 scale: a float32 step
+        except (TypeError, OverflowError):
+            raise InvalidInputError(f"bad scales value {self.scales!r}") from None
         NetConfig(self.d, self.k, self.n, self.seed)  # raises on a bad d, k, n or seed
         for name in ("reps", "steps", "oracle_budget"):
             _as_count(getattr(self, name), name)

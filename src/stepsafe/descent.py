@@ -124,13 +124,13 @@ def save_trace(trace: DescentTrace, path, timestamp: str | None = None) -> None:
 
 
 def load_trace(path) -> dict[str, np.ndarray]:
-    """Read a trace file back into column arrays (comment lines are skipped).
-    A file that is not a trace, or has a ragged row or a text cell, raises
-    InvalidInputError."""
+    """Read a trace file back into column arrays, one per header name (comment lines are skipped): the five
+    TRACE_COLUMNS, in any order, and any further columns.  A file that lacks one of the five or repeats a
+    name (so is not a trace), or has a ragged row or a text cell, raises InvalidInputError."""
     header, table = read_floats(path)
-    if tuple(header) != TRACE_COLUMNS:
+    if not set(TRACE_COLUMNS) <= set(header) or len(set(header)) < len(header):
         raise InvalidInputError(f"{path} is not a descent trace file")
-    cols = dict(zip(TRACE_COLUMNS, table.T))
+    cols = dict(zip(header, table.T))
     cols["step"] = cols["step"].astype(int)
     cols["monotone_so_far"] = cols["monotone_so_far"] != 0.0
     return cols

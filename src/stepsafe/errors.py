@@ -1,6 +1,7 @@
 """Exception types shared across the package, and its two input rules: integer counts and owned arrays."""
 
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Drawn(NamedTuple):
+    """A float array the package has just drawn and holds no other reference to, so no caller can write to it:
+    _owned freezes it in place instead of copying it."""
+
+    array: np.ndarray
+
+
 def _owned(value, ndmin: int = 0) -> np.ndarray:
     """A read-only float copy of value, of at least ``ndmin`` dimensions: what a value object holds, so no
     caller's write, through the array it handed in or a view of it, can change it or what is derived from it."""
-    return _frozen(np.array(value, dtype=float, ndmin=ndmin))
+    return _frozen(value.array if isinstance(value, _Drawn) else np.array(value, dtype=float, ndmin=ndmin))

@@ -15,7 +15,7 @@ neuron-major (k, n) product W X^T, its ReLU taken in place, summed over
 neurons.  Four upper bounds on
 the optimal concavifier:
 
-    alpha1 = (k/n) sum_i ||x_i||^2          (per-point top-eigenvalue sum)
+    alpha1 = (k/n) sum_i ||x_i||^2 = k tr(S)  (per-point top-eigenvalue sum)
     alpha2 = lambda_max(M) = k lambda_max(S)   (all-active matrix, tight)
     alpha3 = Gershgorin bound on M = k max_i sum_j |S_ij|
     alpha4 = Brauer/Cassini bound on M  (standard variant: = alpha3 for k >= 2)
@@ -23,8 +23,8 @@ the optimal concavifier:
 plus the oracle ``alpha_oracle`` for the exact constant.  The all-active
 matrix M = (1/n) sum_i abar(x_i) abar(x_i)^T is J_k (x) S, with J_k the k x k
 all-ones matrix and S = X^T X / n; every bound comes from the d x d matrix S
-in O(nd^2 + d^3), whatever k is, and M is never built: the Gershgorin and
-Cassini formulas of alpha3 and alpha4 take only its diagonal and row radii.
+in O(nd^2 + d^3), whatever k is, and M is never built: alpha1 reads the
+trace of S, the Gershgorin and Cassini alpha3 and alpha4 its diagonal and radii.
 
 The oracle's optimum gives every neuron the same activation pattern s, so it
 is (k/n) max_s lambda_max(X_s^T X_s) over the patterns of one direction v.
@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .eigenbounds import _BATCH_ENTRIES, SymMatrix, _max_top_eigenvalue, _stack_size
-from .errors import InvalidInputError, _as_count, _frozen, _owned
+from .errors import InvalidInputError, _as_count, _Drawn, _frozen, _owned
 from .objectives import ObjectiveFunction
 from .tableio import read_floats, write_table
 
@@ -106,7 +106,8 @@ def _forward(inputs_t: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.
 class ReluDataset:
     """Teacher-generated inputs; targets are derived here as the teacher output.  The forward pass reads a
     C-contiguous (d, n) copy of the inputs (n d 8 bytes) made on first use: bounds and oracle never make it.
-    Inputs (a copy, see errors._owned), targets, (d, n) copy and S are read-only: no caller's write can split them."""
+    Inputs (a copy, see errors._owned, but generate_dataset's own draws are not copied), targets, (d, n) copy and S
+    are read-only: no caller's write can split them."""
 
     inputs: np.ndarray
     teacher: Weights
@@ -143,7 +144,7 @@ class ReluDataset:
     @cached_property
     def second_moment(self) -> SymMatrix:
         """S = (1/n) sum_i x_i x_i^T, exactly symmetric as numpy forms X^T X by syrk; computed on first use
-        and kept, since every bound but alpha1 needs it."""
+        and kept, since every bound reads it."""
         return SymMatrix(self.inputs.T @ self.inputs / self.n)
 
 
@@ -155,7 +156,7 @@ def generate_dataset(config: NetConfig) -> ReluDataset:
     rng = np.random.default_rng(config.seed)
     inputs = rng.standard_normal((config.n, config.d))
     teacher = Weights(rng.standard_normal(config.k * config.d), k=config.k, d=config.d)
-    return ReluDataset(inputs=inputs, teacher=teacher, seed=config.seed)
+    return ReluDataset(inputs=_Drawn(inputs), teacher=teacher, seed=config.seed)
 
 
 def initial_weights(config: NetConfig) -> Weights:
@@ -226,9 +227,9 @@ def alpha_single_point(x, k: int) -> float:
 
 
 def bound_alpha1(data: ReluDataset, k: int) -> float:
-    """(k/n) sum_i ||x_i||^2."""
+    """(k/n) sum_i ||x_i||^2 = k tr(S), read from the cached S like the other bounds: no (n, d) temporary."""
     _as_count(k, "k")
-    return float(k) / data.n * float((data.inputs**2).sum())
+    return float(k) * float(np.trace(second_moment_matrix(data).entries))
 
 
 def second_moment_matrix(data: ReluDataset) -> SymMatrix:

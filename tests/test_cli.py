@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -399,11 +400,11 @@ class TestExitCodes:
         with pytest.raises(InvalidInputError, match=rf"^bad {field} value {value!r}$"):
             ExperimentSpec(**{field: value})
 
-    @pytest.mark.parametrize("scales", ["12", ("a",), (None,), (True, 2.0)],
-                             ids=["str", "str-scale", "None-scale", "bool-scale"])
+    @pytest.mark.parametrize("scales", ["12", ("a",), (None,), (True, 2.0), (1.0, 10**400), (Fraction(10**400, 3),)],
+                             ids=["str", "str-scale", "None-scale", "bool-scale", "int-overflow", "fraction-overflow"])
     def test_library_scale_not_a_number_named(self, scales):
-        # each had died comparing a str or None with 0.0, or built with True as a scale of 1;
-        # tuple("12") is ('1', '2')
+        # each had died comparing a str or None with 0.0, built with True as a scale of 1, or escaped
+        # main's handlers as OverflowError from the float conversion; tuple("12") is ('1', '2')
         with pytest.raises(InvalidInputError, match=rf"^bad scales value {re.escape(repr(tuple(scales)))}$"):
             ExperimentSpec(scales=scales)
         assert ExperimentSpec(scales=[0.5, np.float64(1.0)]).scales == (0.5, 1.0)

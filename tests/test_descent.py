@@ -195,6 +195,27 @@ class TestTraceIO:
             b"3,0.10000000000000001,0,nan,0\n"
         )
 
+    def test_extra_columns_kept(self, tmp_path):
+        # a trace may carry further per-step columns beside the five it must hold; they come back as read
+        path = tmp_path / "trace.csv"
+        path.write_text("step,loss,grad_norm,descent_gap,monotone_so_far,beta\n0,2,1,0.5,1,3.25\n1,1,0,nan,1,-1\n")
+        cols = load_trace(path)
+        assert list(cols) == ["step", "loss", "grad_norm", "descent_gap", "monotone_so_far", "beta"]
+        assert np.array_equal(cols["beta"], [3.25, -1.0]) and np.array_equal(cols["loss"], [2.0, 1.0])
+        assert cols["step"].dtype.kind == "i" and cols["monotone_so_far"].dtype == bool
+
+    @pytest.mark.parametrize(
+        "header",
+        ["step,loss,grad_norm,descent_gap,beta", "step,loss,grad_norm,monotone_so_far,beta",
+         "step,loss,grad_norm,descent_gap,monotone_so_far,loss"],
+        ids=["no-monotone_so_far", "no-descent_gap", "repeated-name"],
+    )
+    def test_trace_without_its_base_columns_rejected(self, tmp_path, header):
+        path = tmp_path / "trace.csv"
+        path.write_text(header + "\n0,2,1,0.5,1" + ",3" * (header.count(",") - 4) + "\n")
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path} is not a descent trace file")):
+            load_trace(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("a,b\n1,2\n")

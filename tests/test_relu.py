@@ -97,6 +97,9 @@ def _fresh_buffer_kernel(wmat, data):
     return float(0.5 * (np.add.reduce(resid * resid) / data.n)), ((inputs_t @ m.T).T / data.n).reshape(-1)
 
 
+STANDARD_SHAPES = [(10, 5, 1000), (10, 5, 10_000), (5, 5, 1000), (50, 5, 1000), (10, 2, 1000), (10, 50, 1000)]
+
+
 class TestWeights:
     def test_block_view(self):
         w = Weights(np.arange(6.0), k=3, d=2)
@@ -628,6 +631,23 @@ class TestDatasetGeneration:
         mean_sq = float((data.inputs**2).sum(axis=1).mean())
         assert 9.5 <= mean_sq <= 10.5
 
+    def test_draws_handed_over_uncopied(self):
+        # generate_dataset freezes its draws in place: the inputs own their memory and refuse writes, and
+        # generating holds one n x d array (plus isfinite's n d bools), not the draws and a copy of them
+        cfg = NetConfig(d=10, k=5, n=10_000, seed=0)
+        generate_dataset(cfg)
+        tracemalloc.start()
+        try:
+            data = generate_dataset(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.inputs.flags.owndata
+        with pytest.raises(ValueError, match="read-only"):
+            data.inputs[0, 0] = 1.0
+        assert np.array_equal(data.inputs, np.random.default_rng(0).standard_normal((cfg.n, cfg.d)))
+        assert peak < 1.15 * cfg.n * cfg.d * 8
+
     def test_initial_weights_separate_stream(self):
         cfg = NetConfig(d=4, k=2, n=10, seed=5)
         w0 = initial_weights(cfg)
@@ -703,6 +723,35 @@ class TestAlphaBounds:
         teacher = _weights([[0.1, -0.4]] * 2)
         data = _dataset_from_points([[1.5, -0.3]], teacher)
         assert bound_alpha1(data, 2) == pytest.approx(alpha_single_point([1.5, -0.3], 2), abs=1e-12)
+
+    @pytest.mark.parametrize("d, k, n", STANDARD_SHAPES)
+    def test_alpha1_is_k_times_the_trace_of_s(self, d, k, n):
+        # alpha1 reads the cached S like the other bounds, and k lambda_max(S) <= k tr(S) for S >= 0
+        for seed in range(3):
+            data = generate_dataset(NetConfig(d, k, n, seed))
+            alpha1 = bound_alpha1(data, k)
+            assert alpha1 == k * np.trace(second_moment_matrix(data).entries)
+            assert alpha1 == pytest.approx(k / n * float((data.inputs**2).sum()), rel=1e-13)
+            assert bound_alpha2(data, k) <= alpha1
+
+    def test_alpha1_equals_alpha2_at_d1(self):
+        # S is 1 x 1: its trace is its one eigenvalue
+        for k, n, seed in [(1, 1, 0), (2, 7, 1), (5, 1000, 2), (50, 300, 3)]:
+            data = generate_dataset(NetConfig(1, k, n, seed))
+            assert bound_alpha1(data, k) == bound_alpha2(data, k)
+
+    def test_bounds_allocate_no_n_by_d_array(self):
+        # the four bounds read S, whose product X^T X is d x d; alpha1 had squared the inputs
+        data = generate_dataset(NetConfig(d=10, k=5, n=10_000, seed=0))
+        generate_dataset(NetConfig(d=10, k=5, n=100, seed=0)).second_moment  # warm the first-call paths
+        tracemalloc.start()
+        try:
+            for bound in (bound_alpha1, bound_alpha2, bound_alpha3, bound_alpha4):
+                bound(data, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * data.n * data.d * 8
 
     def test_alpha2_by_hand(self):
         teacher = _weights([[0.0, 0.0]] * 3)
