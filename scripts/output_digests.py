@@ -33,11 +33,13 @@ checkouts with the same environment and diff the two listings:
     PYTHONPATH=<checkout>/src python scripts/output_digests.py > digests.txt
 
 With `--keep DIR` (a new or empty directory) the listing is the same, but the
-run tree is written to DIR and left there, with each library call's value and
-witness in `DIR/library/<name>.csv` (a `value` column, repeated, beside a
-`witness` column of its coordinates in order), so `scripts/compare_outputs.py`
-can report how far the values of two checkouts' files drift apart.  Run bare,
-it imports `stepsafe` from its own checkout's `src`.
+run tree is written to DIR and left there, with each run's masked captured text
+in `DIR/<run>/stdout.txt`, the help texts and the usage error in
+`DIR/help/<name>.txt`, and each library call's value and witness in
+`DIR/library/<name>.csv` (a `value` column, repeated, beside a `witness` column
+of its coordinates in order).  `scripts/compare_outputs.py` reports how far the
+values of two checkouts' CSV files drift apart, and `diff -r` shows what moved
+in a text.  Run bare, it imports `stepsafe` from its own checkout's `src`.
 """
 
 import os
@@ -116,6 +118,13 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _keep_text(keep: Path | None, name: str, text: str) -> None:
+    """Write a digested text to keep/name when --keep is given."""
+    if keep is not None:
+        (keep / name).parent.mkdir(parents=True, exist_ok=True)
+        (keep / name).write_text(text, encoding="utf-8")
+
+
 def _captured(argv, entry=main) -> str:
     text = io.StringIO()
     with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
@@ -131,15 +140,17 @@ def run(keep: Path | None = None) -> None:
     with contextlib.nullcontext(str(keep)) if keep is not None else tempfile.TemporaryDirectory() as tmp:
         for name, argv in _runs():
             out = Path(tmp) / name
-            text = _captured([*argv, "--out", str(out), "--no-timestamp"])
+            text = _captured([*argv, "--out", str(out), "--no-timestamp"]).replace(str(out), "<out>")
             for path in sorted(out.glob("*.csv")):
                 print(f"{_sha(path.read_bytes())}  {name}/{path.name}")
-            print(f"{_sha(text.replace(str(out), '<out>').encode())}  {name}/<stdout>")
+            print(f"{_sha(text.encode())}  {name}/<stdout>")
+            _keep_text(keep, f"{name}/stdout.txt", text)
         out = Path(tmp) / "bound_table"
-        text = _captured(["--reps", "3", "--out", str(out)], bound_table)
+        text = _captured(["--reps", "3", "--out", str(out)], bound_table).replace(str(out), "<out>")
         for path in sorted(out.glob("**/*.csv")):
             print(f"{_sha(path.read_bytes())}  bound_table/{path.relative_to(out)}")
-        print(f"{_sha(text.replace(str(out), '<out>').encode())}  bound_table/<stdout>")
+        print(f"{_sha(text.encode())}  bound_table/<stdout>")
+        _keep_text(keep, "bound_table/stdout.txt", text)
         for d, k, n in CONFIGS:
             name = f"dataset_d{d}_k{k}_n{n}"
             paths = [Path(tmp) / f"{name}_{part}.csv" for part in ("inputs", "teacher")]
@@ -149,8 +160,12 @@ def run(keep: Path | None = None) -> None:
             for path in paths + reloaded:
                 print(f"{_sha(path.read_bytes())}  {path.name}")
     for argv in ([], ["bounds"], ["train"], ["scale-sweep"], ["oracle"]):
-        print(f"{_sha(_captured([*argv, '--help']).encode())}  help {' '.join(argv)}".rstrip())
-    print(f"{_sha(_captured(['bounds', '--bogus']).encode())}  usage error")
+        text = _captured([*argv, "--help"])
+        print(f"{_sha(text.encode())}  help {' '.join(argv)}".rstrip())
+        _keep_text(keep, f"help/{argv[0] if argv else 'stepsafe'}.txt", text)
+    text = _captured(["bounds", "--bogus"])
+    print(f"{_sha(text.encode())}  usage error")
+    _keep_text(keep, "help/usage_error.txt", text)
     for name, value, witness in _library_calls():
         witness = np.asarray(witness, dtype=float)
         print(f"{_sha(np.float64(value).tobytes() + witness.tobytes())}  {name}")

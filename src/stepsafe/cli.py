@@ -29,7 +29,7 @@ import numpy as np
 from . import relu
 from .descent import DescentConfig, run_descent, save_trace
 from .errors import InvalidInputError, NumericalFailureError, _as_count
-from .relu import ALPHA4_VARIANTS, NetConfig
+from .relu import NetConfig
 from .tableio import read_lines, write_table
 
 BOUND_CHOICES = ("alpha1", "alpha2", "alpha3", "alpha4", "oracle")
@@ -44,15 +44,14 @@ EXIT_IO_FAILURE = 3
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Settings of one run.  Each field is a flag (--alpha4-variant) and a
-    spec-file key (alpha4-variant):
+    """Settings of one run.  Each field is a flag (--oracle-budget) and a
+    spec-file key (oracle-budget):
 
       d, k, n          input dimension, hidden neurons, data points
       seed, reps       master seed and number of runs (seeds seed .. seed+reps-1)
       steps            descent steps per run
       scales           comma list of step scales for scale-sweep, e.g. 0.5,1,2,4
       bounds           comma subset of alpha1,alpha2,alpha3,alpha4,oracle
-      alpha4_variant   standard or paper
       out              output directory
       no_timestamp     leave out the '# generated:' comment line
       oracle_strategy  random-search or pattern-enum (alpha2 exactly)
@@ -67,7 +66,6 @@ class ExperimentSpec:
     steps: int = 100
     scales: tuple = DEFAULT_SCALES
     bounds: tuple = DEFAULT_BOUNDS
-    alpha4_variant: str = "standard"
     out: Path = Path("results")
     no_timestamp: bool = False
     oracle_strategy: str = "random-search"
@@ -97,8 +95,6 @@ class ExperimentSpec:
             raise InvalidInputError(f"bound selection must be a nonempty subset of {BOUND_CHOICES}")
         if len(set(self.bounds)) < len(self.bounds):  # one column and one trace file per bound
             raise InvalidInputError(f"bound selection {self.bounds} repeats a bound")
-        if self.alpha4_variant not in ALPHA4_VARIANTS:
-            raise InvalidInputError(f"alpha4 variant must be one of {ALPHA4_VARIANTS}")
         if self.oracle_strategy not in relu.ORACLE_STRATEGIES:
             raise InvalidInputError(f"oracle strategy must be one of {relu.ORACLE_STRATEGIES}")
         if not isinstance(self.no_timestamp, bool):
@@ -125,13 +121,13 @@ def _parse_bool(text: str) -> bool:
 
 
 # Every ExperimentSpec field with the converter of its text value.  The table
-# gives each subcommand its flags (--alpha4-variant for alpha4_variant) and
-# the spec file its keys (alpha4-variant); both hand over text, and
+# gives each subcommand its flags (--oracle-budget for oracle_budget) and
+# the spec file its keys (oracle-budget); both hand over text, and
 # build_spec converts it here.  A converter raises ValueError on bad text,
 # and build_spec turns that into InvalidInputError naming the key.
 FIELDS = {
     "d": int, "k": int, "n": int, "seed": int, "reps": int, "steps": int,
-    "scales": lambda text: tuple(map(float, _split(text))), "bounds": _split, "alpha4_variant": str,
+    "scales": lambda text: tuple(map(float, _split(text))), "bounds": _split,
     "out": Path, "no_timestamp": _parse_bool, "oracle_strategy": str, "oracle_budget": int,
 }
 
@@ -175,8 +171,6 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
 
 
 def _bound_value(name: str, data: relu.ReluDataset, spec: ExperimentSpec) -> float:
-    if name == "alpha4":
-        return relu.bound_alpha4(data, spec.k, spec.alpha4_variant)
     if name == "oracle":
         return relu.alpha_oracle(data, spec.k, spec.oracle_strategy, spec.oracle_budget)
     return getattr(relu, f"bound_{name}")(data, spec.k)

@@ -64,8 +64,9 @@ class DescentTrace:
 
     @property
     def monotone(self) -> bool:
-        """The loss never rose beyond the slack tolerance anywhere in the trace."""
-        return bool(self.monotone_so_far[-1])
+        """The loss never rose beyond the slack tolerance anywhere in the trace, and the run did not diverge:
+        the step that turned the loss non-finite records no flag, but it did not descend."""
+        return bool(self.monotone_so_far[-1]) and not self.diverged
 
 
 def run_descent(f: ObjectiveFunction, config: DescentConfig) -> DescentTrace:
@@ -73,7 +74,7 @@ def run_descent(f: ObjectiveFunction, config: DescentConfig) -> DescentTrace:
     with one value-and-gradient call per step.
 
     If the objective or gradient becomes non-finite the trace is truncated
-    and flagged diverged.
+    and flagged diverged, and so not monotone.
     """
     x = _as_point(f, config.x0)
     fx, g = f.value_and_gradient(x)

@@ -18,7 +18,7 @@ the optimal concavifier:
     alpha1 = (k/n) sum_i ||x_i||^2 = k tr(S)  (per-point top-eigenvalue sum)
     alpha2 = lambda_max(M) = k lambda_max(S)   (all-active matrix, tight)
     alpha3 = Gershgorin bound on M = k max_i sum_j |S_ij|
-    alpha4 = Brauer/Cassini bound on M  (standard variant: = alpha3 for k >= 2)
+    alpha4 = Brauer/Cassini bound on M  (= alpha3 for k >= 2)
 
 plus the oracle ``alpha_oracle`` for the exact constant.  The all-active
 matrix M = (1/n) sum_i abar(x_i) abar(x_i)^T is J_k (x) S, with J_k the k x k
@@ -45,7 +45,6 @@ from .objectives import ObjectiveFunction
 from .tableio import read_floats, write_table
 
 ORACLE_STRATEGIES = ("pattern-enum", "random-search")
-ALPHA4_VARIANTS = ("standard", "paper")
 KINK_MARGIN_RTOL = 1e-6
 STACK_CHUNK_ENTRIES = 2**13  # (m, k, n) entries per chunk of a stacked loss: 64 KB of float64
 
@@ -257,16 +256,12 @@ def _gershgorin(diag: np.ndarray, radii: np.ndarray) -> float:
     return float((diag + radii).max())
 
 
-def _cassini(diag: np.ndarray, radii: np.ndarray, variant: str, twinned: bool = False) -> float:
+def _cassini(diag: np.ndarray, radii: np.ndarray, twinned: bool = False) -> float:
     """Cassini value maximized over row pairs i != j, and over (i, i) too when each
-    row has an equal twin (the same coordinate in another block of J_k x S).  ``paper``
-    leaves the diagonal gap unhalved, so unlike ``standard`` it can exceed Gershgorin."""
-    if variant not in ALPHA4_VARIANTS:
-        raise InvalidInputError(f"unknown variant {variant!r}; expected one of {ALPHA4_VARIANTS}")
+    row has an equal twin (the same coordinate in another block of J_k x S)."""
     mean = (diag[:, None] + diag[None, :]) / 2.0
     gap = diag[:, None] - diag[None, :]
-    inside = (gap / 2.0) ** 2 if variant == "standard" else gap**2
-    vals = mean + np.sqrt(inside + radii[:, None] * radii[None, :])
+    vals = mean + np.sqrt((gap / 2.0) ** 2 + radii[:, None] * radii[None, :])
     if not twinned:
         np.fill_diagonal(vals, -np.inf)
     return float(vals.max())
@@ -284,13 +279,13 @@ def bound_alpha3(data: ReluDataset, k: int) -> float:
     return _gershgorin(*_allactive_rows(data, k))
 
 
-def bound_alpha4(data: ReluDataset, k: int, variant: str = "standard") -> float:
+def bound_alpha4(data: ReluDataset, k: int) -> float:
     """Brauer/Cassini bound on the all-active matrix over d x d row pairs plus, for
-    k >= 2, twin rows (standard value: their Gershgorin value, so alpha4 = alpha3).
+    k >= 2, twin rows (their value is their Gershgorin value, so alpha4 = alpha3).
     At k*d = 1, M is the 1 x 1 matrix [S_11]: it has no row pairs, and its one
     (i, i) value is its Gershgorin value, its entry, so alpha4 = alpha3 = alpha2."""
     diag, radii = _allactive_rows(data, k)
-    return _cassini(diag, radii, variant, twinned=k >= 2 or diag.size == 1)
+    return _cassini(diag, radii, twinned=k >= 2 or diag.size == 1)
 
 
 def _shared_direction_search(data: ReluDataset, k: int, budget: int, rng: np.random.Generator) -> float:

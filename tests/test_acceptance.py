@@ -72,7 +72,7 @@ def test_criterion_1_bound_chain():
         oracle = alpha_oracle(data, k, "random-search", budget=10_000, rng=np.random.default_rng(seed))
         checks = [("oracle<=a2", oracle, a2), ("a2<=a1", a2, a1), ("a2<=a3", a2, a3)]
         if k * d >= 2:
-            a4 = bound_alpha4(data, k, "standard")
+            a4 = bound_alpha4(data, k)
             checks += [("a2<=a4", a2, a4), ("a4<=a3", a4, a3)]
         for name, lhs, rhs in checks:
             if not _leq(lhs, rhs):
@@ -106,7 +106,7 @@ def test_criterion_2_reference_table_statistics():
         "alpha1": bound_alpha1,
         "alpha2": bound_alpha2,
         "alpha3": bound_alpha3,
-        "alpha4": lambda data, k: bound_alpha4(data, k, "standard"),
+        "alpha4": bound_alpha4,
     }
     failures = []
     for (d, k, n), targets in TABLE_CONFIGS:

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -20,6 +21,7 @@ from stepsafe.cli import (
     EXIT_IO_FAILURE,
     EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
+    FIELDS,
     ExperimentSpec,
     cmd_bounds,
     cmd_scale_sweep,
@@ -242,6 +244,21 @@ class TestScaleSweepCommand:
         lines = [f"scale-sweep: scale={s:g} nonmonotone_fraction={np.mean(f):.2f}" for s, f in nonmonotone.items()]
         assert capsys.readouterr().out.splitlines() == [*lines, f"wrote {out / 'sweep_summary.csv'}"]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_diverged_run_counts_as_nonmonotone(self, tmp_path, capsys):
+        # at scale 1e200 the first step overflows the loss and the run stops: it had been
+        # written as monotone 1, diverged 1 and counted as monotone in the fraction
+        out = tmp_path / "res"
+        code = main(["scale-sweep", "--d", "10", "--k", "5", "--n", "1000", "--steps", "5",
+                     "--scales", "1e200,1e10", "--out", str(out), "--no-timestamp"])
+        assert code == EXIT_OK
+        _, runs = read_table(out / "sweep_runs.csv")
+        assert [(r[0], r[5], r[6]) for r in runs] == [(1e200, 0.0, 1.0), (1e10, 0.0, 0.0)]
+        _, summary = read_table(out / "sweep_summary.csv")
+        assert summary == [[1e200, 1.0], [1e10, 1.0]]
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "scale-sweep: scale=1e+200 nonmonotone_fraction=1.00", "scale-sweep: scale=1e+10 nonmonotone_fraction=1.00"]
+
     def test_float32_library_scale_writes_the_float_scale_bytes(self, tmp_path):
         # a float32 scale had given a float32 step, written as a short eta cell
         # (0.18636404 for 0.18636404772703422), and a float32 descent
@@ -321,6 +338,20 @@ class TestSpecFile:
         for name in ("bom", "plain"):
             assert main(["bounds", "--spec", str(tmp_path / f"{name}.spec"), "--out", str(tmp_path / name)]) == EXIT_OK
         assert (tmp_path / "bom" / "bounds.csv").read_bytes() == (tmp_path / "plain" / "bounds.csv").read_bytes()
+
+    def test_one_list_of_spec_fields(self, capsys):
+        # FIELDS, the ExperimentSpec fields, its docstring (the --help epilog) and each
+        # subcommand's flags name the same settings, so a field added or removed in one
+        # place only fails here
+        assert set(FIELDS) == {f.name for f in dataclasses.fields(ExperimentSpec)}
+        epilog = inspect.cleandoc(ExperimentSpec.__doc__)
+        documented = {name for line in epilog.splitlines() if (row := re.match(r"  (\w+(?:, \w+)*)  ", line))
+                      for name in row[1].split(", ")}
+        assert documented == set(FIELDS)
+        for command in ("bounds", "train", "scale-sweep", "oracle"):
+            assert main([command, "--help"]) == EXIT_OK
+            options = capsys.readouterr().out.split(epilog.splitlines()[0])[0]  # the text before the epilog
+            assert [f for f in FIELDS if not re.search(rf"^  --{f.replace('_', '-')}\b", options, re.M)] == []
 
     def test_unknown_key_rejected(self, tmp_path):
         spec = tmp_path / "run.spec"
@@ -436,7 +467,22 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_parser_error_maps_to_invalid_input(self):
-        assert main(["bounds", "--alpha4-variant", "bogus"]) == EXIT_INVALID_INPUT
+        assert main(["bounds", "--bogus"]) == EXIT_INVALID_INPUT
+
+    def test_retired_alpha4_variant_refused(self, tmp_path, capsys):
+        # alpha4 has one formula: its old variant flag, spec-file key, spec field and
+        # bound_alpha4 argument are refused, and nothing is written
+        out, spec = tmp_path / "res", tmp_path / "run.spec"
+        assert main(["bounds", "--alpha4-variant", "standard", "--out", str(out)]) == EXIT_INVALID_INPUT
+        assert "unrecognized arguments: --alpha4-variant standard" in capsys.readouterr().err
+        spec.write_text("alpha4-variant = standard\n")
+        assert main(["bounds", "--spec", str(spec), "--out", str(out)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"stepsafe: invalid input: {spec}:1: unknown key 'alpha4-variant'\n"
+        assert not out.exists()
+        with pytest.raises(TypeError):
+            ExperimentSpec(alpha4_variant="standard")
+        with pytest.raises(TypeError):
+            bound_alpha4(generate_dataset(NetConfig(2, 2, 5, 0)), 2, "standard")
 
     def test_unwritable_output(self, tmp_path):
         blocker = tmp_path / "file"
@@ -526,6 +572,19 @@ class TestBoundTableScript:
         assert not (tmp_path / "res").exists()
 
 
+def _digests_with(tmp_path, replaced: str) -> list[str]:
+    """The listing lines of output_digests.run(tmp_path), run in a new interpreter after the statements
+    ``replaced`` have swapped attributes of the module ``o``."""
+    stub = (f"import sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); import output_digests as o; "
+            f"{replaced}; o.run(o.Path(sys.argv[1]))")
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run([sys.executable, "-c", stub, str(tmp_path)], env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == EXIT_OK, result.stderr
+    return result.stdout.splitlines()
+
+
 class TestOutputDriftScripts:
     def test_keep_refuses_a_directory_in_use(self, tmp_path):
         (tmp_path / "old.csv").write_text("x\n1\n")
@@ -536,14 +595,8 @@ class TestOutputDriftScripts:
     def test_keep_writes_library_values_outside_the_listing(self, tmp_path):
         # the script with its CLI runs, bound table and datasets left out: each library call's value and
         # witness go to library/<name>.csv, whose cells give back the bytes of its digest line
-        stub = (f"import sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); import output_digests as o; "
-                "o._runs, o.CONFIGS, o.bound_table = (lambda: ()), (), (lambda argv: 0); o.run(o.Path(sys.argv[1]))")
-        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        result = subprocess.run([sys.executable, "-c", stub, str(tmp_path)], env=env, capture_output=True, text=True,
-                                timeout=300)
-        assert result.returncode == EXIT_OK, result.stderr
-        lines = result.stdout.splitlines()  # bound table stdout, 5 help texts, usage error, 22 library calls
+        # bound table stdout, 5 help texts, usage error, 22 library calls
+        lines = _digests_with(tmp_path, "o._runs, o.CONFIGS, o.bound_table = (lambda: ()), (), (lambda argv: 0)")
         assert len(lines) == 29
         listed = {name: digest for digest, name in (line.split("  ") for line in lines[7:])}
         assert {p.stem for p in (tmp_path / "library").iterdir()} == set(listed)
@@ -553,7 +606,26 @@ class TestOutputDriftScripts:
             assert header == ["value", "witness"][: values.shape[1]] and len(set(values[:, 0])) == 1
             data = values[0, 0].tobytes() + values[:, 1:].tobytes()
             assert hashlib.sha256(data).hexdigest() == digest
-        assert [p.name for p in tmp_path.iterdir()] == ["library"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bound_table", "help", "library"]
+
+    def test_keep_writes_each_digested_text(self, tmp_path):
+        # two small runs stand in for the CLI runs, and the bound table and library calls are left out: each
+        # <stdout>, help and usage-error line is the digest of the text kept beside it, the output directory
+        # masked, and the listing still names only CSV files besides those texts
+        lines = _digests_with(tmp_path, "o._runs = lambda: [('tiny', ['bounds', '--d', '2', '--k', '1', '--n', '5']), "
+                                        "('invalid_d0', ['bounds', '--d', '0'])]; "
+                                        "o.CONFIGS, o.bound_table, o._library_calls = (), (lambda argv: 0), (lambda: ())")
+        kept = {"tiny/<stdout>": "tiny/stdout.txt", "invalid_d0/<stdout>": "invalid_d0/stdout.txt",
+                "bound_table/<stdout>": "bound_table/stdout.txt", "help": "help/stepsafe.txt",
+                **{f"help {c}": f"help/{c}.txt" for c in ("bounds", "train", "scale-sweep", "oracle")},
+                "usage error": "help/usage_error.txt"}
+        listed = dict(reversed(line.split("  ", 1)) for line in lines)
+        assert set(listed) == {*kept, "tiny/bounds.csv"}
+        for name, path in kept.items():
+            assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == listed[name]
+        assert (tmp_path / "tiny" / "stdout.txt").read_text().endswith("wrote <out>/bounds.csv\nexit 0\n")
+        assert (tmp_path / "invalid_d0" / "stdout.txt").read_text().endswith("exit 1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bound_table", "help", "invalid_d0", "tiny"]
 
     def test_compare_reports_drift_per_column_and_flags_mismatches(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

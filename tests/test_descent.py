@@ -101,6 +101,14 @@ class TestRunDescent:
         assert trace.losses.shape[0] <= 101
         assert np.all(np.isfinite(trace.losses))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_diverged_run_is_not_monotone(self):
+        # the first step overflows the loss, so the only recorded flag is the initial True; the run had
+        # still counted as monotone
+        trace = run_descent(quadratic_objective(np.eye(2)), DescentConfig(eta=1e300, steps=3, x0=[1, 1]))
+        assert trace.diverged and trace.monotone_so_far.tolist() == [True]
+        assert trace.monotone is False
+
     def test_one_objective_call_per_step(self):
         f = quadratic_objective(np.diag([1.0, 2.0]))
         calls = []

@@ -100,35 +100,23 @@ class TestGershgorin:
 
 
 class TestBrauerCassini:
-    def test_equal_diagonal_matches_both_variants(self):
-        rows = _diag_radii(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
-        assert _cassini(*rows, "standard") == 3.0
-        assert _cassini(*rows, "paper") == 3.0
+    def test_equal_diagonal(self):
+        assert _cassini(*_diag_radii(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))) == 3.0
 
     def test_diagonal_5_1(self):
-        rows = _diag_radii(SymMatrix(np.diag([5.0, 1.0])))
-        assert _cassini(*rows, "standard") == 5.0
-        assert _cassini(*rows, "paper") == 7.0
-
-    def test_paper_variant_can_exceed_gershgorin(self):
-        rows = _diag_radii(SymMatrix(np.diag([5.0, 1.0])))
-        assert _cassini(*rows, "paper") > _gershgorin(*rows)
-
-    def test_unknown_variant(self):
-        for variant in ("tight", "paper-literal"):
-            with pytest.raises(InvalidInputError):
-                _cassini(*_diag_radii(SymMatrix(np.eye(2))), variant)
+        # mean 3 plus half the gap of 4, with no radii: the larger diagonal entry
+        assert _cassini(*_diag_radii(SymMatrix(np.diag([5.0, 1.0])))) == 5.0
 
 
 class TestBoundOrdering:
     def test_chain_over_random_matrices(self):
-        # lambda_max <= brauer(standard) <= gershgorin, 1000 draws, n <= 30
+        # lambda_max <= brauer <= gershgorin, 1000 draws, n <= 30
         rng = np.random.default_rng(7)
         for _ in range(1000):
             n = int(rng.integers(2, 31))
             m = _random_sym(rng, n, scale=float(rng.uniform(0.1, 5.0)))
             lam = np.linalg.eigvalsh(m.entries)[-1]
-            brauer = _cassini(*_diag_radii(m), "standard")
+            brauer = _cassini(*_diag_radii(m))
             gersh = _gershgorin(*_diag_radii(m))
             slack = 1e-9 * max(1.0, abs(gersh))
             assert lam <= brauer + slack
@@ -150,7 +138,7 @@ class TestBoundOrdering:
     def test_chain_hypothesis(self, a):
         m = SymMatrix((a + a.T) / 2.0)
         lam = np.linalg.eigvals(m.entries).real.max()
-        brauer = _cassini(*_diag_radii(m), "standard")
+        brauer = _cassini(*_diag_radii(m))
         gersh = _gershgorin(*_diag_radii(m))
         slack = 1e-9 * max(1.0, abs(gersh))
         assert lam <= brauer + slack
