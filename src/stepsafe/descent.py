@@ -69,12 +69,13 @@ class DescentTrace:
         return bool(self.monotone_so_far[-1]) and not self.diverged
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_descent(f: ObjectiveFunction, config: DescentConfig) -> DescentTrace:
     """Iterate x <- x - eta * grad f(x) for the configured number of steps,
     with one value-and-gradient call per step.
 
-    If the objective or gradient becomes non-finite the trace is truncated
-    and flagged diverged, and so not monotone.
+    If the objective or gradient becomes non-finite the trace is truncated and flagged diverged, and so not
+    monotone; numpy's overflow and invalid-value warnings are muted meanwhile, since that flag reports them.
     """
     x = _as_point(f, config.x0)
     fx, g = f.value_and_gradient(x)

@@ -48,7 +48,7 @@ class _Drawn(NamedTuple):
     array: np.ndarray
 
 
-def _owned(value, ndmin: int = 0) -> np.ndarray:
-    """A read-only float copy of value, of at least ``ndmin`` dimensions: what a value object holds, so no
-    caller's write, through the array it handed in or a view of it, can change it or what is derived from it."""
-    return _frozen(value.array if isinstance(value, _Drawn) else np.array(value, dtype=float, ndmin=ndmin))
+def _owned(value, ndmin: int = 0, order: str = "K") -> np.ndarray:
+    """A read-only float copy of value, at least ``ndmin``-dimensional, in memory ``order``: what a value object
+    holds, so no caller's write, through the array it handed in or a view of it, can change it or its derivations."""
+    return _frozen(value.array if isinstance(value, _Drawn) else np.array(value, float, ndmin=ndmin, order=order))

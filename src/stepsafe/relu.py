@@ -12,8 +12,8 @@ a(x, w) stacks k copies of x, each masked by the activation indicator
 1{x^T w_j >= 0} (so w = 0 activates every neuron), and abar(x) is the
 all-active stack.  One forward pass serves targets, loss and gradient: the
 neuron-major (k, n) product W X^T, its ReLU taken in place, summed over
-neurons.  Four upper bounds on
-the optimal concavifier:
+neurons.  X is held column-major, so X^T is a C-contiguous view of it, not a
+copy.  Four upper bounds on the optimal concavifier:
 
     alpha1 = (k/n) sum_i ||x_i||^2 = k tr(S)  (per-point top-eigenvalue sum)
     alpha2 = lambda_max(M) = k lambda_max(S)   (all-active matrix, tight)
@@ -92,9 +92,9 @@ class Weights:
 
 def _forward(inputs_t: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.ndarray:
     """The one forward pass, neuron-major: W X^T summed over neurons (axis -2: a stack (m, k, d) gives
-    (m, n)), for targets and residuals alike, so the teacher's loss and gradient are exactly 0.  X^T is
-    the dataset's C-contiguous (d, n) copy, one BLAS layout for every forward pass.  The product goes into ``z``
-    if given (a (k, n) buffer), ``active`` records z >= 0 if given, and the ReLU is taken in place."""
+    (m, n)), for targets and residuals alike, so the teacher's loss and gradient are exactly 0.  X^T is the
+    dataset's ``inputs.T``, a C-contiguous (d, n) view, one BLAS layout for every forward pass.  The product goes
+    into ``z`` if given (a (k, n) buffer), ``active`` records z >= 0 if given, and the ReLU is taken in place."""
     zt = np.matmul(wmat, inputs_t, out=z)
     if active is not None:
         np.greater_equal(zt, 0.0, out=active)
@@ -103,17 +103,16 @@ def _forward(inputs_t: np.ndarray, wmat: np.ndarray, z=None, active=None) -> np.
 
 @dataclass(frozen=True, eq=False)
 class ReluDataset:
-    """Teacher-generated inputs; targets are derived here as the teacher output.  The forward pass reads a
-    C-contiguous (d, n) copy of the inputs (n d 8 bytes) made on first use: bounds and oracle never make it.
-    Inputs (a copy, see errors._owned, but generate_dataset's own draws are not copied), targets, (d, n) copy and S
-    are read-only: no caller's write can split them."""
+    """Teacher-generated inputs, one read-only column-major (n, d) array (a copy, see errors._owned, but not of
+    generate_dataset's own draws), so ``inputs.T`` is the C-contiguous (d, n) layout the forward pass reads.
+    The targets (the teacher's outputs) and S are derived here, read-only too: no caller's write can split them."""
 
     inputs: np.ndarray
     teacher: Weights
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", _owned(self.inputs))
+        object.__setattr__(self, "inputs", _owned(self.inputs, order="F"))
         if self.inputs.ndim != 2 or self.n < 1:
             raise InvalidInputError("inputs must be a nonempty (n, d) array")
         if self.d != self.teacher.d:
@@ -131,14 +130,10 @@ class ReluDataset:
         return self.inputs.shape[1]
 
     @cached_property
-    def _inputs_t(self) -> np.ndarray:
-        return _frozen(np.ascontiguousarray(self.inputs.T))
-
-    @cached_property
     def targets(self) -> np.ndarray:
         """The teacher's outputs, computed on first read and kept: the bounds and
         the oracle never read them."""
-        return _frozen(_forward(self._inputs_t, self.teacher.matrix))
+        return _frozen(_forward(self.inputs.T, self.teacher.matrix))
 
     @cached_property
     def second_moment(self) -> SymMatrix:
@@ -150,10 +145,13 @@ class ReluDataset:
 def generate_dataset(config: NetConfig) -> ReluDataset:
     """Standard-Gaussian inputs and teacher weights, fully determined by the seed.
 
-    Draw order is pinned: inputs first, then the teacher.
+    Draw order is pinned: inputs first, row by row, then the teacher.  The inputs are drawn in blocks of
+    STACK_CHUNK_ENTRIES // d rows into the dataset's column-major array, so no row-major copy of them is held.
     """
-    rng = np.random.default_rng(config.seed)
-    inputs = rng.standard_normal((config.n, config.d))
+    rng, n, d = np.random.default_rng(config.seed), config.n, config.d
+    inputs, rows = np.empty((n, d), order="F"), max(1, STACK_CHUNK_ENTRIES // d)
+    for i in range(0, n, rows):
+        inputs[i : i + rows] = rng.standard_normal((min(rows, n - i), d))
     teacher = Weights(rng.standard_normal(config.k * config.d), k=config.k, d=config.d)
     return ReluDataset(inputs=_Drawn(inputs), teacher=teacher, seed=config.seed)
 
@@ -175,11 +173,11 @@ def _checked(w: Weights, data: ReluDataset) -> Weights:
 def _loss_callables(data: ReluDataset, k: int):
     """The loss at width-k weights on ``data`` as raw callables over flat weights: ``value`` (a point (kd,), or
     a stack (m, kd) in chunks of STACK_CHUNK_ENTRIES) and the fused ``value_and_gradient``, on the data's (d, n)
-    input copy and targets, read once here.  Both take the residuals of _forward and the loss with the bits of
+    view ``inputs.T`` and targets, read once here.  Both take the residuals of _forward and the loss with the bits of
     0.5 * np.mean(resid**2), so each value is its fused call's bit for bit.  The fused call reuses one (k, n)
     float and bool workspace made here (so no two threads may call it at once): the masked residuals m overwrite
-    W X^T in C order, and the gradient (X^T m^T)^T reads the (d, n) copy that the forward product reads."""
-    inputs_t, targets = data._inputs_t, data.targets
+    W X^T in C order, and the gradient (X^T m^T)^T reads the (d, n) view that the forward product reads."""
+    inputs_t, targets = data.inputs.T, data.targets
     d, n = inputs_t.shape
     z, active = np.empty((k, n)), np.empty((k, n), dtype=bool)
 
@@ -294,8 +292,8 @@ def _shared_direction_search(data: ReluDataset, k: int, budget: int, rng: np.ran
     x_i x_i^T of each point block (one, formed once, unless n d^2 > 2e6), streamed chunk by chunk."""
     n, d = data.inputs.shape
 
-    def outer(x):  # the flattened x_i x_i^T of a point block, (rows, d^2)
-        return (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
+    def outer(x):  # the flattened x_i x_i^T of a point block, (rows, d^2), in C order whatever x's order
+        return np.multiply(x[:, :, None], x[:, None, :], order="C").reshape(-1, d * d)
 
     chunk = _stack_size(d, n)
     rows = int(max(1, _BATCH_ENTRIES // (d * d)))

@@ -244,7 +244,6 @@ class TestScaleSweepCommand:
         lines = [f"scale-sweep: scale={s:g} nonmonotone_fraction={np.mean(f):.2f}" for s, f in nonmonotone.items()]
         assert capsys.readouterr().out.splitlines() == [*lines, f"wrote {out / 'sweep_summary.csv'}"]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_diverged_run_counts_as_nonmonotone(self, tmp_path, capsys):
         # at scale 1e200 the first step overflows the loss and the run stops: it had been
         # written as monotone 1, diverged 1 and counted as monotone in the fraction
@@ -258,6 +257,14 @@ class TestScaleSweepCommand:
         assert summary == [[1e200, 1.0], [1e10, 1.0]]
         assert capsys.readouterr().out.splitlines()[:2] == [
             "scale-sweep: scale=1e+200 nonmonotone_fraction=1.00", "scale-sweep: scale=1e+10 nonmonotone_fraction=1.00"]
+
+    def test_diverged_run_leaves_stderr_empty(self, tmp_path):
+        # the same sweep as a command: the 1e200 run overflows the loss, and numpy's overflow warning had
+        # reached stderr beside the command's output, though the run is reported as diverged
+        result = subprocess.run([sys.executable, "-m", "stepsafe.cli", "scale-sweep", "--d", "10", "--k", "5",
+                                 "--n", "1000", "--steps", "5", "--scales", "1e200,1e10", "--out", str(tmp_path),
+                                 "--no-timestamp"], env=_checkout_env(), capture_output=True, text=True, timeout=300)
+        assert result.returncode == EXIT_OK and result.stderr == ""
 
     def test_float32_library_scale_writes_the_float_scale_bytes(self, tmp_path):
         # a float32 scale had given a float32 step, written as a short eta cell
@@ -529,11 +536,15 @@ class TestExitCodes:
         assert not (out / "train_summary.csv").exists()
 
 
-def _run_script(name, *args):
+def _checkout_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def _run_script(name, *args):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_checkout_env(), capture_output=True, text=True, timeout=300)
 
 
 class TestBoundTableScript:
@@ -577,10 +588,8 @@ def _digests_with(tmp_path, replaced: str) -> list[str]:
     ``replaced`` have swapped attributes of the module ``o``."""
     stub = (f"import sys; sys.path.insert(0, {str(ROOT / 'scripts')!r}); import output_digests as o; "
             f"{replaced}; o.run(o.Path(sys.argv[1]))")
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    result = subprocess.run([sys.executable, "-c", stub, str(tmp_path)], env=env, capture_output=True, text=True,
-                            timeout=300)
+    result = subprocess.run([sys.executable, "-c", stub, str(tmp_path)], env=_checkout_env(), capture_output=True,
+                            text=True, timeout=300)
     assert result.returncode == EXIT_OK, result.stderr
     return result.stdout.splitlines()
 

@@ -92,7 +92,6 @@ class TestRunDescent:
             assert upper_quadratic_check(f, x, y, alpha).holds
             x = y
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_flagged(self):
         f = ObjectiveFunction(dim=1, value_and_gradient=lambda x: (float(x[0] ** 4), 4.0 * x**3))
         trace = run_descent(f, DescentConfig(eta=10.0, steps=100, x0=[2.0]))
@@ -101,7 +100,6 @@ class TestRunDescent:
         assert trace.losses.shape[0] <= 101
         assert np.all(np.isfinite(trace.losses))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_diverged_run_is_not_monotone(self):
         # the first step overflows the loss, so the only recorded flag is the initial True; the run had
         # still counted as monotone

@@ -72,10 +72,10 @@ def _kink_free_weights(rng, data, k):
 def _point_major(wmat, inputs, targets):
     # the point-major formulas of earlier releases: an (n, k) array X W^T, a sum
     # over each point's k contiguous activations, and the masked residuals; both
-    # products read the C-contiguous (d, n) copy of X^T, the layout of the fused
-    # call: W X^T (X W^T on the (n, d) inputs rounds differently at k = 1 and at
+    # products read a C-contiguous (d, n) X^T, the layout of the fused call:
+    # W X^T (X W^T on row-major (n, d) inputs rounds differently at k = 1 and at
     # some d >= 16, see test_product_within_rounding_of_point_major) and the
-    # gradient (X^T m^T)^T with m in C order (m X on the (n, d) inputs rounds
+    # gradient (X^T m^T)^T with m in C order (m X on row-major (n, d) inputs rounds
     # differently, see test_gradient_within_rounding_of_fortran_buffer)
     inputs_t = np.ascontiguousarray(inputs.T)
     z = np.ascontiguousarray((wmat @ inputs_t).T)
@@ -87,9 +87,9 @@ def _point_major(wmat, inputs, targets):
 
 
 def _fresh_buffer_kernel(wmat, data):
-    # the fused kernel without a workspace: fresh (k, n) arrays for W X^T (on the
-    # C-contiguous (d, n) copy of the inputs), the ReLU and the mask, and the masked
-    # residuals m in a fresh C-ordered buffer; the gradient is (X^T m^T)^T on that copy
+    # the fused kernel without a workspace: fresh (k, n) arrays for W X^T (on a
+    # C-contiguous (d, n) X^T), the ReLU and the mask, and the masked residuals m
+    # in a fresh C-ordered buffer; the gradient is (X^T m^T)^T on that X^T
     inputs_t = np.ascontiguousarray(data.inputs.T)
     zt = wmat @ inputs_t
     resid = np.maximum(zt, 0.0).sum(axis=0) - data.targets
@@ -134,7 +134,7 @@ OWNER_CASES = {
         _example_inputs,
         lambda a: ReluDataset(a, _TEACHER, -1),
         lambda data: data.inputs,
-        lambda data: (data.targets, data._inputs_t, loss(_STUDENT, data), gradient(_STUDENT, data)),
+        lambda data: (data.targets, loss(_STUDENT, data), gradient(_STUDENT, data)),
         lambda: (generate_dataset(_CONFIG).inputs, generate_dataset(_CONFIG).teacher.flat),
     ),
     "second_moment_matrix": (
@@ -172,7 +172,7 @@ class TestOwnedArrays:
     """Every value object keeps a read-only copy of the arrays it is given."""
 
     def test_caller_writes_reach_nothing(self):
-        # the dataset had kept the caller's inputs and cached its targets, (d, n) copy and S on first
+        # the dataset had kept the caller's inputs and cached its targets, a (d, n) copy and S on first
         # read, so a later write split them: the objective's value read the old copy, its gradient the
         # new inputs, and bound_alpha2 kept the old S
         rng = np.random.default_rng(3)
@@ -188,7 +188,7 @@ class TestOwnedArrays:
         assert f.evaluate(w.flat) == value == loss(w, data) == loss(w, fresh)
         g = f.value_and_gradient(w.flat)[1]
         assert np.linalg.norm(central_difference_gradient(f.evaluate, w.flat) - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
-        for array in (data.inputs, data.targets, data._inputs_t, w.flat, data.teacher.flat):
+        for array in (data.inputs, data.targets, w.flat, data.teacher.flat):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
@@ -291,7 +291,8 @@ class TestNeuronMajorKernel:
             assert np.array_equal(gradient(data.teacher, data), np.zeros(k * d))
 
     def test_product_within_rounding_of_point_major(self):
-        # W times the (d, n) copy and the point-major X W^T are two roundings of
+        # W times the (d, n) view and the point-major X W^T on row-major inputs (the
+        # layout the inputs had before they were held column-major) are two roundings of
         # one product: each is within gamma_d |W| |X|^T of the exact product,
         # gamma_d = d u / (1 - d u), so they differ by at most twice that; on
         # these shapes they do differ, so the layout is a choice that moves bits
@@ -301,15 +302,15 @@ class TestNeuronMajorKernel:
         for d, k, n in [(10, 1, 100), (20, 1, 50), (20, 2, 50), (50, 5, 1000), (1, 3, 7), (64, 9, 300)]:
             data = generate_dataset(NetConfig(d, k, n, int(rng.integers(0, 2**31))))
             w = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3, 3)
-            got, old = w @ data._inputs_t, (data.inputs @ w.T).T
+            got, old = w @ data.inputs.T, (np.ascontiguousarray(data.inputs) @ w.T).T
             gamma = d * u / (1 - d * u)
             assert np.all(np.abs(got - old) <= 2 * gamma * (np.abs(w) @ np.abs(data.inputs).T))
             differs.append(not np.array_equal(got, old))
         assert any(differs)
 
     def test_gradient_within_rounding_of_fortran_buffer(self):
-        # (X^T m^T)^T on the (d, n) copy and the Fortran-ordered m times the (n, d)
-        # inputs are two roundings of one product: each is within gamma_n |m| |X| of
+        # (X^T m^T)^T on the (d, n) view and the Fortran-ordered m times the row-major
+        # (n, d) inputs are two roundings of one product: each is within gamma_n |m| |X| of
         # the exact product, gamma_n = n u / (1 - n u), so they differ by at most
         # twice that; on these shapes they do differ, so the layout moves bits
         u = np.finfo(float).eps / 2
@@ -318,9 +319,9 @@ class TestNeuronMajorKernel:
         for d, k, n in [(1, 3, 500), (10, 1, 1000), (4, 193, 300), (7, 200, 50), (10, 5, 10_000)]:
             data = generate_dataset(NetConfig(d, k, n, int(rng.integers(0, 2**31))))
             w = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-3, 3)
-            zt = w @ data._inputs_t
+            zt = w @ data.inputs.T
             m = (zt >= 0.0) * (np.maximum(zt, 0.0).sum(axis=0) - data.targets)
-            got, old = (data._inputs_t @ m.T).T, np.asfortranarray(m) @ data.inputs
+            got, old = (data.inputs.T @ m.T).T, np.asfortranarray(m) @ np.ascontiguousarray(data.inputs)
             gamma = n * u / (1 - n * u)
             assert np.all(np.abs(got - old) <= 2 * gamma * (np.abs(m) @ np.abs(data.inputs)))
             differs.append(not np.array_equal(got, old))
@@ -648,6 +649,41 @@ class TestDatasetGeneration:
         assert np.array_equal(data.inputs, np.random.default_rng(0).standard_normal((cfg.n, cfg.d)))
         assert peak < 1.15 * cfg.n * cfg.d * 8
 
+    @pytest.mark.parametrize("source", ["generated", "c-order", "f-order", "loaded"])
+    def test_inputs_one_column_major_array(self, tmp_path, source):
+        # whatever the inputs come from, the dataset holds them as one column-major array that owns its
+        # memory and refuses writes, so inputs.T is the C-contiguous (d, n) layout of the forward pass
+        generated = generate_dataset(_CONFIG)
+        data, paths = generated, (tmp_path / "data.csv", tmp_path / "teacher.csv")
+        if source == "loaded":
+            save_dataset(generated, *paths)
+            data = load_dataset(*paths)
+        elif source != "generated":
+            points = np.array(generated.inputs, order=source[0].upper())
+            data = ReluDataset(points, generated.teacher, -1)
+            assert not np.shares_memory(data.inputs, points)
+        assert np.array_equal(data.inputs, generated.inputs)
+        assert data.inputs.flags.f_contiguous and not data.inputs.flags.c_contiguous and data.inputs.flags.owndata
+        assert data.inputs.T.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            data.inputs[0, 0] = 1.0
+
+    def test_loss_holds_no_input_copy(self):
+        # building the loss (and so the targets) and one fused call hold the (k, n) workspace, the targets
+        # and the call's residuals, not a second n x d array: with a (d, n) copy of the inputs this read
+        # 1.87 n d 8 bytes
+        cfg = NetConfig(d=10, k=5, n=10_000, seed=0)
+        w = initial_weights(cfg).flat
+        loss_objective(generate_dataset(cfg)).value_and_gradient(w)
+        data = generate_dataset(cfg)
+        tracemalloc.start()
+        try:
+            loss_objective(data).value_and_gradient(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.n * cfg.d * 8
+
     def test_initial_weights_separate_stream(self):
         cfg = NetConfig(d=4, k=2, n=10, seed=5)
         w0 = initial_weights(cfg)
@@ -657,9 +693,9 @@ class TestDatasetGeneration:
         assert np.array_equal(w0.flat, initial_weights(cfg).flat)
 
     def test_one_forward_pass(self, monkeypatch):
-        # ReluDataset derives the targets and the (d, n) copy of the inputs on first
-        # read and keeps them; the bounds and the oracle read neither, so a report
-        # costs no forward pass and no copy
+        # ReluDataset derives the targets on first read and keeps them; the bounds and
+        # the oracle never read them, so a report costs no forward pass; the forward
+        # pass reads the inputs' own memory, the C-contiguous view inputs.T, not a copy
         calls = []
         original = relu_module._forward
         monkeypatch.setattr(relu_module, "_forward", lambda *args: calls.append(args) or original(*args))
@@ -668,12 +704,11 @@ class TestDatasetGeneration:
             bound(data, 2)
         alpha_oracle(data, 2, "random-search", budget=10)
         assert not calls
-        assert "_inputs_t" not in vars(data)
         targets = data.targets
         assert data.targets is targets and len(calls) == 1
-        copy = data._inputs_t
-        assert copy.flags.c_contiguous and np.array_equal(copy, data.inputs.T) and calls[0][0] is copy
-        assert np.array_equal(targets, original(copy, data.teacher.matrix))
+        read = calls[0][0]
+        assert read.flags.c_contiguous and np.shares_memory(read, data.inputs) and np.array_equal(read, data.inputs.T)
+        assert np.array_equal(targets, original(data.inputs.T, data.teacher.matrix))
 
 
 class TestNearKink:
@@ -977,16 +1012,19 @@ class TestAlphaOracle:
         assert found == pytest.approx(2 * best / n, rel=1e-12)
 
     @pytest.mark.parametrize("d, n, budget", [(10, 200, 1000), (3, 1, 300), (1, 30, 600), (50, 900, 300),
-                                              (60, 200, 600)],
-                             ids=["partial-chunk", "n1", "d1", "two-blocks", "short-chunks"])
+                                              (60, 200, 600), (3, 50, 1)],
+                             ids=["partial-chunk", "n1", "d1", "two-blocks", "short-chunks", "budget1"])
     def test_random_search_matches_unpruned(self, d, n, budget):
         # the same chunks and GEMMs with eigvalsh on every Gram, and outer
         # products formed per chunk and per point block of 2e6 / d^2 rows,
         # give the same bits as products formed once per search; on d60
-        # a chunk is 185 directions
+        # a chunk is 185 directions; the products are C-ordered, as on the
+        # row-major points here (products of the column-major inputs would
+        # be F-ordered, and move the budget-1 values)
         data = generate_dataset(NetConfig(d, 2, n, seed=5))
         chunk, rng, best = _stack_size(d, n), np.random.default_rng(3), 0.0
-        blocks = [data.inputs[i : i + int(2e6 // (d * d))] for i in range(0, n, int(2e6 // (d * d)))]
+        points = np.ascontiguousarray(data.inputs)
+        blocks = [points[i : i + int(2e6 // (d * d))] for i in range(0, n, int(2e6 // (d * d)))]
         assert len(blocks) == (2 if d == 50 else 1)
         for start in range(0, budget, chunk):
             v = rng.standard_normal((min(chunk, budget - start), d))
@@ -1052,12 +1090,13 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("d, k, n", [(20, 1, 50), (10, 50, 200)])
     def test_earlier_release_file_loads(self, tmp_path, d, k, n):
-        # earlier releases wrote y as the point-major X W^T summed over each point's neurons, which
-        # differs from the forward pass in last bits on these shapes; such a file loads and gets the
-        # recomputed targets, while a y moved by 1e-12 relative, far beyond rounding, is refused
+        # earlier releases wrote y as the point-major X W^T on row-major inputs, summed over each
+        # point's neurons, which differs from the forward pass in last bits on these shapes; such a file
+        # loads and gets the recomputed targets, while a y moved by 1e-12 relative, far beyond rounding,
+        # is refused
         data = generate_dataset(NetConfig(d, k, n, seed=0))
         paths = tmp_path / "data.csv", tmp_path / "teacher.csv"
-        y = np.maximum(data.inputs @ data.teacher.matrix.T, 0.0).sum(axis=1)
+        y = np.maximum(np.ascontiguousarray(data.inputs) @ data.teacher.matrix.T, 0.0).sum(axis=1)
         assert not np.array_equal(y, data.targets)
         save_dataset(SimpleNamespace(d=d, inputs=data.inputs, targets=y, teacher=data.teacher), *paths)
         assert np.array_equal(load_dataset(*paths).targets, data.targets)
