@@ -25,7 +25,9 @@ the value of a random-search `alpha_oracle` at budgets 1, 8, 9 and 300 on
 d3 k2 n50 and d10 k5 n200 at seed 0, then two calls whose stacks are smaller
 than 256: `estimate_concavifier_hessian` at budget 64 on the d50 k5 n200 loss
 over [-1, 1]^250 at seeds 0-2, and a random-search `alpha_oracle` at budget 600
-on d60 k2 n200 at seed 0.
+on d60 k2 n200 at seed 0; last, a random-search `alpha_oracle` at budget 300 on
+d60 k2 n1200 at seed 0, whose upper-triangle products (1830 per point) fill two
+point blocks and so are formed again for each chunk rather than held.
 
 To check that a change keeps every output byte-identical, run it on both
 checkouts with the same environment and diff the two listings:
@@ -112,6 +114,8 @@ def _library_calls():
         yield f"estimate_hessian_d50_k5_n200_seed{seed}", result.value, result.witness
     data = generate_dataset(NetConfig(60, 2, 200, 0))  # chunks of 185 directions
     yield "random_search_d60_k2_n200_budget600", alpha_oracle(data, 2, "random-search", 600), ()
+    data = generate_dataset(NetConfig(60, 2, 1200, 0))  # two point blocks, their products formed per chunk
+    yield "random_search_d60_k2_n1200_budget300", alpha_oracle(data, 2, "random-search", 300), ()
 
 
 def _sha(data: bytes) -> str:

@@ -45,7 +45,7 @@ class DescentTrace:
     """Per-step record of a descent run.
 
     losses, grad_norms and monotone_so_far have one entry per recorded
-    iterate (at most steps+1); gaps has one entry per completed step.
+    iterate (at most steps+1); gaps has one entry per step taken.
     monotone_so_far[t] says the loss never rose by more than
     DESCENT_SLACK_RTOL * max(1, |f(x_s)|) in any step s < t.
     """
@@ -65,7 +65,7 @@ class DescentTrace:
     @property
     def monotone(self) -> bool:
         """The loss never rose beyond the slack tolerance anywhere in the trace, and the run did not diverge:
-        the step that turned the loss non-finite records no flag, but it did not descend."""
+        a run stopped by a non-finite gradient at a finite loss records no flag of its own."""
         return bool(self.monotone_so_far[-1]) and not self.diverged
 
 
@@ -74,8 +74,9 @@ def run_descent(f: ObjectiveFunction, config: DescentConfig) -> DescentTrace:
     """Iterate x <- x - eta * grad f(x) for the configured number of steps,
     with one value-and-gradient call per step.
 
-    If the objective or gradient becomes non-finite the trace is truncated and flagged diverged, and so not
-    monotone; numpy's overflow and invalid-value warnings are muted meanwhile, since that flag reports them.
+    The run stops, flagged diverged and so not monotone, once the objective or gradient turns non-finite.  An
+    iterate with a non-finite objective is still recorded, with monotone flag 0, so the trace shows the break;
+    numpy's overflow and invalid-value warnings are muted meanwhile, since the diverged flag reports them.
     """
     x = _as_point(f, config.x0)
     fx, g = f.value_and_gradient(x)
@@ -91,18 +92,17 @@ def run_descent(f: ObjectiveFunction, config: DescentConfig) -> DescentTrace:
         if not np.isfinite(gn) and not np.all(np.isfinite(g)):  # a finite norm has a finite g
             diverged = True
             break
-        x_next = x - config.eta * g
-        f_next, g = f.value_and_gradient(x_next)
+        x = x - config.eta * g
+        f_next, g = f.value_and_gradient(x)
         f_next, g = float(f_next), np.asarray(g, dtype=float)
-        if not np.isfinite(f_next):
-            diverged = True
-            break
+        diverged = not np.isfinite(f_next)
         gaps.append(fx - f_next - 0.5 * config.eta * gn * gn)
         monotone_so_far.append(monotone_so_far[-1] and f_next <= fx + DESCENT_SLACK_RTOL * max(1.0, abs(fx)))
-        x, fx = x_next, f_next
-        gn = float(np.sqrt(g @ g))
+        fx, gn = f_next, float(np.sqrt(g @ g))
         losses.append(fx)
         grad_norms.append(gn)
+        if diverged:
+            break
 
     return DescentTrace(
         losses=np.asarray(losses),

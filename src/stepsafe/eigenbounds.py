@@ -5,7 +5,7 @@
   decreasing order of a certified bound, stopping where the bound falls below the best so far
 
 Nothing here knows the ReLU model: the Gershgorin and Cassini bounds alpha3 and
-alpha4 are in relu, which reads the rows of its all-active matrix off S.
+alpha4 are in relu.
 """
 
 from __future__ import annotations

@@ -23,8 +23,7 @@ copy.  Four upper bounds on the optimal concavifier:
 plus the oracle ``alpha_oracle`` for the exact constant.  The all-active
 matrix M = (1/n) sum_i abar(x_i) abar(x_i)^T is J_k (x) S, with J_k the k x k
 all-ones matrix and S = X^T X / n; every bound comes from the d x d matrix S
-in O(nd^2 + d^3), whatever k is, and M is never built: alpha1 reads the
-trace of S, the Gershgorin and Cassini alpha3 and alpha4 its diagonal and radii.
+in O(nd^2 + d^3), whatever k is, and M is never built.
 
 The oracle's optimum gives every neuron the same activation pattern s, so it
 is (k/n) max_s lambda_max(X_s^T X_s) over the patterns of one direction v.
@@ -46,7 +45,7 @@ from .tableio import read_floats, write_table
 
 ORACLE_STRATEGIES = ("pattern-enum", "random-search")
 KINK_MARGIN_RTOL = 1e-6
-STACK_CHUNK_ENTRIES = 2**13  # (m, k, n) entries per chunk of a stacked loss: 64 KB of float64
+STACK_CHUNK_ENTRIES = 2**13  # 64 KB of float64: the (m, k, n) chunk of a stacked loss, a generate_dataset row block
 
 # seed stream tags for student initializations and the oracle search, kept
 # distinct from data streams
@@ -242,29 +241,6 @@ def allactive_gram_matrix(data: ReluDataset, k: int) -> SymMatrix:
     return loss_hessian_matrix(Weights(np.zeros(k * data.d), k=k, d=data.d), data)
 
 
-def _allactive_rows(data: ReluDataset, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal S_ii and radius k sum_j |S_ij| - S_ii of the rows i of M = J_k (x) S."""
-    _as_count(k, "k")
-    s = second_moment_matrix(data).entries
-    diag = np.diag(s)
-    return diag, k * np.abs(s).sum(axis=1) - diag
-
-
-def _gershgorin(diag: np.ndarray, radii: np.ndarray) -> float:
-    return float((diag + radii).max())
-
-
-def _cassini(diag: np.ndarray, radii: np.ndarray, twinned: bool = False) -> float:
-    """Cassini value maximized over row pairs i != j, and over (i, i) too when each
-    row has an equal twin (the same coordinate in another block of J_k x S)."""
-    mean = (diag[:, None] + diag[None, :]) / 2.0
-    gap = diag[:, None] - diag[None, :]
-    vals = mean + np.sqrt((gap / 2.0) ** 2 + radii[:, None] * radii[None, :])
-    if not twinned:
-        np.fill_diagonal(vals, -np.inf)
-    return float(vals.max())
-
-
 def bound_alpha2(data: ReluDataset, k: int) -> float:
     """(1/n) lambda_max(sum_i abar(x_i) abar(x_i)^T) = k lambda_max(S): stacking
     k copies of each data vector multiplies every eigenvalue of S by k."""
@@ -273,36 +249,50 @@ def bound_alpha2(data: ReluDataset, k: int) -> float:
 
 
 def bound_alpha3(data: ReluDataset, k: int) -> float:
-    """Gershgorin upper bound on the all-active matrix: k max_i sum_j |S_ij|."""
-    return _gershgorin(*_allactive_rows(data, k))
+    """Gershgorin upper bound on the all-active matrix M = J_k (x) S: row i of M has the absolute sum
+    k sum_j |S_ij|, so alpha3 = k max_i sum_j |S_ij|."""
+    _as_count(k, "k")
+    return float(k) * float(np.abs(second_moment_matrix(data).entries).sum(axis=1).max())
 
 
 def bound_alpha4(data: ReluDataset, k: int) -> float:
-    """Brauer/Cassini bound on the all-active matrix over d x d row pairs plus, for
-    k >= 2, twin rows (their value is their Gershgorin value, so alpha4 = alpha3).
-    At k*d = 1, M is the 1 x 1 matrix [S_11]: it has no row pairs, and its one
-    (i, i) value is its Gershgorin value, its entry, so alpha4 = alpha3 = alpha2."""
-    diag, radii = _allactive_rows(data, k)
-    return _cassini(diag, radii, twinned=k >= 2 or diag.size == 1)
+    """Brauer/Cassini bound on M = J_k (x) S: the largest Cassini value over pairs of distinct rows of M.  For
+    k >= 2 every row has a twin, its coordinate in another block, and a twin pair's value is the row's Gershgorin
+    value, so alpha4 = alpha3; at d = k = 1, M = [S_11] has no pair, and alpha4 = alpha3 is its entry."""
+    _as_count(k, "k")
+    s = second_moment_matrix(data).entries
+    if k >= 2 or len(s) == 1:
+        return bound_alpha3(data, k)
+    diag = np.diag(s)
+    radii = np.abs(s).sum(axis=1) - diag
+    vals = (diag[:, None] + diag) / 2.0 + np.sqrt(((diag[:, None] - diag) / 2.0) ** 2 + radii[:, None] * radii)
+    np.fill_diagonal(vals, -np.inf)
+    return float(vals.max())
 
 
 def _shared_direction_search(data: ReluDataset, k: int, budget: int, rng: np.random.Generator) -> float:
     """(k/n) max lambda_max(sum_{x_i^T v >= 0} x_i x_i^T) over ``budget`` Gaussian directions v in R^d: a chunk
-    of _stack_size(d, n) directions gets its d x d Grams from a GEMM of its (m, n) masks against the flattened
-    x_i x_i^T of each point block (one, formed once, unless n d^2 > 2e6), streamed chunk by chunk."""
+    of _stack_size(d, n) directions gets the upper triangles of its d x d Grams from a GEMM of its (m, n) masks
+    v X^T against the products x_ia x_ib, a <= b, of each point block (one, formed once, unless
+    n d(d+1)/2 > 2e6), and each triangle fills both halves of an exactly symmetric Gram."""
     n, d = data.inputs.shape
+    a, b = np.triu_indices(d)
 
-    def outer(x):  # the flattened x_i x_i^T of a point block, (rows, d^2), in C order whatever x's order
-        return np.multiply(x[:, :, None], x[:, None, :], order="C").reshape(-1, d * d)
+    def triangle(x):  # the (rows, d(d+1)/2) products x_ia x_ib, a <= b, of a point block, over the copy x[:, a]
+        products = x[:, a]
+        products *= x[:, b]
+        return products
 
-    chunk = _stack_size(d, n)
-    rows = int(max(1, _BATCH_ENTRIES // (d * d)))
+    chunk, rows = _stack_size(d, n), int(max(1, _BATCH_ENTRIES // len(a)))
     blocks = [data.inputs[i : i + rows] for i in range(0, n, rows)]
-    held = [outer(blocks[0])] if n <= rows else None
+    held = [triangle(blocks[0])] if n <= rows else None
 
     def grams(v):  # the (m, d, d) Grams of m directions
-        products = held or map(outer, blocks)
-        return sum(((x @ v.T) >= 0.0).T.astype(float) @ p for x, p in zip(blocks, products)).reshape(-1, d, d)
+        products = held or map(triangle, blocks)
+        upper = sum(((v @ x.T) >= 0.0).astype(float) @ p for x, p in zip(blocks, products))
+        out = np.empty((len(v), d, d))
+        out[:, a, b] = out[:, b, a] = upper
+        return out
 
     vs = (rng.standard_normal((min(chunk, budget - start), d)) for start in range(0, budget, chunk))
     return float(k) * _max_top_eigenvalue(map(grams, vs), 0.0)[0] / n

@@ -258,6 +258,18 @@ class TestScaleSweepCommand:
         assert capsys.readouterr().out.splitlines()[:2] == [
             "scale-sweep: scale=1e+200 nonmonotone_fraction=1.00", "scale-sweep: scale=1e+10 nonmonotone_fraction=1.00"]
 
+    def test_diverged_trace_ends_on_the_non_finite_iterate(self, tmp_path):
+        # the trace had stopped before the step that overflowed the loss, so its last flag read 1 beside
+        # monotone 0 in sweep_runs.csv; it now ends on that iterate, with flag 0, and final_loss is its loss
+        out = tmp_path / "res"
+        assert main(["scale-sweep", "--scales", "1e200", "--d", "10", "--k", "5", "--n", "1000", "--steps", "5",
+                     "--out", str(out), "--no-timestamp"]) == EXIT_OK
+        _, runs = read_table(out / "sweep_runs.csv")
+        for row in runs:
+            trace = load_trace(out / f"sweep_s1e+200_seed{row[1]:g}.csv")
+            assert trace["monotone_so_far"].tolist() == [True, False] and (row[5], row[6]) == (0.0, 1.0)
+            assert trace["loss"][-1] == row[4] == np.inf and np.isnan(trace["descent_gap"][-1])
+
     def test_diverged_run_leaves_stderr_empty(self, tmp_path):
         # the same sweep as a command: the 1e200 run overflows the loss, and numpy's overflow warning had
         # reached stderr beside the command's output, though the run is reported as diverged
@@ -604,9 +616,9 @@ class TestOutputDriftScripts:
     def test_keep_writes_library_values_outside_the_listing(self, tmp_path):
         # the script with its CLI runs, bound table and datasets left out: each library call's value and
         # witness go to library/<name>.csv, whose cells give back the bytes of its digest line
-        # bound table stdout, 5 help texts, usage error, 22 library calls
+        # bound table stdout, 5 help texts, usage error, 23 library calls
         lines = _digests_with(tmp_path, "o._runs, o.CONFIGS, o.bound_table = (lambda: ()), (), (lambda argv: 0)")
-        assert len(lines) == 29
+        assert len(lines) == 30
         listed = {name: digest for digest, name in (line.split("  ") for line in lines[7:])}
         assert {p.stem for p in (tmp_path / "library").iterdir()} == set(listed)
         for name, digest in listed.items():

@@ -97,14 +97,17 @@ class TestRunDescent:
         trace = run_descent(f, DescentConfig(eta=10.0, steps=100, x0=[2.0]))
         assert trace.diverged
         assert not trace.monotone
-        assert trace.losses.shape[0] <= 101
-        assert np.all(np.isfinite(trace.losses))
+        assert trace.losses.shape[0] == trace.steps_taken + 1 <= 101
+        # the iterate whose loss overflowed is the last row, and the only one not finite
+        assert np.all(np.isfinite(trace.losses[:-1])) and trace.losses[-1] == np.inf
+        assert trace.gaps[-1] == -np.inf and not trace.monotone_so_far[-1]
 
     def test_diverged_run_is_not_monotone(self):
-        # the first step overflows the loss, so the only recorded flag is the initial True; the run had
-        # still counted as monotone
+        # the first step overflows the loss; the run had still counted as monotone, and its trace had
+        # stopped before that step, with the initial True as its only flag
         trace = run_descent(quadratic_objective(np.eye(2)), DescentConfig(eta=1e300, steps=3, x0=[1, 1]))
-        assert trace.diverged and trace.monotone_so_far.tolist() == [True]
+        assert trace.diverged and trace.steps_taken == 1 and trace.monotone_so_far.tolist() == [True, False]
+        assert trace.losses.tolist() == [1.0, np.inf] and np.array_equal(trace.final_point, [-1e300, -1e300])
         assert trace.monotone is False
 
     def test_one_objective_call_per_step(self):

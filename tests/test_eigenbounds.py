@@ -1,27 +1,31 @@
-"""Tests for the symmetric-matrix eigenvalue machinery and the Gershgorin and Cassini kernels of alpha3/alpha4."""
+"""Tests for the symmetric-matrix eigenvalue machinery and the Gershgorin and Cassini bounds alpha3/alpha4."""
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stepsafe.eigenbounds import SymMatrix, _max_top_eigenvalue, _stack_size, _top_eigenvalue_bound, power_iteration
 from stepsafe.errors import InvalidInputError
-from stepsafe.relu import ReluDataset, Weights, _cassini, _gershgorin, bound_alpha2
+from stepsafe.relu import ReluDataset, Weights, bound_alpha2, bound_alpha3, bound_alpha4
 
 
-def _random_sym(rng, n, scale=1.0):
-    a = rng.standard_normal((n, n)) * scale
+def _random_sym(rng, n):
+    a = rng.standard_normal((n, n))
     return SymMatrix((a + a.T) / 2.0)
 
 
-def _diag_radii(m):
-    # the diagonal and off-diagonal absolute row sums of an explicit symmetric matrix: what
-    # relu's Gershgorin and Cassini kernels take in place of the matrix
-    return np.diag(m.entries), np.abs(m.entries).sum(axis=1) - np.abs(np.diag(m.entries))
+def _dataset(inputs, k=1):
+    inputs = np.asarray(inputs, dtype=float)
+    return ReluDataset(inputs=inputs, teacher=Weights(np.zeros(k * inputs.shape[1]), k=k, d=inputs.shape[1]), seed=-1)
+
+
+# inputs whose S is [[2, 1], [1, 2]], and inputs whose S is diag(5, 1)
+_EQUAL_DIAGONAL = [[2.0, 2.0], [2.0, 0.0], [0.0, 2.0], [0.0, 0.0]]
+_DIAGONAL_5_1 = [[5.0, 0.0], [0.0, 2.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
 
 
 class TestSymMatrix:
@@ -94,52 +98,49 @@ class TestPowerIteration:
 
 class TestGershgorin:
     def test_examples(self):
-        assert _gershgorin(*_diag_radii(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))) == 3.0
-        assert _gershgorin(*_diag_radii(SymMatrix(np.diag([5.0, 1.0])))) == 5.0
-        assert _gershgorin(*_diag_radii(SymMatrix([[0.0, 1.0], [1.0, 0.0]]))) == 1.0
+        # k max_i sum_j |S_ij|
+        assert bound_alpha3(_dataset(_EQUAL_DIAGONAL), 1) == 3.0
+        assert bound_alpha3(_dataset(_EQUAL_DIAGONAL), 2) == 6.0
+        assert bound_alpha3(_dataset(_DIAGONAL_5_1), 1) == 5.0
 
 
 class TestBrauerCassini:
     def test_equal_diagonal(self):
-        assert _cassini(*_diag_radii(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))) == 3.0
+        # mean 2 plus the root of the radii's product 1 * 1
+        assert bound_alpha4(_dataset(_EQUAL_DIAGONAL), 1) == 3.0
 
     def test_diagonal_5_1(self):
         # mean 3 plus half the gap of 4, with no radii: the larger diagonal entry
-        assert _cassini(*_diag_radii(SymMatrix(np.diag([5.0, 1.0])))) == 5.0
+        assert bound_alpha4(_dataset(_DIAGONAL_5_1), 1) == 5.0
 
 
 class TestBoundOrdering:
+    """alpha2 <= alpha4 <= alpha3 at k = 1, where alpha4 pairs distinct rows of S."""
+
     def test_chain_over_random_matrices(self):
-        # lambda_max <= brauer <= gershgorin, 1000 draws, n <= 30
+        # 1000 draws, d <= 30, column scales over e^-4..e^4, so S's diagonal spreads over e^16
         rng = np.random.default_rng(7)
         for _ in range(1000):
-            n = int(rng.integers(2, 31))
-            m = _random_sym(rng, n, scale=float(rng.uniform(0.1, 5.0)))
-            lam = np.linalg.eigvalsh(m.entries)[-1]
-            brauer = _cassini(*_diag_radii(m))
-            gersh = _gershgorin(*_diag_radii(m))
+            d, n = int(rng.integers(2, 31)), int(rng.integers(1, 40))
+            data = _dataset(rng.standard_normal((n, d)) * np.exp(rng.uniform(-4.0, 4.0, d)))
+            lam, brauer, gersh = (bound(data, 1) for bound in (bound_alpha2, bound_alpha4, bound_alpha3))
             slack = 1e-9 * max(1.0, abs(gersh))
             assert lam <= brauer + slack
             assert brauer <= gersh + slack
 
     @given(
-        a=st.integers(2, 8).flatmap(
-            lambda n: arrays(
+        inputs=st.integers(2, 8).flatmap(
+            lambda d: arrays(
                 np.float64,
-                (n, n),
+                st.tuples(st.integers(1, 8), st.just(d)),
                 elements=st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
             )
         )
     )
-    # eigvalsh returns 1.5000054 for this matrix, whose top eigenvalue is 1.5;
-    # the general eigensolver is accurate on it (1.4999999999999998)
-    @example(a=np.where(np.arange(16).reshape(4, 4) == 1, 3.0, 3.5744346e-160))
     @settings(max_examples=150, deadline=None)
-    def test_chain_hypothesis(self, a):
-        m = SymMatrix((a + a.T) / 2.0)
-        lam = np.linalg.eigvals(m.entries).real.max()
-        brauer = _cassini(*_diag_radii(m))
-        gersh = _gershgorin(*_diag_radii(m))
+    def test_chain_hypothesis(self, inputs):
+        data = _dataset(inputs)
+        lam, brauer, gersh = (bound(data, 1) for bound in (bound_alpha2, bound_alpha4, bound_alpha3))
         slack = 1e-9 * max(1.0, abs(gersh))
         assert lam <= brauer + slack
         assert brauer <= gersh + slack
@@ -150,27 +151,22 @@ class TestKronStructure:
     second-moment matrix of the inputs; power iteration on the explicit block
     matrix is the reference."""
 
-    def _data(self, inputs, k):
-        inputs = np.asarray(inputs, dtype=float)
-        teacher = Weights(np.zeros(k * inputs.shape[1]), k=k, d=inputs.shape[1])
-        return ReluDataset(inputs=inputs, teacher=teacher, seed=-1)
-
     def _explicit(self, data, k):
         return SymMatrix(np.kron(np.ones((k, k)), data.second_moment.entries))
 
     def test_diag_example(self):
-        data = self._data([[1.0, 0.0], [0.0, 2.0]], 3)  # S = diag(0.5, 2)
+        data = _dataset([[1.0, 0.0], [0.0, 2.0]], 3)  # S = diag(0.5, 2)
         fast = bound_alpha2(data, 3)
         assert fast == pytest.approx(6.0, abs=1e-8)
         explicit = power_iteration(self._explicit(data, 3)).value
         assert fast == pytest.approx(explicit, abs=1e-8)
 
     def test_k_one_is_identity_case(self):
-        data = self._data([[1.2, 0.3], [-0.4, 1.0], [0.9, -0.8]], 1)
+        data = _dataset([[1.2, 0.3], [-0.4, 1.0], [0.9, -0.8]], 1)
         assert bound_alpha2(data, 1) == pytest.approx(power_iteration(data.second_moment).value, abs=1e-12)
 
     def test_identity_s(self):
-        data = self._data(2.0 * np.eye(4), 5)  # S = I
+        data = _dataset(2.0 * np.eye(4), 5)  # S = I
         assert bound_alpha2(data, 5) == pytest.approx(5.0, abs=1e-8)
 
     def test_matches_explicit_random(self):
@@ -178,14 +174,14 @@ class TestKronStructure:
         for _ in range(25):
             d = int(rng.integers(1, 11))
             k = int(rng.integers(1, 6))
-            data = self._data(rng.standard_normal((max(d, 2), d)), k)
+            data = _dataset(rng.standard_normal((max(d, 2), d)), k)
             fast = bound_alpha2(data, k)
             explicit = power_iteration(self._explicit(data, k)).value
             assert fast == pytest.approx(explicit, abs=1e-8 * max(1.0, abs(fast)))
 
     def test_rejects_bad_k(self):
         with pytest.raises(InvalidInputError):
-            bound_alpha2(self._data(np.eye(2), 1), 0)
+            bound_alpha2(_dataset(np.eye(2), 1), 0)
 
 
 def _gram_batch(d):

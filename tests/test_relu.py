@@ -100,6 +100,16 @@ def _fresh_buffer_kernel(wmat, data):
 STANDARD_SHAPES = [(10, 5, 1000), (10, 5, 10_000), (5, 5, 1000), (50, 5, 1000), (10, 2, 1000), (10, 50, 1000)]
 
 
+def _gershgorin_and_cassini(m):
+    """The Gershgorin and Brauer/Cassini bounds of an explicit symmetric matrix: the largest a_ii + r_i, and
+    the largest Cassini value over pairs of distinct rows, with r_i = sum_{j != i} |a_ij|."""
+    diag = np.diag(m)
+    radii = np.abs(m).sum(axis=1) - np.abs(diag)
+    cassini = (diag[:, None] + diag) / 2 + np.sqrt(((diag[:, None] - diag) / 2) ** 2 + np.outer(radii, radii))
+    np.fill_diagonal(cassini, -np.inf)
+    return float((diag + radii).max()), float(cassini.max())
+
+
 class TestWeights:
     def test_block_view(self):
         w = Weights(np.arange(6.0), k=3, d=2)
@@ -890,13 +900,24 @@ class TestAlphaBounds:
             d, k, n = int(rng.integers(*d_range)), int(rng.integers(*k_range)), int(rng.integers(1, 300))
             data = generate_dataset(NetConfig(d, k, n, int(rng.integers(0, 2**31))))
             m = allactive_gram_matrix(data, k)
-            diag, radii = np.diag(m.entries), np.abs(m.entries).sum(axis=1) - np.abs(np.diag(m.entries))
             a3, a4 = bound_alpha3(data, k), bound_alpha4(data, k)
-            assert a3 == pytest.approx(relu_module._gershgorin(diag, radii), rel=1e-12)
-            assert a4 == pytest.approx(relu_module._cassini(diag, radii), rel=1e-12)
+            gershgorin, cassini = _gershgorin_and_cassini(m.entries)
+            assert a3 == pytest.approx(gershgorin, rel=1e-12)
+            assert a4 == pytest.approx(cassini, rel=1e-12)
             assert bound_alpha2(data, k) == pytest.approx(np.linalg.eigvalsh(m.entries)[-1], rel=1e-12)
             if k >= 2:
                 assert a4 == a3
+
+    @pytest.mark.parametrize("d_range, k_range", [((1, 13), (2, 9)), ((1, 2), (1, 9))], ids=["k>=2", "d=1"])
+    def test_alpha4_is_alpha3_for_twinned_rows(self, d_range, k_range):
+        # every row of J_k (x) S has a twin for k >= 2, and at d = k = 1 M is the 1 x 1 matrix [S_11], so
+        # alpha4 is alpha3 by construction, bit for bit, however widely the column scales of the inputs spread
+        rng = np.random.default_rng([7, *d_range, *k_range])
+        for _ in range(100):
+            d, k, n = int(rng.integers(*d_range)), int(rng.integers(*k_range)), int(rng.integers(1, 300))
+            inputs = rng.standard_normal((n, d)) * np.exp(rng.uniform(-4.0, 4.0, d))
+            data = ReluDataset(inputs=inputs, teacher=Weights(np.zeros(k * d), k=k, d=d), seed=-1)
+            assert bound_alpha4(data, k) == bound_alpha3(data, k)
 
     def test_one_second_moment_product_per_report(self):
         # alpha2, alpha3 and alpha4 all need S = X^T X / n; the dataset forms it once
@@ -999,9 +1020,9 @@ class TestAlphaOracle:
             wide = width * budget / (2 * np.pi) > 25
             assert found >= values[wide].max() * (1 - 1e-12)
 
-    @pytest.mark.parametrize("d, n, budget", [(3, 20, 2500), (50, 1000, 30)], ids=["chunks", "blocks"])
+    @pytest.mark.parametrize("d, n, budget", [(3, 20, 2500), (60, 1200, 30)], ids=["chunks", "blocks"])
     def test_random_search_matches_masked_grams(self, d, n, budget):
-        # directions in several chunks, or outer products in several point blocks
+        # directions in several chunks, or triangle products in several point blocks
         data = generate_dataset(NetConfig(d, 2, n, seed=4))
         x = data.inputs
         best = 0.0
@@ -1011,28 +1032,25 @@ class TestAlphaOracle:
         found = alpha_oracle(data, 2, "random-search", budget=budget, rng=np.random.default_rng(9))
         assert found == pytest.approx(2 * best / n, rel=1e-12)
 
-    @pytest.mark.parametrize("d, n, budget", [(10, 200, 1000), (3, 1, 300), (1, 30, 600), (50, 900, 300),
+    @pytest.mark.parametrize("d, n, budget", [(10, 200, 1000), (3, 1, 300), (1, 30, 600), (60, 1200, 300),
                                               (60, 200, 600), (3, 50, 1)],
                              ids=["partial-chunk", "n1", "d1", "two-blocks", "short-chunks", "budget1"])
     def test_random_search_matches_unpruned(self, d, n, budget):
-        # the same chunks and GEMMs with eigvalsh on every Gram, and outer
-        # products formed per chunk and per point block of 2e6 / d^2 rows,
-        # give the same bits as products formed once per search; on d60
-        # a chunk is 185 directions; the products are C-ordered, as on the
-        # row-major points here (products of the column-major inputs would
-        # be F-ordered, and move the budget-1 values)
+        # the same chunks and GEMMs with eigvalsh on every Gram, masks v X^T and upper-triangle products
+        # x_ia x_ib (a <= b) formed per chunk and per point block of 2e6 / (d(d+1)/2) rows, each triangle
+        # mirrored, give the same bits as products formed once per search; on d60 a chunk is 185 directions
         data = generate_dataset(NetConfig(d, 2, n, seed=5))
         chunk, rng, best = _stack_size(d, n), np.random.default_rng(3), 0.0
-        points = np.ascontiguousarray(data.inputs)
-        blocks = [points[i : i + int(2e6 // (d * d))] for i in range(0, n, int(2e6 // (d * d)))]
-        assert len(blocks) == (2 if d == 50 else 1)
+        a, b = np.triu_indices(d)
+        rows = int(2e6 // len(a))
+        blocks = [data.inputs[i : i + rows] for i in range(0, n, rows)]
+        assert len(blocks) == (2 if n == 1200 else 1)
         for start in range(0, budget, chunk):
             v = rng.standard_normal((min(chunk, budget - start), d))
-            grams = sum(
-                ((x @ v.T) >= 0.0).T.astype(float) @ (x[:, :, None] * x[:, None, :]).reshape(-1, d * d)
-                for x in blocks
-            )
-            best = max(best, float(np.linalg.eigvalsh(grams.reshape(-1, d, d))[:, -1].max()))
+            grams = np.empty((len(v), d, d))
+            grams[:, a, b] = grams[:, b, a] = sum(((v @ x.T) >= 0.0).astype(float) @ (x[:, a] * x[:, b])
+                                                  for x in blocks)
+            best = max(best, float(np.linalg.eigvalsh(grams)[:, -1].max()))
         assert alpha_oracle(data, 2, "random-search", budget=budget, rng=np.random.default_rng(3)) == 2 * best / n
 
     def test_random_search_default_stream(self):
