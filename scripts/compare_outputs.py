@@ -5,9 +5,13 @@
 
 A and B are run trees, such as two checkouts' `scripts/output_digests.py --keep`
 directories.  For each CSV file (by path relative to its tree) whose bytes
-differ, prints one line: the file, then each column with the largest relative
-difference |a - b| / max(|a|, |b|) over its rows (0 where every cell matches;
-inf where a cell is NaN or infinite on one side only, or where text differs).
+differ, prints one line: the file, then each column with its largest difference
+|a - b| over its rows, relative to the largest finite magnitude in that column
+over both files' rows (0 where every cell matches; inf where a cell is NaN or
+infinite on one side only, or where text differs).  Relative to the column, not
+to the cell, so a small cell that differences near-equal numbers (a `stddev`
+row, a descent gap) and moves by an ulp of those numbers reads as an ulp-sized
+drift, not as one of its own size.
 A file whose header or row count differs, or that exists in one tree only, is
 flagged instead.  The last line gives each column's largest difference over
 all files.  Exits 1 if anything was flagged, else 0.  Run bare, it imports
@@ -28,12 +32,16 @@ except ModuleNotFoundError:  # not installed and not on PYTHONPATH: this checkou
 from stepsafe.tableio import read_table  # noqa: E402
 
 
-def _drift(a, b) -> float:
-    if a == b or (a != a and b != b):  # equal, or NaN on both sides
-        return 0.0
-    if isinstance(a, str) or isinstance(b, str) or not np.isfinite([a, b]).all():
-        return float("inf")
-    return abs(a - b) / max(abs(a), abs(b))
+def _drift(col_a, col_b) -> float:
+    scale = max((abs(v) for v in col_a + col_b if not isinstance(v, str) and np.isfinite(v)), default=0.0)
+    drift = 0.0
+    for a, b in zip(col_a, col_b):
+        if a == b or (a != a and b != b):  # equal, or NaN on both sides
+            continue
+        if isinstance(a, str) or isinstance(b, str) or not np.isfinite([a, b]).all():
+            return float("inf")
+        drift = max(drift, abs(a - b) / scale)  # a != b, both finite: scale > 0
+    return drift
 
 
 def compare(a: Path, b: Path) -> int:
@@ -52,8 +60,7 @@ def compare(a: Path, b: Path) -> int:
             print(f"{rel}: header {head_a} and {len(rows_a)} rows against header {head_b} and {len(rows_b)} rows")
             flagged += 1
             continue
-        drift = {name: max(_drift(x, y) for x, y in zip(col_a, col_b))
-                 for name, col_a, col_b in zip(head_a, zip(*rows_a), zip(*rows_b))}
+        drift = {name: _drift(col_a, col_b) for name, col_a, col_b in zip(head_a, zip(*rows_a), zip(*rows_b))}
         print(f"{rel}: " + "  ".join(f"{name} {value:.2g}" for name, value in drift.items()))
         for name, value in drift.items():
             overall[name] = max(overall.get(name, 0.0), value)

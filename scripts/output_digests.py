@@ -6,7 +6,9 @@ Runs `bounds`, `train` (all five bounds), `scale-sweep` and `oracle` with
 pattern-enum `oracle` and a `train --bounds oracle,alpha2` with the default
 (random-search) oracle on d2 k2 n8, a pattern-enum `oracle` on d4 k2 n20, a
 default `train` on d20 k1 n50 (a shape whose forward-pass bits depend on the
-layout of the inputs in the W X^T product), and two error paths: `bounds --d 0`
+layout of the inputs in the W X^T product), a `scale-sweep --scales 1,1e200
+--steps 5` on d10 k5 n1000 at seeds 0-1 whose 1e200 runs diverge (so its
+traces end on a non-finite loss), and two error paths: `bounds --d 0`
 (invalid input) and a `train` on d1 k1 n1 whose one-draw random-search oracle
 is 0 (numerical failure after the `alpha2` run).  Each run writes into its own directory under a temporary
 directory; then comes `run_bound_table.py --reps 3`.  Prints one line
@@ -90,6 +92,8 @@ def _runs():
                                     "--seed", "0", "--reps", "3"]
     yield "train_oracle_d2_k2_n8", ["train", "--bounds", "oracle,alpha2", *small]
     yield "train_d20_k1_n50", ["train", "--d", "20", "--k", "1", "--n", "50", "--seed", "0", "--reps", "3"]
+    yield "sweep_diverged_d10_k5_n1000", ["scale-sweep", "--scales", "1,1e200", "--d", "10", "--k", "5", "--n", "1000",
+                                          "--seed", "0", "--reps", "2", "--steps", "5"]
     yield "invalid_d0", ["bounds", "--d", "0"]
     yield "zero_oracle_d1_k1_n1", ["train", "--d", "1", "--k", "1", "--n", "1", "--bounds", "alpha2,oracle",
                                    "--oracle-strategy", "random-search", "--oracle-budget", "1"]

@@ -208,7 +208,11 @@ def _descent_table(spec: ExperimentSpec, name: str, head, runs, report=None) -> 
             value = _bound_value(bound, data, spec)
             if not np.isfinite(value) or value <= 0.0:
                 raise NumericalFailureError(f"bound {bound} is {value!r} at seed {seed}, so it gives no step size")
-            trace = descend(scale / value)
+            eta = scale / value
+            if not 0.0 < eta < np.inf:  # the quotient over- or underflowed
+                raise NumericalFailureError(f"bound {bound} is {value!r} at seed {seed}, so scale {scale!r} "
+                                            f"gives step size {eta!r}")
+            trace = descend(eta)
             save_trace(trace, spec.out / f"{stem}_seed{seed}.csv", timestamp=spec.stamp())
             rows.append([label, float(seed), float(value), trace.eta, float(trace.losses[-1]), trace.monotone,
                          trace.diverged])

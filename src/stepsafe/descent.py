@@ -1,12 +1,11 @@
 """Fixed-step gradient descent with per-step descent-inequality verification.
 
-Every run records, for each step t, the objective value, the gradient norm,
-and the descent gap
+Every run records the objective value and the gradient norm of each iterate; its trace derives from them the
+descent gap of each step t
 
     g_t = f(x_t) - f(x_{t+1}) - (eta/2) ||grad f(x_t)||^2
 
-which is non-negative (up to round-off) whenever 1/eta is a valid concavifier
-of f over the visited region.
+which is non-negative (up to round-off) whenever 1/eta is a valid concavifier of f over the visited region.
 """
 
 from __future__ import annotations
@@ -42,25 +41,33 @@ class DescentConfig:
 
 @dataclass(frozen=True, eq=False)
 class DescentTrace:
-    """Per-step record of a descent run.
-
-    losses, grad_norms and monotone_so_far have one entry per recorded
-    iterate (at most steps+1); gaps has one entry per step taken.
-    monotone_so_far[t] says the loss never rose by more than
-    DESCENT_SLACK_RTOL * max(1, |f(x_s)|) in any step s < t.
+    """Per-step record of a descent run: the losses and gradient norms it measured, one per recorded iterate
+    (at most steps+1; only the last loss may be non-finite), and the gaps and flags derived from them on each
+    read.  gaps[t] is the descent gap of step t.  monotone_so_far[t] says every loss up to f(x_t) is finite and
+    none rose by more than DESCENT_SLACK_RTOL * max(1, |f(x_s)|) in a step s < t.
     """
 
     losses: np.ndarray
     grad_norms: np.ndarray
-    gaps: np.ndarray
-    monotone_so_far: np.ndarray
     diverged: bool
     final_point: np.ndarray
     eta: float
 
     @property
     def steps_taken(self) -> int:
-        return self.gaps.shape[0]
+        return self.losses.shape[0] - 1
+
+    @property
+    @np.errstate(over="ignore", invalid="ignore")
+    def gaps(self) -> np.ndarray:
+        gn = self.grad_norms[:-1]
+        return self.losses[:-1] - self.losses[1:] - 0.5 * self.eta * gn * gn
+
+    @property
+    def monotone_so_far(self) -> np.ndarray:
+        before, after = self.losses[:-1], self.losses[1:]
+        ok = np.isfinite(after) & (after <= before + DESCENT_SLACK_RTOL * np.maximum(1.0, np.abs(before)))
+        return np.concatenate(([True], np.logical_and.accumulate(ok)))
 
     @property
     def monotone(self) -> bool:
@@ -71,11 +78,11 @@ class DescentTrace:
 
 @np.errstate(over="ignore", invalid="ignore")
 def run_descent(f: ObjectiveFunction, config: DescentConfig) -> DescentTrace:
-    """Iterate x <- x - eta * grad f(x) for the configured number of steps,
-    with one value-and-gradient call per step.
+    """Iterate x <- x - eta * grad f(x) for the configured number of steps, with one value-and-gradient call
+    per step, and record each iterate's loss and gradient norm.
 
     The run stops, flagged diverged and so not monotone, once the objective or gradient turns non-finite.  An
-    iterate with a non-finite objective is still recorded, with monotone flag 0, so the trace shows the break;
+    iterate with a non-finite objective (-inf too) is still recorded, so the trace shows the break on flag 0;
     numpy's overflow and invalid-value warnings are muted meanwhile, since the diverged flag reports them.
     """
     x = _as_point(f, config.x0)
@@ -85,43 +92,31 @@ def run_descent(f: ObjectiveFunction, config: DescentConfig) -> DescentTrace:
         raise InvalidInputError("objective is not finite at the initial point")
 
     gn = float(np.sqrt(g @ g))  # what np.linalg.norm computes for a flat vector, without its dispatch
-    losses, grad_norms, gaps, monotone_so_far = [fx], [gn], [], [True]
-    diverged = False
+    losses, grad_norms, diverged = [fx], [gn], False
 
     for _ in range(config.steps):
         if not np.isfinite(gn) and not np.all(np.isfinite(g)):  # a finite norm has a finite g
             diverged = True
             break
         x = x - config.eta * g
-        f_next, g = f.value_and_gradient(x)
-        f_next, g = float(f_next), np.asarray(g, dtype=float)
-        diverged = not np.isfinite(f_next)
-        gaps.append(fx - f_next - 0.5 * config.eta * gn * gn)
-        monotone_so_far.append(monotone_so_far[-1] and f_next <= fx + DESCENT_SLACK_RTOL * max(1.0, abs(fx)))
-        fx, gn = f_next, float(np.sqrt(g @ g))
+        fx, g = f.value_and_gradient(x)
+        fx, g = float(fx), np.asarray(g, dtype=float)
+        gn = float(np.sqrt(g @ g))
         losses.append(fx)
         grad_norms.append(gn)
+        diverged = not np.isfinite(fx)
         if diverged:
             break
 
-    return DescentTrace(
-        losses=np.asarray(losses),
-        grad_norms=np.asarray(grad_norms),
-        gaps=np.asarray(gaps),
-        monotone_so_far=np.asarray(monotone_so_far),
-        diverged=diverged,
-        final_point=x,
-        eta=config.eta,
-    )
+    return DescentTrace(losses=np.asarray(losses), grad_norms=np.asarray(grad_norms), diverged=diverged,
+                        final_point=x, eta=config.eta)
 
 
 def save_trace(trace: DescentTrace, path, timestamp: str | None = None) -> None:
-    """Write a trace as delimited text: step, loss, grad_norm, descent_gap,
-    monotone_so_far.  The final row has no completed step, so its gap is nan.
-    """
-    gaps = trace.gaps.tolist() + [float("nan")] * (trace.losses.shape[0] - trace.gaps.shape[0])
-    rows = zip(range(trace.losses.shape[0]), trace.losses.tolist(), trace.grad_norms.tolist(), gaps,
-               trace.monotone_so_far.tolist())
+    """Write a trace as delimited text, one row per iterate: step, loss, grad_norm, descent_gap,
+    monotone_so_far.  The final row has no completed step, so its gap is nan."""
+    rows = zip(range(trace.losses.shape[0]), trace.losses.tolist(), trace.grad_norms.tolist(),
+               [*trace.gaps.tolist(), float("nan")], trace.monotone_so_far.tolist())
     write_table(path, TRACE_COLUMNS, rows, timestamp=timestamp)
 
 

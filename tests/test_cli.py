@@ -530,6 +530,20 @@ class TestExitCodes:
         assert err.startswith("stepsafe: numerical failure: bound oracle is 0.0 at seed 0")
         assert not (out / "train_oracle_seed0.csv").exists()
 
+    @pytest.mark.parametrize("scales, d, k, n", [((1.0, 1e308), 1, 1, 1), ((5e-324,), 3, 2, 20)],
+                             ids=["overflow", "underflow"])
+    def test_step_that_overflows_or_underflows_is_numerical_failure(self, tmp_path, capsys, scales, d, k, n):
+        # alpha2 is positive and finite, but scale/alpha2 comes out inf or 0.0: DescentConfig had refused that
+        # step as invalid input (exit 1); the runs before it keep their traces
+        out = tmp_path / "res"
+        code = main(["scale-sweep", "--scales", ",".join(map(repr, scales)), "--d", str(d), "--k", str(k),
+                     "--n", str(n), "--steps", "2", "--out", str(out)])
+        assert code == EXIT_NUMERICAL_FAILURE
+        value = bound_alpha2(generate_dataset(NetConfig(d, k, n, 0)), k)
+        assert capsys.readouterr().err == (f"stepsafe: numerical failure: bound alpha2 is {value!r} at seed 0, "
+                                           f"so scale {scales[-1]!r} gives step size {scales[-1] / value!r}\n")
+        assert sorted(p.name for p in out.iterdir()) == [f"sweep_s{s:g}_seed0.csv" for s in scales[:-1]]
+
     def test_failure_keeps_finished_runs(self, tmp_path):
         # the alpha2 run finishes before the oracle of 0 stops the command: its line
         # comes before the failure message and its trace is written, the summary is not
@@ -660,7 +674,7 @@ class TestOutputDriftScripts:
 
         trace = b / "run" / "train_alpha1_seed0.csv"
         header, rows = read_table(trace)
-        rows[1][1] *= 1 + 1e-12
+        rows[1][1] *= 1 + 1e-12  # row 1's loss is 0.58 of row 0's, the column's largest
         write_table(trace, header, rows)
         summary = b / "run" / "train_summary.csv"
         summary.write_text(summary.read_text().replace("final_loss", "loss_at_end"))
@@ -669,10 +683,22 @@ class TestOutputDriftScripts:
         assert result.returncode == 1
         lines = result.stdout.splitlines()
         assert lines[0] == f"run/train_alpha2_seed0.csv: only in {a}"
-        assert lines[1] == "run/train_alpha1_seed0.csv: step 0  loss 1e-12  grad_norm 0  descent_gap 0  monotone_so_far 0"
+        assert lines[1] == "run/train_alpha1_seed0.csv: step 0  loss 5.8e-13  grad_norm 0  descent_gap 0  monotone_so_far 0"
         assert lines[2].startswith("run/train_summary.csv: header [") and "'loss_at_end'" in lines[2]
-        assert lines[3] == "0 of 2 shared files byte-identical; largest drift over the rest: step 0  loss 1e-12  " \
+        assert lines[3] == "0 of 2 shared files byte-identical; largest drift over the rest: step 0  loss 5.8e-13  " \
                            "grad_norm 0  descent_gap 0  monotone_so_far 0"
+
+    def test_compare_reads_drift_against_the_column_largest_value(self, tmp_path):
+        # a small cell that differences near-equal numbers, as a stddev row or a descent gap does, moves by one
+        # ulp of those numbers: relative to the column's largest value (5) that is 1.8e-16; relative to the
+        # cell's own 1e-2 it had read 8.9e-14
+        for tree, top in (("a", 5.01), ("b", np.nextafter(5.01, np.inf))):
+            (tmp_path / tree).mkdir()
+            write_table(tmp_path / tree / "t.csv", ["kind", "value"], [["mean", 5.0], ["stddev", top - 5.0]])
+        result = _run_script("compare_outputs.py", str(tmp_path / "a"), str(tmp_path / "b"))
+        assert result.returncode == EXIT_OK
+        line = result.stdout.splitlines()[0]
+        assert line == "t.csv: kind 0  value 1.8e-16" and float(line.rsplit(" ", 1)[1]) <= 1e-15
 
 
 class TestFreshRunProbeScript:

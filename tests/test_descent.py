@@ -110,6 +110,15 @@ class TestRunDescent:
         assert trace.losses.tolist() == [1.0, np.inf] and np.array_equal(trace.final_point, [-1e300, -1e300])
         assert trace.monotone is False
 
+    def test_loss_falling_to_minus_inf_ends_on_flag_0(self, tmp_path):
+        # a concave quadratic overflows to -inf on the first step: the run diverged, and the flag of that
+        # iterate, which had read 1 because -inf is below every loss, now reads 0 in the trace and its file
+        trace = run_descent(quadratic_objective(-np.eye(2)), DescentConfig(eta=1e300, steps=5, x0=np.ones(2)))
+        assert trace.losses.tolist() == [-1.0, -np.inf] and trace.diverged
+        assert not trace.monotone_so_far[-1] and trace.monotone is False
+        save_trace(trace, tmp_path / "trace.csv")
+        assert load_trace(tmp_path / "trace.csv")["monotone_so_far"].tolist() == [True, False]
+
     def test_one_objective_call_per_step(self):
         f = quadratic_objective(np.diag([1.0, 2.0]))
         calls = []
@@ -182,25 +191,19 @@ class TestTraceIO:
         assert cols["loss"].shape[0] == trace.losses.shape[0]
 
     def test_file_bytes(self, tmp_path):
-        # the loss rises at step 2, so monotone_so_far drops to 0 there and
-        # stays 0; the last row has no completed step and its gap is nan
-        trace = DescentTrace(
-            losses=np.array([3.0, 2.5, 2.75, 0.1]),
-            grad_norms=np.array([1.0, 0.5, 2.0, 0.0]),
-            gaps=np.array([0.25, -0.375, 1.0 / 3.0]),
-            monotone_so_far=np.array([True, True, False, False]),
-            diverged=False,
-            final_point=np.zeros(2),
-            eta=0.5,
-        )
+        # the trace of a record: step 1 raises the loss, so its gap is negative and monotone_so_far drops to 0
+        # at row 2 and stays 0; step 2's gap 2.75 - 0.1 - 1 prints 17 digits; the last row has no completed
+        # step and its gap is nan
+        trace = DescentTrace(losses=np.array([3.0, 2.5, 2.75, 0.1]), grad_norms=np.array([1.0, 0.5, 2.0, 0.0]),
+                             diverged=False, final_point=np.zeros(2), eta=0.5)
         path = tmp_path / "trace.csv"
         save_trace(trace, path, timestamp="2026-01-01T00:00:00Z")
         assert path.read_bytes() == (
             b"# generated: 2026-01-01T00:00:00Z\n"
             b"step,loss,grad_norm,descent_gap,monotone_so_far\n"
             b"0,3,1,0.25,1\n"
-            b"1,2.5,0.5,-0.375,1\n"
-            b"2,2.75,2,0.33333333333333331,0\n"
+            b"1,2.5,0.5,-0.3125,1\n"
+            b"2,2.75,2,1.6499999999999999,0\n"
             b"3,0.10000000000000001,0,nan,0\n"
         )
 
