@@ -116,8 +116,10 @@ class ReluDataset:
             raise InvalidInputError("inputs must be a nonempty (n, d) array")
         if self.d != self.teacher.d:
             raise InvalidInputError("input dimension does not match the teacher")
-        if not (np.isfinite(self.inputs).all() and np.isfinite(self.teacher.flat).all()):
-            raise InvalidInputError("inputs and teacher weights must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # every entry of S and of a loss Hessian is <= this sum
+            squares = self.inputs.ravel("K") @ self.inputs.ravel("K")  # a view: no (n, d) bool array
+        if not (np.isfinite(squares) and np.isfinite(self.teacher.flat).all()):
+            raise InvalidInputError("inputs' sum of squares and teacher weights must be finite")
         _as_count(self.seed, "seed", -1)  # -1: no seed, as load_dataset gives
 
     @property

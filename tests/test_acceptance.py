@@ -5,6 +5,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +270,22 @@ def test_sample_oracle_tracks_the_population_oracle_on_shifted_inputs(c, gap):
         data = ReluDataset(base.inputs + c * e1, base.teacher, seed=seed)
         sample = alpha_oracle(data, 1, "random-search", 4000) / bound_alpha2(data, 1)
         assert abs(sample - population) <= gap, (seed, sample, population)
+
+
+def test_readme_python_examples_run(capsys):
+    """The README's three Python blocks run as printed, and the criterion-5 snippet prints what the README says
+    of it: every seed is monotone at 4x and not at 8x, monotonicity breaks at 5.45x (seed 1) to 6.96x (seed 2),
+    and the largest L_t/alpha2 at 4x spans 0.17-0.27."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
+    assert len(blocks) == 3
+    for block in blocks:
+        exec(block, {})
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[:3] for row in rows] == [[str(seed), "True", "False"] for seed in range(10)]
+    breaks, ratios = [float(row[3]) for row in rows], [float(row[4]) for row in rows]
+    assert (min(breaks), breaks[1], max(breaks), breaks[2]) == (5.45, 5.45, 6.96, 6.96)
+    assert (min(ratios), max(ratios)) == (0.17, 0.27)
 
 
 def test_criterion_6_eigen_identities():

@@ -260,15 +260,21 @@ class TestScaleSweepCommand:
 
     def test_diverged_trace_ends_on_the_non_finite_iterate(self, tmp_path):
         # the trace had stopped before the step that overflowed the loss, so its last flag read 1 beside
-        # monotone 0 in sweep_runs.csv; it now ends on that iterate, with flag 0, and final_loss is its loss
+        # monotone 0 in sweep_runs.csv; it now ends on that iterate, with flag 0, and final_loss is its loss.
+        # On every run of the listing's diverging sweep, the monotone cell is the trace file's last flag and
+        # the diverged cell says whether the file's last row holds a non-finite loss or grad_norm
         out = tmp_path / "res"
-        assert main(["scale-sweep", "--scales", "1e200", "--d", "10", "--k", "5", "--n", "1000", "--steps", "5",
-                     "--out", str(out), "--no-timestamp"]) == EXIT_OK
+        assert main(["scale-sweep", "--scales", "1,1e200", "--d", "10", "--k", "5", "--n", "1000", "--seed", "0",
+                     "--reps", "2", "--steps", "5", "--out", str(out), "--no-timestamp"]) == EXIT_OK
         _, runs = read_table(out / "sweep_runs.csv")
+        assert [(r[0], r[5], r[6]) for r in runs] == [(1.0, 1.0, 0.0), (1e200, 0.0, 1.0)] * 2
         for row in runs:
-            trace = load_trace(out / f"sweep_s1e+200_seed{row[1]:g}.csv")
-            assert trace["monotone_so_far"].tolist() == [True, False] and (row[5], row[6]) == (0.0, 1.0)
-            assert trace["loss"][-1] == row[4] == np.inf and np.isnan(trace["descent_gap"][-1])
+            trace = load_trace(out / f"sweep_s{row[0]:g}_seed{row[1]:g}.csv")
+            assert float(trace["monotone_so_far"][-1]) == row[5]
+            assert float(not (np.isfinite(trace["loss"][-1]) and np.isfinite(trace["grad_norm"][-1]))) == row[6]
+            if row[0] == 1e200:
+                assert trace["monotone_so_far"].tolist() == [True, False]
+                assert trace["loss"][-1] == row[4] == np.inf and np.isnan(trace["descent_gap"][-1])
 
     def test_diverged_run_leaves_stderr_empty(self, tmp_path):
         # the same sweep as a command: the 1e200 run overflows the loss, and numpy's overflow warning had

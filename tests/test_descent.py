@@ -1,5 +1,6 @@
 """Tests for the fixed-step descent engine and trace recording."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -30,8 +31,10 @@ class TestGdStep:
         assert np.array_equal(self._step(lambda x: x, x, 1.0).final_point, np.zeros(2))
 
     def test_nonfinite_gradient(self):
+        # a NaN gradient at x0 is the record's only row: it had still read monotone_so_far [True]
         trace = self._step(lambda x: [np.nan], [1.0], 0.1)
         assert trace.diverged and trace.steps_taken == 0
+        assert trace.monotone_so_far.tolist() == [False] and trace.monotone is False
         assert np.array_equal(trace.final_point, [1.0])
 
     def test_bad_eta(self):
@@ -119,6 +122,31 @@ class TestRunDescent:
         save_trace(trace, tmp_path / "trace.csv")
         assert load_trace(tmp_path / "trace.csv")["monotone_so_far"].tolist() == [True, False]
 
+    def test_nan_gradient_at_a_finite_loss_ends_diverged(self, tmp_path):
+        # the gradient turns NaN at the third iterate while its loss stays finite: the run had read
+        # diverged False and monotone True, since only a non-finite loss counted
+        f = ObjectiveFunction(dim=1, value_and_gradient=lambda x: (
+            float(x @ x), 2 * x if x[0] >= 0.3 else np.array([np.nan])))
+        trace = run_descent(f, DescentConfig(eta=0.25, steps=2, x0=[1.0]))
+        assert trace.losses.tolist() == [1.0, 0.25, 0.0625] and np.isnan(trace.grad_norms[-1])
+        assert trace.diverged and trace.monotone is False
+        assert trace.monotone_so_far.tolist() == [True, True, False]
+        save_trace(trace, tmp_path / "trace.csv")
+        last = {name: col[-1] for name, col in load_trace(tmp_path / "trace.csv").items()}
+        assert np.isnan(last["grad_norm"]) and not last["monotone_so_far"]
+        assert (tmp_path / "trace.csv").read_text().splitlines()[-1] == "2,0.0625,nan,nan,0"
+
+    def test_overflowing_gradient_norm_stops_the_run(self):
+        # every entry of the gradient is finite but its squared norm overflows: the run had gone on for
+        # three steps of inf grad norms and -inf gaps, and read diverged False and monotone True
+        trace = run_descent(quadratic_objective([[1e165]]), DescentConfig(eta=1e-170, steps=3, x0=[1e-10]))
+        assert trace.steps_taken == 0 and trace.grad_norms.tolist() == [np.inf]
+        assert trace.diverged and trace.monotone is False and trace.gaps.size == 0
+
+    def test_trace_records_only_what_a_run_measures(self):
+        # the run flags are read off the record, so none of them is a field
+        assert [f.name for f in dataclasses.fields(DescentTrace)] == ["losses", "grad_norms", "final_point", "eta"]
+
     def test_one_objective_call_per_step(self):
         f = quadratic_objective(np.diag([1.0, 2.0]))
         calls = []
@@ -195,7 +223,7 @@ class TestTraceIO:
         # at row 2 and stays 0; step 2's gap 2.75 - 0.1 - 1 prints 17 digits; the last row has no completed
         # step and its gap is nan
         trace = DescentTrace(losses=np.array([3.0, 2.5, 2.75, 0.1]), grad_norms=np.array([1.0, 0.5, 2.0, 0.0]),
-                             diverged=False, final_point=np.zeros(2), eta=0.5)
+                             final_point=np.zeros(2), eta=0.5)
         path = tmp_path / "trace.csv"
         save_trace(trace, path, timestamp="2026-01-01T00:00:00Z")
         assert path.read_bytes() == (
@@ -238,8 +266,10 @@ class TestTraceIO:
         "text",
         [b"step,loss,grad_norm,descent_gap,monotone_so_far\n0,1,1,nan\n",
          b"step,loss,grad_norm,descent_gap,monotone_so_far\n0,1,one,nan,1\n", b"# generated: now\n",
-         b"step,loss,grad_norm,descent_gap,monotone_so_far\n0,1,1,nan,\xff\n"],
-        ids=["ragged-row", "text-cell", "empty", "not-utf8"],
+         b"step,loss,grad_norm,descent_gap,monotone_so_far\n0,1,1,nan,\xff\n",
+         b"step,loss,grad_norm,descent_gap,monotone_so_far\n0,2,1,0.5,1\n1.7,1,0,nan,1\n",
+         b"step,loss,grad_norm,descent_gap,monotone_so_far\n0,2,1,0.5,1\n1,1,0,nan,7\n"],
+        ids=["ragged-row", "text-cell", "empty", "not-utf8", "step-not-a-row-index", "flag-not-0-or-1"],
     )
     def test_malformed_trace_rejected(self, tmp_path, text):
         path = tmp_path / "trace.csv"

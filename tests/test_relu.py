@@ -3,6 +3,7 @@
 import itertools
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -622,6 +623,21 @@ class TestInputRules:
         with pytest.raises(InvalidInputError, match="must be finite"):
             load_dataset(tmp_path / "data.csv", tmp_path / "teacher.csv")
 
+    def test_inputs_whose_squares_overflow(self, tmp_path):
+        # finite inputs of 1e160 had loaded, and then the oracle died in eigvalsh while the bounds and the
+        # loss overflowed with a warning: every entry of S and of a loss Hessian is at most their sum of squares
+        inputs = np.random.default_rng(0).standard_normal((20, 3)) * 1e160
+        teacher = Weights(np.ones(6), k=2, d=3)
+        (tmp_path / "teacher.csv").write_text("1\n" * 6)
+        (tmp_path / "data.csv").write_text("x0,x1,x2,y\n" + "".join("%r,%r,%r,0\n" % tuple(x) for x in inputs.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                ReluDataset(inputs, teacher, seed=0)
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                load_dataset(tmp_path / "data.csv", tmp_path / "teacher.csv")
+            assert np.isfinite(bound_alpha2(ReluDataset(inputs / 1e7, teacher, seed=0), 2))  # 1e153 inputs load
+
 
 class TestDatasetGeneration:
     def test_same_seed_bit_identical(self):
@@ -644,7 +660,7 @@ class TestDatasetGeneration:
 
     def test_draws_handed_over_uncopied(self):
         # generate_dataset freezes its draws in place: the inputs own their memory and refuse writes, and
-        # generating holds one n x d array (plus isfinite's n d bools), not the draws and a copy of them
+        # generating holds one n x d array, not the draws and a copy of them
         cfg = NetConfig(d=10, k=5, n=10_000, seed=0)
         generate_dataset(cfg)
         tracemalloc.start()
