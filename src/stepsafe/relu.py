@@ -10,10 +10,10 @@ loss over n points is
 whose almost-everywhere Hessian is (1/n) sum_i a(x_i, w) a(x_i, w)^T, where
 a(x, w) stacks k copies of x, each masked by the activation indicator
 1{x^T w_j >= 0} (so w = 0 activates every neuron), and abar(x) is the
-all-active stack.  One forward pass serves targets, loss and gradient: the
-neuron-major (k, n) product W X^T, its ReLU taken in place, summed over
-neurons.  X is held column-major, so X^T is a C-contiguous view of it, not a
-copy.  Four upper bounds on the optimal concavifier:
+all-active stack.  One forward pass, the neuron-major (k, n) product W X^T with
+its ReLU taken in place and summed over neurons, serves targets, loss, gradient
+and Hessian (whose mask is its sign).  X is held column-major, so X^T is a
+C-contiguous view of it, not a copy.  Four upper bounds on the optimal concavifier:
 
     alpha1 = (k/n) sum_i ||x_i||^2 = k tr(S)  (per-point top-eigenvalue sum)
     alpha2 = lambda_max(M) = k lambda_max(S)   (all-active matrix, tight)
@@ -172,12 +172,13 @@ def _checked(w: Weights, data: ReluDataset) -> Weights:
 
 
 def _loss_callables(data: ReluDataset, k: int):
-    """The loss at width-k weights on ``data`` as raw callables over flat weights: ``value`` (a point (kd,), or
-    a stack (m, kd) in chunks of STACK_CHUNK_ENTRIES) and the fused ``value_and_gradient``, on the data's (d, n)
-    view ``inputs.T`` and targets, read once here.  Both take the residuals of _forward and the loss with the bits of
-    0.5 * np.mean(resid**2), so each value is its fused call's bit for bit.  The fused call reuses one (k, n)
-    float and bool workspace made here (so no two threads may call it at once): the masked residuals m overwrite
-    W X^T in C order, and the gradient (X^T m^T)^T reads the (d, n) view that the forward product reads."""
+    """The loss at width-k weights on ``data`` as raw callables over flat weights, on the (d, n) view ``inputs.T``
+    and the targets, read once here: ``value`` (a point (kd,), or a stack (m, kd) in chunks of STACK_CHUNK_ENTRIES)
+    and the fused ``value_and_gradient`` take _forward's residuals and the bits of 0.5 * np.mean(resid**2), so each
+    value is its fused call's bit for bit.  The fused call and the a.e. ``hessian`` share one (k, n) float and bool
+    workspace made here (so no two threads may call them at once), where _forward writes W X^T and its mask
+    W X^T >= 0.  The fused call overwrites W X^T with the masked residuals m in C order, and its gradient (X^T m^T)^T
+    reads the forward product's view; the Hessian stacks each x_i by the mask, so its mask is the fused call's."""
     inputs_t, targets = data.inputs.T, data.targets
     d, n = inputs_t.shape
     z, active = np.empty((k, n)), np.empty((k, n), dtype=bool)
@@ -200,7 +201,12 @@ def _loss_callables(data: ReluDataset, k: int):
         m = np.multiply(active, resid, out=z)
         return float(loss_value), (inputs_t @ m.T).T.reshape(-1) / n
 
-    return value, value_and_gradient
+    def hessian(flat):
+        _forward(inputs_t, np.asarray(flat, dtype=float).reshape(k, d), z, active)
+        stacked = (active.T[:, :, None] * inputs_t.T[:, None, :]).reshape(n, k * d)
+        return SymMatrix(stacked.T @ stacked / n)
+
+    return value, value_and_gradient, hessian
 
 
 def loss(w: Weights, data: ReluDataset) -> float:
@@ -336,30 +342,23 @@ def near_kink(w: Weights, data: ReluDataset) -> bool:
     Gradient checks are skipped at such points: the loss gradient jumps across
     activation boundaries, so finite differences straddling one are meaningless.
     """
-    z = np.abs(data.inputs @ _checked(w, data).matrix.T)
-    xnorm = np.linalg.norm(data.inputs, axis=1)[:, None]
-    scale = xnorm * np.linalg.norm(w.matrix, axis=1)[None, :]
+    z = np.abs(_checked(w, data).matrix @ data.inputs.T)
+    xnorm = np.linalg.norm(data.inputs, axis=1)
+    scale = np.linalg.norm(w.matrix, axis=1)[:, None] * xnorm
     return bool(np.any((z <= KINK_MARGIN_RTOL * scale) & (xnorm > 0.0)))
 
 
 def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
-    """Almost-everywhere loss Hessian (1/n) sum_i a(x_i, w) a(x_i, w)^T."""
-    mask = (data.inputs @ _checked(w, data).matrix.T) >= 0.0
-    stacked = (mask[:, :, None] * data.inputs[:, None, :]).reshape(data.n, w.k * w.d)
-    return SymMatrix(stacked.T @ stacked / data.n)
+    """Almost-everywhere loss Hessian (1/n) sum_i a(x_i, w) a(x_i, w)^T, from the ``hessian`` of _loss_callables at
+    w.k, so its mask is the forward pass's W X^T >= 0; like loss and gradient, it builds that owner per call."""
+    return _loss_callables(data, _checked(w, data).k)[2](w.flat)
 
 
 def loss_objective(data: ReluDataset) -> ObjectiveFunction:
-    """The training loss as an objective over flat weights in R^{kd}: the callables of _loss_callables at
-    the teacher's width, so one objective must not be called from two threads at once."""
-    k, d = data.teacher.k, data.teacher.d
-    value, value_and_gradient = _loss_callables(data, k)
-    return ObjectiveFunction(
-        dim=k * d,
-        value_and_gradient=value_and_gradient,
-        value=value,
-        hessian=lambda flat: loss_hessian_matrix(Weights(flat, k=k, d=d), data),
-    )
+    """The training loss as an objective over flat weights in R^{kd}: the three callables of _loss_callables at
+    the teacher's width, one workspace among them, so one objective must not be called from two threads at once."""
+    value, fused, hessian = _loss_callables(data, data.teacher.k)
+    return ObjectiveFunction(dim=data.teacher.flat.size, value_and_gradient=fused, hessian=hessian, value=value)
 
 
 # --- delimited-text export/import ------------------------------------------

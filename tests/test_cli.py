@@ -378,6 +378,13 @@ class TestSpecFile:
             options = capsys.readouterr().out.split(epilog.splitlines()[0])[0]  # the text before the epilog
             assert [f for f in FIELDS if not re.search(rf"^  --{f.replace('_', '-')}\b", options, re.M)] == []
 
+    @pytest.mark.parametrize("text", ["false", "no", "OFF", "0"])
+    def test_false_no_timestamp_writes_the_stamp(self, tmp_path, text):
+        spec = tmp_path / "run.spec"
+        spec.write_text(f"d = 3\nk = 2\nn = 10\nno-timestamp = {text}\n")
+        assert main(["bounds", "--spec", str(spec), "--out", str(tmp_path / "res")]) == EXIT_OK
+        assert (tmp_path / "res" / "bounds.csv").read_text().startswith("# generated: ")
+
     def test_unknown_key_rejected(self, tmp_path):
         spec = tmp_path / "run.spec"
         spec.write_text("depth = 4\n")
@@ -389,7 +396,9 @@ class TestSpecFile:
          pytest.param(b"oracle-budget = 1e4\n", [], "bad oracle-budget value '1e4'", id="oracle-budget = 1e4"),
          pytest.param(b"", ["--d", "abc"], "bad d value 'abc'", id="flag --d abc"),
          pytest.param(b"d = 4 \xff\n", [], "run.spec is not UTF-8 text", id="not-utf8"),
-         pytest.param(b"d = 3\n# d = 5\nd = 4\n", [], "run.spec:3: key 'd' repeats line 1", id="repeated key")],
+         pytest.param(b"d = 3\n# d = 5\nd = 4\n", [], "run.spec:3: key 'd' repeats line 1", id="repeated key"),
+         pytest.param(b"d 4\n", [], "run.spec:1: expected key = value", id="no equals sign"),
+         pytest.param(b"no-timestamp = maybe\n", [], "bad no-timestamp value 'maybe'", id="no-timestamp = maybe")],
     )
     def test_bad_value_rejected(self, tmp_path, capsys, content, flags, named):
         # the message names the key (or the file) and no output directory is made

@@ -195,6 +195,12 @@ class TestRunDescent:
         with pytest.raises(InvalidInputError):
             run_descent(f, DescentConfig(eta=0.1, steps=5, x0=[1.0]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_loss_rejected(self, value):
+        f = ObjectiveFunction(dim=1, value_and_gradient=lambda x: (value, np.zeros(1)))
+        with pytest.raises(InvalidInputError, match="objective is not finite at the initial point"):
+            run_descent(f, DescentConfig(eta=0.1, steps=5, x0=[1.0]))
+
 
 class TestTraceIO:
     def test_round_trip(self, tmp_path):

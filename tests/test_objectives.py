@@ -164,6 +164,16 @@ class TestBoxDomain:
         with pytest.raises(InvalidInputError, match="must be finite"):
             BoxDomain(lower, upper, 4)
 
+    @pytest.mark.parametrize(
+        "lower, upper, message",
+        [([0.0, 0.0], [1.0], "lower and upper must be vectors of equal length"),
+         ([1.0], [0.0], "lower must be <= upper componentwise")],
+        ids=["unequal-lengths", "lower-above-upper"],
+    )
+    def test_sides_that_make_no_box_rejected(self, lower, upper, message):
+        with pytest.raises(InvalidInputError, match=message):
+            BoxDomain(lower, upper, 4)
+
     @pytest.mark.parametrize("estimator", [estimate_concavifier_hessian, estimate_concavifier_midpoint])
     def test_non_integer_budget_rejected(self, estimator):
         # budget=16.0 had passed the box and died in rng.uniform inside either estimator (TypeError)

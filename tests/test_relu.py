@@ -453,6 +453,28 @@ class TestActivationVectors:
             for m in (second_moment_matrix(data), loss_hessian_matrix(w, data), allactive_gram_matrix(data, k)):
                 assert np.array_equal(m.entries, m.entries.T), (d, k, n)
 
+    @pytest.mark.parametrize("seeds", [[223], [418], [746], range(250)], ids=["223", "418", "746", "sweep"])
+    def test_hessian_mask_is_the_forward_pass(self, seeds):
+        # one point x lies on neuron 0's boundary: w_0 is projected off x, so x^T w_0 is 0 up to rounding and
+        # its sign hangs on the product's summation order.  The Hessian stacks the points by the mask that the
+        # forward pass records, bit for bit, and so does the loss objective's Hessian.  A Hessian that took its
+        # mask from its own (n, k) product X W^T disagreed at seeds 223 (d29 k2 n4), 418 and 746 on OpenBLAS
+        # 0.3.31, a count that depends on the BLAS kernel
+        for seed in seeds:
+            r = np.random.default_rng([seed, 7])
+            d, k, n = int(r.integers(2, 40)), int(r.integers(1, 4)), int(r.integers(2, 50))
+            data = generate_dataset(NetConfig(d, k, n, seed))
+            wmat = r.standard_normal((k, d))
+            x = data.inputs[r.integers(n)]
+            wmat[0] -= (x @ wmat[0]) / (x @ x) * x
+            w = _weights(wmat)
+            active = np.empty((k, n), dtype=bool)
+            relu_module._forward(data.inputs.T, w.matrix, active=active)
+            stacked = (active.T[:, :, None] * data.inputs[:, None, :]).reshape(n, k * d)
+            h = loss_hessian_matrix(w, data).entries
+            assert np.array_equal(h, stacked.T @ stacked / n), (seed, d, k, n)
+            assert np.array_equal(loss_objective(data).hessian(w.flat).entries, h), seed
+
     @given(
         coords=st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=5),
         k=st.integers(1, 4),
@@ -533,6 +555,17 @@ class TestInputRules:
     def test_negative_seed(self):
         with pytest.raises(InvalidInputError, match="seed must be at least 0"):
             NetConfig(1, 1, 1, -1)
+
+    @pytest.mark.parametrize(
+        "inputs, teacher, message",
+        [(np.empty((0, 2)), np.ones(2), "inputs must be a nonempty (n, d) array"),
+         (np.ones(3), np.ones(3), "inputs must be a nonempty (n, d) array"),
+         (np.ones((4, 2)), np.ones(3), "input dimension does not match the teacher")],
+        ids=["no-points", "one-dimensional", "teacher-of-another-d"],
+    )
+    def test_inputs_that_make_no_dataset(self, inputs, teacher, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            ReluDataset(inputs, Weights(teacher, k=1, d=teacher.size), seed=0)
 
     def test_dataset_seed_below_no_seed(self):
         # -1 is load_dataset's "no seed"; -5 had been taken for it silently
@@ -1173,4 +1206,18 @@ class TestDatasetIO:
         save_dataset(data, paths["inputs"], paths["teacher"])
         paths[which].write_bytes(text)
         with pytest.raises(InvalidInputError, match=re.escape(str(paths[which]))):
+            load_dataset(paths["inputs"], paths["teacher"])
+
+    @pytest.mark.parametrize(
+        "which, text, message",
+        [("inputs", b"x0,x1,x2,z\n1,2,3,4\n", "has an unexpected header ['x0', 'x1', 'x2', 'z']"),
+         ("teacher", b"1\n2\n3\n4\n5\n", "does not hold one weight per line, a multiple of 3 lines")],
+        ids=["last-header-not-y", "five-weights-at-d3"],
+    )
+    def test_header_and_weight_count_checked(self, tmp_path, which, text, message):
+        data = generate_dataset(NetConfig(d=3, k=2, n=5, seed=0))
+        paths = {"inputs": tmp_path / "data.csv", "teacher": tmp_path / "teacher.csv"}
+        save_dataset(data, paths["inputs"], paths["teacher"])
+        paths[which].write_bytes(text)
+        with pytest.raises(InvalidInputError, match=re.escape(f"{paths[which]} {message}")):
             load_dataset(paths["inputs"], paths["teacher"])
