@@ -29,7 +29,11 @@ than 256: `estimate_concavifier_hessian` at budget 64 on the d50 k5 n200 loss
 over [-1, 1]^250 at seeds 0-2, and a random-search `alpha_oracle` at budget 600
 on d60 k2 n200 at seed 0; last, a random-search `alpha_oracle` at budget 300 on
 d60 k2 n1200 at seed 0, whose upper-triangle products (1830 per point) fill two
-point blocks and so are formed again for each chunk rather than held.
+point blocks and so are formed again for each chunk rather than held.  After
+them come the loss calls at a `Weights`: at `initial_weights` on d10 k5 n200 and
+on d20 k1 n50, seed 0, `loss` as the value and `gradient` as the witness, then
+the entries of `loss_hessian_matrix` at the same weights and of
+`allactive_gram_matrix`, row by row, each with the matrix's order kd as value.
 
 To check that a change keeps every output byte-identical, run it on both
 checkouts with the same environment and diff the two listings:
@@ -69,9 +73,14 @@ from stepsafe.cli import main  # noqa: E402
 from stepsafe.objectives import BoxDomain, estimate_concavifier_hessian, estimate_concavifier_midpoint  # noqa: E402
 from stepsafe.relu import (  # noqa: E402
     NetConfig,
+    allactive_gram_matrix,
     alpha_oracle,
     generate_dataset,
+    gradient,
+    initial_weights,
     load_dataset,
+    loss,
+    loss_hessian_matrix,
     loss_objective,
     save_dataset,
 )
@@ -120,6 +129,12 @@ def _library_calls():
     yield "random_search_d60_k2_n200_budget600", alpha_oracle(data, 2, "random-search", 600), ()
     data = generate_dataset(NetConfig(60, 2, 1200, 0))  # two point blocks, their products formed per chunk
     yield "random_search_d60_k2_n1200_budget300", alpha_oracle(data, 2, "random-search", 300), ()
+    for d, k, n in ((10, 5, 200), (20, 1, 50)):  # a matrix's line: its order kd, then its entries row by row
+        config = NetConfig(d, k, n, 0)
+        data, w = generate_dataset(config), initial_weights(config)
+        yield f"loss_gradient_d{d}_k{k}_n{n}", loss(w, data), gradient(w, data)
+        yield f"loss_hessian_d{d}_k{k}_n{n}", k * d, loss_hessian_matrix(w, data).entries
+        yield f"allactive_gram_d{d}_k{k}_n{n}", k * d, allactive_gram_matrix(data, k).entries
 
 
 def _sha(data: bytes) -> str:

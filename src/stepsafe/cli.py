@@ -20,7 +20,7 @@ import functools
 import inspect
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -120,16 +120,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-# Every ExperimentSpec field with the converter of its text value.  The table
-# gives each subcommand its flags (--oracle-budget for oracle_budget) and
-# the spec file its keys (oracle-budget); both hand over text, and
-# build_spec converts it here.  A converter raises ValueError on bad text,
-# and build_spec turns that into InvalidInputError naming the key.
-FIELDS = {
-    "d": int, "k": int, "n": int, "seed": int, "reps": int, "steps": int,
-    "scales": lambda text: tuple(map(float, _split(text))), "bounds": _split,
-    "out": Path, "no_timestamp": _parse_bool, "oracle_strategy": str, "oracle_budget": int,
-}
+# Every ExperimentSpec field, in order, with the converter of its text value: the type of its
+# default, but for the three whose text reads otherwise.  The table gives each subcommand its flags
+# (--oracle-budget for oracle_budget) and the spec file its keys (oracle-budget); both hand over text,
+# and build_spec converts it here.  A converter raises ValueError on bad text, and build_spec turns
+# that into InvalidInputError naming the key.
+FIELDS = {field.name: type(field.default) for field in fields(ExperimentSpec)}
+FIELDS.update(scales=lambda text: tuple(map(float, _split(text))), bounds=_split, no_timestamp=_parse_bool)
 
 
 def _key(name: str) -> str:

@@ -82,6 +82,8 @@ class Weights:
             _as_count(getattr(self, name), name)
         if self.flat.shape != (self.k * self.d,):
             raise InvalidInputError(f"expected {self.k * self.d} weights, got shape {self.flat.shape}")
+        if not np.isfinite(self.flat).all():
+            raise InvalidInputError("weights must be finite")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -118,8 +120,8 @@ class ReluDataset:
             raise InvalidInputError("input dimension does not match the teacher")
         with np.errstate(over="ignore", invalid="ignore"):  # every entry of S and of a loss Hessian is <= this sum
             squares = self.inputs.ravel("K") @ self.inputs.ravel("K")  # a view: no (n, d) bool array
-        if not (np.isfinite(squares) and np.isfinite(self.teacher.flat).all()):
-            raise InvalidInputError("inputs' sum of squares and teacher weights must be finite")
+        if not np.isfinite(squares):
+            raise InvalidInputError("inputs' sum of squares must be finite")
         _as_count(self.seed, "seed", -1)  # -1: no seed, as load_dataset gives
 
     @property
@@ -171,8 +173,8 @@ def _checked(w: Weights, data: ReluDataset) -> Weights:
     return w
 
 
-def _loss_callables(data: ReluDataset, k: int):
-    """The loss at width-k weights on ``data`` as raw callables over flat weights, on the (d, n) view ``inputs.T``
+def _loss_objective(data: ReluDataset, k: int) -> ObjectiveFunction:
+    """The loss at width-k weights on ``data`` as an objective over flat weights, on the (d, n) view ``inputs.T``
     and the targets, read once here: ``value`` (a point (kd,), or a stack (m, kd) in chunks of STACK_CHUNK_ENTRIES)
     and the fused ``value_and_gradient`` take _forward's residuals and the bits of 0.5 * np.mean(resid**2), so each
     value is its fused call's bit for bit.  The fused call and the a.e. ``hessian`` share one (k, n) float and bool
@@ -206,17 +208,17 @@ def _loss_callables(data: ReluDataset, k: int):
         stacked = (active.T[:, :, None] * inputs_t.T[:, None, :]).reshape(n, k * d)
         return SymMatrix(stacked.T @ stacked / n)
 
-    return value, value_and_gradient, hessian
+    return ObjectiveFunction(dim=k * d, value_and_gradient=value_and_gradient, hessian=hessian, value=value)
 
 
 def loss(w: Weights, data: ReluDataset) -> float:
     """1/(2n) sum_i (f(x_i, w) - y_i)^2, with f(x, w) = sum_j max(0, x^T w_j)."""
-    return _loss_callables(data, _checked(w, data).k)[0](w.flat)
+    return _loss_objective(data, _checked(w, data).k).value(w.flat)
 
 
 def gradient(w: Weights, data: ReluDataset) -> np.ndarray:
     """(1/n) sum_i (f(x_i, w) - y_i) * a(x_i, w), flat in R^{kd}."""
-    return _loss_callables(data, _checked(w, data).k)[1](w.flat)[1]
+    return _loss_objective(data, _checked(w, data).k).value_and_gradient(w.flat)[1]
 
 
 def alpha_single_point(x, k: int) -> float:
@@ -246,7 +248,7 @@ def allactive_gram_matrix(data: ReluDataset, k: int) -> SymMatrix:
     Hessian at w = 0, where the >= indicator activates every neuron.  A test
     reference only, since it takes O((kd)^2) memory."""
     _as_count(k, "k")
-    return loss_hessian_matrix(Weights(np.zeros(k * data.d), k=k, d=data.d), data)
+    return _loss_objective(data, k).hessian(np.zeros(k * data.d))
 
 
 def bound_alpha2(data: ReluDataset, k: int) -> float:
@@ -349,16 +351,15 @@ def near_kink(w: Weights, data: ReluDataset) -> bool:
 
 
 def loss_hessian_matrix(w: Weights, data: ReluDataset) -> SymMatrix:
-    """Almost-everywhere loss Hessian (1/n) sum_i a(x_i, w) a(x_i, w)^T, from the ``hessian`` of _loss_callables at
-    w.k, so its mask is the forward pass's W X^T >= 0; like loss and gradient, it builds that owner per call."""
-    return _loss_callables(data, _checked(w, data).k)[2](w.flat)
+    """Almost-everywhere loss Hessian (1/n) sum_i a(x_i, w) a(x_i, w)^T, the ``hessian`` of _loss_objective at
+    w.k, so its mask is the forward pass's W X^T >= 0; like loss and gradient, it builds that objective per call."""
+    return _loss_objective(data, _checked(w, data).k).hessian(w.flat)
 
 
 def loss_objective(data: ReluDataset) -> ObjectiveFunction:
-    """The training loss as an objective over flat weights in R^{kd}: the three callables of _loss_callables at
-    the teacher's width, one workspace among them, so one objective must not be called from two threads at once."""
-    value, fused, hessian = _loss_callables(data, data.teacher.k)
-    return ObjectiveFunction(dim=data.teacher.flat.size, value_and_gradient=fused, hessian=hessian, value=value)
+    """The training loss as an objective over flat weights in R^{kd}: _loss_objective at the teacher's width, one
+    workspace among its callables, so one objective must not be called from two threads at once."""
+    return _loss_objective(data, data.teacher.k)
 
 
 # --- delimited-text export/import ------------------------------------------

@@ -645,9 +645,9 @@ class TestOutputDriftScripts:
     def test_keep_writes_library_values_outside_the_listing(self, tmp_path):
         # the script with its CLI runs, bound table and datasets left out: each library call's value and
         # witness go to library/<name>.csv, whose cells give back the bytes of its digest line
-        # bound table stdout, 5 help texts, usage error, 23 library calls
+        # bound table stdout, 5 help texts, usage error, 29 library calls
         lines = _digests_with(tmp_path, "o._runs, o.CONFIGS, o.bound_table = (lambda: ()), (), (lambda argv: 0)")
-        assert len(lines) == 30
+        assert len(lines) == 36
         listed = {name: digest for digest, name in (line.split("  ") for line in lines[7:])}
         assert {p.stem for p in (tmp_path / "library").iterdir()} == set(listed)
         for name, digest in listed.items():

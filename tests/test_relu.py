@@ -121,6 +121,15 @@ class TestWeights:
         with pytest.raises(InvalidInputError):
             Weights(np.zeros(5), k=2, d=3)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, value):
+        # a NaN weight had read every neuron inactive (a zero loss Hessian, no kink), and an infinite one had
+        # reached the forward pass's matmul
+        flat = np.ones(6)
+        flat[4] = value
+        with pytest.raises(InvalidInputError, match="weights must be finite"):
+            Weights(flat, k=2, d=3)
+
 
 _TEACHER = Weights([1.0, -0.5, 0.3, 0.2, 0.8, -1.0], k=2, d=3)
 _STUDENT = Weights([0.4, 0.9, -0.2, -0.7, 0.1, 0.5], k=2, d=3)
@@ -646,13 +655,14 @@ class TestInputRules:
         with pytest.raises(InvalidInputError, match="must be finite"):
             alpha_oracle(ReluDataset(inputs, Weights(teacher, k=2, d=2), seed=0), 2, "random-search", budget=8)
 
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_non_finite_cell_in_dataset_file(self, tmp_path, cell):
+    @pytest.mark.parametrize("name, cell", [("data", "nan"), ("data", "inf"), ("teacher", "-inf")],
+                             ids=["nan", "inf", "teacher-inf"])
+    def test_non_finite_cell_in_dataset_file(self, tmp_path, name, cell):
         data = generate_dataset(NetConfig(d=2, k=2, n=5, seed=0))
         save_dataset(data, tmp_path / "data.csv", tmp_path / "teacher.csv")
-        lines = (tmp_path / "data.csv").read_text().splitlines()
-        lines[2] = ",".join([cell] + lines[2].split(",")[1:])
-        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+        lines[2] = ",".join([cell] + lines[2].split(",")[1:])  # a teacher line holds one weight
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidInputError, match="must be finite"):
             load_dataset(tmp_path / "data.csv", tmp_path / "teacher.csv")
 
